@@ -74,20 +74,24 @@ def _dynamics_state(doc):
     if not masses:
         raise MissingData("nodes[*].mass")
     by_index = {doc.complex.node_index(k): v for k, v in masses.items()}
-    flows = {
-        doc.complex.branch_index(k): np.broadcast_to(
-            np.asarray(v, dtype=float), (doc.samples,)
-        )
-        for k, v in doc.branch_attr("mass_flow").items()
-    }
     return dyn.DynamicsState(
         complex=doc.complex,
         n=doc.dimension,
         dt=doc.dt,
         trajectories=doc.trajectories(),
         masses=by_index,
-        flows=flows,
+        flows=_sampled(doc.branch_attr("mass_flow"), doc.complex.branch_index,
+                       doc.samples),
     )
+
+
+def _sampled(values, index, samples):
+    """Attribute values keyed by simplex index, each broadcast to a series of
+    the given length (a constant stays constant)."""
+    return {
+        index(k): np.broadcast_to(np.asarray(v, dtype=float), (samples,))
+        for k, v in values.items()
+    }
 
 
 def _force_complex(doc):
@@ -280,17 +284,13 @@ def _run_mass(doc, options):
         raise MissingData("nodes[*].mass")
     flows = doc.branch_attr("mass_flow")
     tol = options.get("tolerance", DEFAULT_TOL)
+    samples = doc.samples or 1
     state = dyn.DynamicsState(
         complex=doc.complex,
         n=doc.dimension,
         dt=doc.dt,
-        masses={doc.complex.node_index(k): v for k, v in masses.items()},
-        flows={
-            doc.complex.branch_index(k): np.broadcast_to(
-                np.asarray(v, dtype=float), (doc.samples or 1,)
-            )
-            for k, v in flows.items()
-        },
+        masses=_sampled(masses, doc.complex.node_index, samples),
+        flows=_sampled(flows, doc.complex.branch_index, samples),
     )
     rep = dyn.mass_balance_check(state, tol)
     return AnalysisReport(
@@ -379,7 +379,9 @@ def _run_virtual_work(doc, options):
     fc = _force_complex(doc)
     tol = options.get("tolerance")
     by_sweep = st.equilibrium_via_virtual_work(fc, tol)
-    direct = st.equilibrium_check(fc, tol or DEFAULT_TOL).in_equilibrium
+    direct = st.equilibrium_check(
+        fc, tol if tol is not None else DEFAULT_TOL
+    ).in_equilibrium
     return AnalysisReport(
         command="virtual-work",
         verdict="pass" if by_sweep else "fail",

@@ -4,20 +4,68 @@ A complex stores its branches as ordered (tail, head) node pairs and its
 faces as oriented triples of signed branches; the incidence matrices of the
 boundary operator are derived from that data.  Sign convention: the boundary
 of a branch is head minus tail, and a face contributes each of its three
-branches with the sign of the traversal.
+branches with the sign of the traversal.  Each face is checked to close when
+it is added, which is the identity boundary(boundary(face)) = 0.
+
+Every question about the boundary map on branches is answered by one
+spanning forest (``Complex.forest``), Kirchhoff's split of the branches into
+tree branches and chords.  It is built by scanning the branches in index
+order and keeping each one that joins two components, so it is the forest
+whose branches are the pivot columns of the echelon form of that map: the
+path components are its trees, the rank is its number of branches, and the
+fundamental cycle of each chord is the nullspace vector of that chord's
+free column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateLabel,
-    InternalMismatch,
     NonClosingFace,
     SelfLoopBranch,
     UnknownLabel,
 )
+
+
+@dataclass(frozen=True)
+class SpanningForest:
+    """Tree branches and chords of a complex, each tree rooted at its
+    lowest-index node.
+
+    For a node v that is not a root, branch[v] joins it to parent[v], and
+    sign[v] is +1 when that branch runs parent -> v, -1 when it runs
+    v -> parent.  component[v] is the root of v's tree; order lists every
+    node after its parent; chords are the branches left out, in index order.
+    """
+
+    branches: tuple
+    parent: tuple
+    branch: tuple
+    sign: tuple
+    component: tuple
+    order: tuple
+    chords: tuple
+
+    def cycle(self, chord):
+        """Fundamental cycle of a chord as {branch: +-1}: the chord plus the
+        tree path from its head back to its tail, signed +1 on its
+        lowest-index branch."""
+        tail, head = self.branches[chord]
+        coeffs = {chord: 1}
+        # walking v -> parent runs against a branch oriented parent -> v;
+        # the two walks cancel above the meeting point
+        for node, factor in ((head, 1), (tail, -1)):
+            while self.branch[node] is not None:
+                a = self.branch[node]
+                coeffs[a] = coeffs.get(a, 0) - factor * self.sign[node]
+                node = self.parent[node]
+        coeffs = {a: v for a, v in coeffs.items() if v}
+        if coeffs[min(coeffs)] < 0:
+            coeffs = {a: -v for a, v in coeffs.items()}
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -79,7 +127,6 @@ class Complex:
 
         self._node_index = {lab: i for i, lab in enumerate(self.node_labels)}
         self._branch_index = {lab: a for a, lab in enumerate(self.branch_labels)}
-        self._check_boundary_of_boundary()
 
     # -- inventory ---------------------------------------------------------
 
@@ -139,16 +186,50 @@ class Complex:
             rows.append(row)
         return rows
 
-    def _check_boundary_of_boundary(self):
-        inc1 = self.incidence_1
-        for row in self.incidence_2:
-            tot = [0] * len(self.node_labels)
-            for a, coef in enumerate(row):
-                if coef:
-                    for i, e in enumerate(inc1[a]):
-                        tot[i] += coef * e
-            if any(tot):
-                raise InternalMismatch("boundary of boundary is nonzero")
+    @cached_property
+    def forest(self):
+        """The spanning forest of the branches scanned in index order."""
+        r0 = len(self.node_labels)
+        rep = list(range(r0))  # union-find; each set is named by its lowest node
+
+        def find(i):
+            while rep[i] != i:
+                rep[i] = rep[rep[i]]
+                i = rep[i]
+            return i
+
+        tree = [[] for _ in range(r0)]
+        chords = []
+        for a, (tail, head) in enumerate(self.branches):
+            rt, rh = find(tail), find(head)
+            if rt == rh:
+                chords.append(a)
+                continue
+            rep[max(rt, rh)] = min(rt, rh)
+            tree[tail].append((a, head, 1))
+            tree[head].append((a, tail, -1))
+
+        parent = [None] * r0
+        branch = [None] * r0
+        sign = [0] * r0
+        component = [None] * r0
+        order = []
+        for root in range(r0):
+            if component[root] is not None:
+                continue
+            component[root] = root
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                for a, v, s in tree[u]:
+                    if component[v] is None:
+                        component[v] = root
+                        parent[v], branch[v], sign[v] = u, a, s
+                        stack.append(v)
+        return SpanningForest(tuple(self.branches), tuple(parent), tuple(branch),
+                              tuple(sign), tuple(component), tuple(order),
+                              tuple(chords))
 
     def __repr__(self):
         r0, r1, r2 = self.r
@@ -260,21 +341,9 @@ def fresh_label(complex, base):
 
 
 def path_components(complex):
-    """Partition of the node indices by branch connectivity, as sorted lists."""
-    parent = list(range(complex.r[0]))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for tail, head in complex.branches:
-        ra, rb = find(tail), find(head)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    """Partition of the node indices by branch connectivity: the trees of the
+    spanning forest, as sorted lists ordered by their lowest node."""
     groups = {}
-    for i in range(complex.r[0]):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
+    for i, root in enumerate(complex.forest.component):
+        groups.setdefault(root, []).append(i)
+    return list(groups.values())

@@ -24,7 +24,7 @@ from .errors import (
     TooFewSamples,
     ZeroTotalMass,
 )
-from .homology import cycle_basis
+from .homology import cycle_basis, integrate
 from .kinematics import spatial_trace
 
 DEFAULT_TOL = 1e-9
@@ -476,34 +476,13 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
                 conservative=False, witness_cycle=z, cycle_work=float(total)
             )
 
-    potential_on_trace = _tree_potential(trace.complex, values)
+    # U = -integrate(W) has U(root) = 0 and U(head) = U(tail) - w(edge)
+    # along the forest; negating a float sum is exact
+    integrated = integrate(work)
     potential = {}
     for i, per_time in enumerate(trace.node_vertices):
-        potential[i] = np.array([potential_on_trace[v] for v in per_time])
+        potential[i] = -np.array([integrated[v] for v in per_time])
     return ConservativeReport(conservative=True, potential=potential)
-
-
-def _tree_potential(complex, work_by_edge):
-    """U with W = -coboundary(U): breadth-first integration from each
-    component root, U(head) = U(tail) - w(edge)."""
-    potential = {}
-    adjacency = {i: [] for i in range(complex.r[0])}
-    for a, (tail, head) in enumerate(complex.branches):
-        w = work_by_edge.get(a, 0.0)
-        adjacency[tail].append((head, -w))
-        adjacency[head].append((tail, +w))
-    for root in range(complex.r[0]):
-        if root in potential:
-            continue
-        potential[root] = 0.0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for nxt, delta in adjacency[v]:
-                if nxt not in potential:
-                    potential[nxt] = potential[v] + delta
-                    queue.append(nxt)
-    return potential
 
 
 # ---------------------------------------------------------------------------

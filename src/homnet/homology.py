@@ -3,12 +3,19 @@ Euler characteristic and the cocycle/coboundary machinery.
 
 Everything structural is computed exactly over the rationals; float-valued
 chains get tolerance-based versions of the same tests.
+
+In dimension one every question goes through the complex's spanning forest
+(``Complex.forest``), Kirchhoff's tree-and-chords construction: the rank of
+the boundary map on branches is the number of tree branches, the cycle
+basis is the chords' fundamental cycles, and a 1-cochain is a coboundary
+exactly when it sums to zero around each of them (within the tolerance, for
+float kinds).  Its potential is then found by integrating along the trees.
+Faces still go through exact elimination of their incidence matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,8 +50,10 @@ def _boundary_matrix(complex, k):
 def _rank_boundary(complex, k):
     if k <= 0 or k > complex.dim:
         return 0
-    mat = (complex.incidence_1, complex.incidence_2)[k - 1]
-    return exact.rank(mat)
+    if k == 1:
+        # one echelon pivot per tree branch
+        return complex.r[1] - len(complex.forest.chords)
+    return exact.rank(complex.incidence_2)
 
 
 def is_cycle(chain, tol=None):
@@ -114,79 +123,23 @@ def betti_numbers(complex):
 def cycle_basis(complex, k=1):
     """Integer basis of the k-cycles (the kernel of the boundary map).
 
-    In dimension one this is the fundamental-cycle basis of a spanning
-    forest (one cycle per chord, coefficients all +-1), which stays cheap on
-    large complexes; higher dimensions fall back to the exact nullspace.
+    In dimension one this is the fundamental-cycle basis of the spanning
+    forest, one cycle per chord in chord order with coefficients all +-1;
+    it equals the exact nullspace basis vector for vector.  Dimension two
+    falls back to the exact nullspace.
     """
     if k == 0:
         return [Chain(complex, 0, {i: 1}, INTEGER) for i in range(complex.r[0])]
+    if k == 1:
+        forest = complex.forest
+        return [Chain(complex, 1, forest.cycle(a), INTEGER) for a in forest.chords]
     if k > complex.dim:
         return []
-    if k == 1:
-        return _fundamental_cycles(complex)
     vecs = exact.nullspace(_boundary_matrix(complex, k))
     return [
         Chain(complex, k, {i: v for i, v in enumerate(vec) if v}, INTEGER)
         for vec in vecs
     ]
-
-
-def _fundamental_cycles(complex):
-    """One cycle per non-forest branch: the chord plus the tree path that
-    closes it.  Deterministic: branches are scanned in index order."""
-    r0 = complex.r[0]
-    adjacency = _adjacency(complex)
-    parent = {}  # node -> (parent node, branch, sign of branch toward parent)
-    in_tree = set()
-    seen = set()
-    for root in range(r0):
-        if root in seen:
-            continue
-        seen.add(root)
-        parent[root] = None
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a, v, sign in adjacency.get(u, ()):
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    in_tree.add(a)
-                    # sign is +1 when the branch is oriented u -> v
-                    parent[v] = (u, a, sign)
-                    nxt.append(v)
-            frontier = nxt
-
-    def path_to_root(node, out, factor):
-        while parent[node] is not None:
-            up, branch, sign = parent[node]
-            # traversing node -> parent goes against a branch oriented
-            # parent -> node
-            out[branch] = out.get(branch, 0) - factor * sign
-            node = up
-
-    cycles = []
-    for a, (tail, head) in enumerate(complex.branches):
-        if a in in_tree:
-            continue
-        coeffs = {a: 1}
-        path_to_root(head, coeffs, 1)
-        path_to_root(tail, coeffs, -1)
-        coeffs = {b: v for b, v in coeffs.items() if v}
-        first = min(coeffs)
-        if coeffs[first] < 0:
-            coeffs = {b: -v for b, v in coeffs.items()}
-        cycles.append(Chain(complex, 1, coeffs, INTEGER))
-    return cycles
-
-
-def _adjacency(complex):
-    out = {}
-    for a, (tail, head) in enumerate(complex.branches):
-        out.setdefault(tail, []).append((a, head, 1))
-        out.setdefault(head, []).append((a, tail, -1))
-    return out
 
 
 def homology_generators(complex, k):
@@ -196,42 +149,34 @@ def homology_generators(complex, k):
             Chain(complex, 0, {comp[0]: 1}, INTEGER)
             for comp in path_components(complex)
         ]
-    if k > complex.dim:
-        return []
-    mat = _boundary_matrix(complex, k)
-    cycles = exact.nullspace(mat)
-    if k == complex.dim:
-        chosen = cycles
-    else:
-        # keep only cycle directions independent of the boundary image
-        image_rows = [row for row in (complex.incidence_2 if k == 1 else [])]
-        chosen = []
-        current = exact.rank(image_rows) if image_rows else 0
-        stack = list(image_rows)
-        for vec in cycles:
-            cand = stack + [vec]
-            r = exact.rank(cand)
-            if r > current:
-                chosen.append(vec)
-                stack = cand
-                current = r
-    return [
-        Chain(complex, k, {i: v for i, v in enumerate(vec) if v}, INTEGER)
-        for vec in chosen
-    ]
+    cycles = cycle_basis(complex, k)
+    if k >= complex.dim:
+        return cycles
+    # keep only cycle directions independent of the boundary image
+    stack = list(complex.incidence_2)
+    current = exact.rank(stack)
+    chosen = []
+    for z in cycles:
+        cand = stack + [[z[a] for a in range(complex.r[1])]]
+        r = exact.rank(cand)
+        if r > current:
+            chosen.append(z)
+            stack = cand
+            current = r
+    return chosen
 
 
 def torsion_coefficients(complex):
     """Invariant factors > 1 of each boundary matrix; torsion of H_k comes
-    from the boundary map out of dimension k+1.  Integer coefficients only."""
-    out = []
-    for k in range(complex.dim + 1):
-        if k + 1 > complex.dim or complex.r[k + 1] == 0:
-            out.append([])
-            continue
-        mat = (complex.incidence_1, complex.incidence_2)[k]
-        snf = exact.smith_normal_form(mat)
-        out.append([d for d in snf.d if d > 1])
+    from the boundary map out of dimension k+1.  Integer coefficients only.
+
+    H_0 never has torsion: the boundary map on branches of a loop-free
+    directed multigraph is totally unimodular.
+    """
+    out = [[] for _ in range(complex.dim + 1)]
+    if complex.dim == 2:
+        snf = exact.smith_normal_form(complex.incidence_2)
+        out[1] = [d for d in snf.d if d > 1]
     return out
 
 
@@ -279,70 +224,54 @@ class CoboundaryTest:
     pairing: object = None
 
 
+def integrate(cochain):
+    """The 0-cochain that is zero at every forest root and whose coboundary
+    equals the 1-cochain on every tree branch: the node potential of a drop
+    cochain, integrated outward from each component's lowest node."""
+    cx, mod = cochain.complex, cochain.module
+    forest = cx.forest
+    values = {}
+    for v in forest.order:
+        a = forest.branch[v]
+        if a is None:
+            values[v] = mod.zero()
+        else:
+            drop = cochain[a] if forest.sign[v] == 1 else mod.neg(cochain[a])
+            values[v] = mod.add(values[forest.parent[v]], drop)
+    return Cochain(cx, 0, values, mod, prune=False)
+
+
 def is_coboundary(cochain, tol=None):
     """Decide whether a 1-cochain is the coboundary of a 0-cochain.
 
-    On success the recovered potential is unique up to a constant per path
-    component.  On failure the result carries a homology generator on which
-    the cochain evaluates to something nonzero.
+    It is one exactly when it sums to zero around the fundamental cycle of
+    every chord of the spanning forest; float kinds pass when every such sum
+    is within the tolerance.  On failure the result carries the first chord's
+    cycle, in index order, with a nonzero sum, and that sum.  On success the
+    potential is integrated along the forest and shifted to be zero at each
+    component's highest-index node; it is unique up to a constant per path
+    component.
     """
     if cochain.dim != 1:
         raise KindMismatch("coboundary test is for 1-cochains")
-    cx = cochain.complex
-    mod = cochain.module
-    mat = cx.incidence_1
-    ncomp = len(mod.to_components(mod.zero()))
-
-    if mod.exact:
-        solved = []
-        for c in range(ncomp):
-            rhs = [
-                Fraction(mod.to_components(cochain[a])[c]) for a in range(cx.r[1])
-            ]
-            x = exact.solve(mat, rhs)
-            if x is None:
-                solved = None
-                break
-            solved.append(x)
-        if solved is not None:
-            values = {
-                i: mod.from_components([solved[c][i] for c in range(ncomp)])
-                for i in range(cx.r[0])
-            }
-            potential = Cochain(cx, 0, values, mod, prune=False)
-            return CoboundaryTest(True, potential=potential)
-    else:
-        tol = DEFAULT_TOL if tol is None else tol
-        if cx.r[1]:
-            a = np.array(mat, dtype=float)
-            rhs = np.array(
-                [mod.to_components(cochain[b]) for b in range(cx.r[1])], dtype=float
-            )
-            x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-            resid = np.max(np.abs(a @ x - rhs), initial=0.0)
-        else:
-            x = np.zeros((cx.r[0], ncomp))
-            resid = 0.0
-        if resid <= tol:
-            values = {
-                i: mod.from_components(list(x[i])) for i in range(cx.r[0])
-            }
-            potential = Cochain(cx, 0, values, mod, prune=False)
-            return CoboundaryTest(True, potential=potential)
-
-    # a failed solve is always witnessed by some cycle (left nullspace of the
-    # incidence matrix); on one-dimensional complexes these are exactly the
-    # homology generators
+    cx, mod = cochain.complex, cochain.module
     for z in cycle_basis(cx, 1):
         val = evaluate(cochain, z)
         if not _value_is_zero(mod, val, tol):
             return CoboundaryTest(False, witness=z, pairing=val)
-    raise InternalMismatch("unsolvable cochain with no violated cycle found")
+
+    potential = integrate(cochain)
+    values = {}
+    for comp in path_components(cx):
+        top = mod.neg(potential[comp[-1]])
+        for v in comp:
+            values[v] = mod.add(potential[v], top)
+    return CoboundaryTest(True, potential=Cochain(cx, 0, values, mod, prune=False))
 
 
 def _value_is_zero(mod, val, tol):
     if mod.exact:
-        return val == 0
+        return mod.is_zero(val, 0)
     t = DEFAULT_TOL if tol is None else tol
     arr = np.asarray(val, dtype=float)
     return float(np.max(np.abs(arr), initial=0.0)) <= t

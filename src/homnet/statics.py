@@ -323,13 +323,14 @@ def equilibrium_via_virtual_work(fc, tol=None):
     """Equilibrium verdict obtained by sweeping the full basis of unit
     virtual displacements (n per node) and requiring all works to vanish."""
     cx = fc.g.complex
-    eff_tol = 0 if (tol is None and _forces_exact(fc)) else (tol or DEFAULT_TOL)
+    if tol is None:
+        tol = 0 if _forces_exact(fc) else DEFAULT_TOL
     for i in range(cx.r[0]):
         for c in range(fc.n):
             unit = tuple(1 if k == c else 0 for k in range(fc.n))
             dx = Cochain(cx, 0, {i: unit}, vector(fc.n))
             w = virtual_work(fc, dx)
-            if (w != 0) if eff_tol == 0 else (abs(float(w)) > eff_tol):
+            if (w != 0) if tol == 0 else (abs(float(w)) > tol):
                 return False
     return True
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import homnet as hn
 from homnet import geometry as geo
@@ -98,6 +99,27 @@ def random_complex(rng, max_nodes=7, with_faces=True):
                 and rng.random() < 0.4
             ):
                 faces.append((t1, t2, t3))
+    names = [f"b{k}" for k in range(len(branches))]
+    return hn.build_complex(labels, branches, faces=faces, branch_labels=names)
+
+
+@st.composite
+def complexes(draw, max_nodes=7, with_faces=True):
+    """Hypothesis strategy for the complexes random_complex draws: directed
+    multigraphs (parallel and antiparallel branches allowed) with, when
+    requested, some of the triangles whose three sides exist as faces."""
+    r0 = draw(st.integers(1, max_nodes))
+    labels = [f"n{i}" for i in range(r0)]
+    ends = st.tuples(st.integers(0, r0 - 1), st.integers(0, r0 - 1))
+    pairs = draw(st.lists(ends.filter(lambda p: p[0] != p[1]), max_size=2 * r0))
+    branches = [(labels[t], labels[h]) for t, h in pairs]
+    sides = {frozenset(p) for p in pairs}
+    faces = []
+    if with_faces:
+        for combo in itertools.combinations(range(r0), 3):
+            closed = all(frozenset(e) in sides for e in itertools.combinations(combo, 2))
+            if closed and draw(st.booleans()):
+                faces.append(tuple(labels[i] for i in combo))
     names = [f"b{k}" for k in range(len(branches))]
     return hn.build_complex(labels, branches, faces=faces, branch_labels=names)
 

@@ -152,6 +152,43 @@ def test_kvl_fail_report_emits_witness_branch_labels():
         assert label in emitted
 
 
+def test_mass_on_signal_with_constant_masses():
+    # constant masses and no mass flows: every mass rate is zero
+    text = json.dumps({
+        "dimension": 2,
+        "signal": {"dt": 0.1, "samples": 5},
+        "nodes": [
+            {"id": "P", "pos": [0, 0], "mass": 2.0},
+            {"id": "Q", "pos": [1, 0], "mass": 1.5},
+        ],
+        "branches": [],
+    })
+    report = cli.run(documents.parse(text), "mass")
+    assert report.verdict == "pass"
+    assert report.numbers["max_residual"] == 0.0
+    assert report.numbers["total_mass_constant"] is True
+
+
+def test_virtual_work_zero_tolerance():
+    # a float force residual of about 1e-12 fails both verdicts at tol=0
+    text = json.dumps({
+        "dimension": 2,
+        "nodes": [
+            {"id": "A", "pos": [0, 0], "force": [3.0, 4.0]},
+            {"id": "B", "pos": [3, 4], "force": [-3.0, -4.0 + 1e-12]},
+        ],
+        "branches": [
+            {"id": "AB", "tail": "A", "head": "B", "internal_force": [3.0, 4.0]},
+        ],
+    })
+    doc = documents.parse(text)
+    assert cli.run(doc, "virtual-work").verdict == "pass"
+    report = cli.run(doc, "virtual-work", {"tolerance": 0})
+    assert report.verdict == "fail"
+    assert report.numbers["equilibrium_by_balance"] is False
+    assert report.numbers["verdicts_agree"] is True
+
+
 def test_float_formatting_fixed_digits():
     assert reports.format_number(0.1) == "0.10000000000000001"
     assert reports.format_number(1.0) == "1"

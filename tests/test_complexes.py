@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import homnet as hn
 from homnet import errors
-from conftest import random_chain, random_complex
+from conftest import complexes, random_chain, random_complex
 
 
 # -- build_complex ------------------------------------------------------------
@@ -221,13 +222,51 @@ def test_path_components_isolated_nodes():
     assert hn.path_components(cx) == [[0], [1], [2]]
 
 
-def test_component_count_matches_rank_identity(rng):
+@settings(deadline=None)
+@given(complexes())
+def test_component_count_matches_rank_identity(cx):
     from homnet import exact
 
-    for _ in range(50):
-        cx = random_complex(rng, with_faces=False)
-        b0 = len(hn.path_components(cx))
-        assert b0 == cx.r[0] - exact.rank(cx.incidence_1)
+    comps = hn.path_components(cx)
+    assert sorted(i for comp in comps for i in comp) == list(range(cx.r[0]))
+    assert all(comp == sorted(comp) for comp in comps)
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    where = {i: k for k, comp in enumerate(comps) for i in comp}
+    assert all(where[tail] == where[head] for tail, head in cx.branches)
+    b0 = len(comps)
+    assert b0 == cx.r[0] - exact.rank(cx.incidence_1) == hn.betti_numbers(cx)[0]
+
+
+@settings(deadline=None)
+@given(complexes(), st.data())
+def test_boundary_of_boundary_vanishes(cx, data):
+    # every accepted face has zero boundary of boundary, and a signed branch
+    # triple is rejected as a face exactly when its boundary of boundary,
+    # taken through the dense incidence matrices, is nonzero
+    def dd(row):
+        return [
+            sum(row[a] * cx.incidence_1[a][i] for a in range(cx.r[1]))
+            for i in range(cx.r[0])
+        ]
+
+    for row in cx.incidence_2:
+        assert not any(dd(row))
+    for f in range(cx.r[2]):
+        face = hn.Chain(cx, 2, {f: 1}, hn.INTEGER)
+        assert hn.boundary(hn.boundary(face)).is_zero(0)
+
+    assume(cx.r[1] > 0)
+    signed = st.tuples(st.integers(0, cx.r[1] - 1), st.sampled_from((-1, 1)))
+    edges = data.draw(st.lists(signed, min_size=3, max_size=3))
+    row = [0] * cx.r[1]
+    for b, s in edges:
+        row[b] += s
+    try:
+        hn.Complex(cx.node_labels, cx.branches, [edges], cx.branch_labels)
+    except errors.NonClosingFace:
+        assert any(dd(row))
+    else:
+        assert not any(dd(row))
 
 
 # -- chain maps ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import homnet as hn
-from homnet import errors, homology
-from conftest import random_chain, random_cochain, random_complex
+from homnet import errors, exact, homology
+from conftest import complexes, random_chain, random_cochain, random_complex
 
 
 # -- cycles and boundaries ------------------------------------------------
@@ -254,12 +255,78 @@ def test_float_coboundary_with_tolerance(circle):
     assert not result.is_coboundary
 
 
-def test_cycle_basis_matches_betti(rng):
-    from homnet import exact
+def test_float_coboundary_verdict_on_parallel_branches():
+    # every loop of these four parallel branches sums to 9e-10, within tol
+    cx = hn.build_complex(
+        ["A", "B"],
+        [("B", "A"), ("A", "B"), ("A", "B"), ("B", "A")],
+        branch_labels=["p", "q", "r", "s"],
+    )
+    drop = hn.Cochain(cx, 1, {0: 0.0, 1: -9e-10, 2: -9e-10, 3: -9e-10}, hn.REAL64)
+    result = hn.is_coboundary(drop, tol=1e-9)
+    assert result.is_coboundary
+    assert result.potential[0] == result.potential[1] == 0.0
 
-    for _ in range(40):
-        cx = random_complex(rng, with_faces=False)
+
+def test_float_coboundary_fails_on_loop_sum_above_tol(circle):
+    # the loop AB + BC - AC sums to 2e-9 > tol, although a least-squares
+    # potential misses each single drop by less than tol
+    drop = hn.Cochain(circle, 1, {0: 2e-9}, hn.REAL64)
+    result = hn.is_coboundary(drop, tol=1e-9)
+    assert not result.is_coboundary
+    assert result.pairing == 2e-9
+    assert dict(result.witness.coeffs) == {0: 1, 1: -1, 2: 1}
+
+
+@settings(deadline=None)
+@given(complexes())
+def test_cycle_basis_matches_betti(cx):
+    basis = hn.cycle_basis(cx, 1)
+    assert len(basis) == cx.r[1] - exact.rank(cx.incidence_1)
+    for z in basis:
+        assert hn.is_cycle(z)
+    # the forest's fundamental cycles are the elimination's nullspace basis
+    boundary_1 = [list(col) for col in zip(*cx.incidence_1)]
+    vectors = [[z[a] for a in range(cx.r[1])] for z in basis]
+    assert vectors == exact.nullspace(boundary_1)
+    if cx.dim >= 1:
+        rank_2 = exact.rank(cx.incidence_2) if cx.r[2] else 0
+        assert hn.betti_numbers(cx)[1] == len(basis) - rank_2
+
+
+@settings(deadline=None)
+@given(complexes())
+def test_degree_zero_has_no_torsion(cx):
+    assert hn.torsion_coefficients(cx)[0] == []
+    if cx.r[1]:
+        assert [d for d in exact.smith_normal_form(cx.incidence_1).d if d > 1] == []
+
+
+@settings(deadline=None)
+@given(complexes(), st.data())
+def test_exact_coboundary_potential(cx, data):
+    assume(cx.r[1] > 0)
+    r0, r1 = cx.r[0], cx.r[1]
+    if data.draw(st.booleans()):
+        values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+        v = data.draw(st.lists(values, min_size=r0, max_size=r0))
+        drop = hn.coboundary(hn.Cochain(cx, 0, dict(enumerate(v)), hn.RATIONAL))
+    else:
+        values = st.integers(-1, 1).map(Fraction)
+        d = data.draw(st.lists(values, min_size=r1, max_size=r1))
+        drop = hn.Cochain(cx, 1, dict(enumerate(d)), hn.RATIONAL)
+    result = hn.is_coboundary(drop)
+    solved = exact.solve(cx.incidence_1, [drop[a] for a in range(r1)])
+    assert result.is_coboundary == (solved is not None)
+    if result.is_coboundary:
+        assert hn.coboundary(result.potential) == drop
+        # zero at each component's highest-index node, the free column an
+        # exact solve of the incidence system leaves
+        assert [result.potential[i] for i in range(r0)] == solved
+        for comp in hn.path_components(cx):
+            assert result.potential[comp[-1]] == 0
+    else:
         basis = hn.cycle_basis(cx, 1)
-        assert len(basis) == cx.r[1] - exact.rank(cx.incidence_1)
-        for z in basis:
-            assert hn.is_cycle(z)
+        first = next(z for z in basis if hn.evaluate(drop, z) != 0)
+        assert result.witness == first
+        assert result.pairing == hn.evaluate(drop, first) != 0

@@ -203,6 +203,20 @@ def test_virtual_work_reads_residual(triangle_geo):
     assert not st.equilibrium_via_virtual_work(broken)
 
 
+def test_virtual_work_zero_tolerance_is_exact():
+    # a float force residual of about 1e-12 passes the default tolerance
+    # but not tol=0
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, 2, {"A": (0, 0), "B": (3, 4)})
+    fc = st.force_complex(
+        g,
+        external={"A": (3.0, 4.0), "B": (-3.0, -4.0 + 1e-12)},
+        internal={"AB": (3.0, 4.0)},
+    )
+    assert st.equilibrium_via_virtual_work(fc)
+    assert not st.equilibrium_via_virtual_work(fc, tol=0)
+
+
 def test_zero_virtual_displacement(triangle_geo):
     fc = equilibrated_complex(triangle_geo, {0: Fraction(2)})
     assert st.virtual_work(fc, {}) == 0
