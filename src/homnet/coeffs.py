@@ -131,10 +131,15 @@ class Module:
         raise NotImplementedError
 
     def is_zero(self, x, tol=None):
-        tol = self.prune_tol if tol is None else tol
-        if self.exact and tol == 0:
+        """Within tol (default: the pruning tolerance) of zero; an exact
+        value is zero at tol 0 or None only when it is exactly zero."""
+        if not tol and self.holds_exact(x):
             return self._exact_zero(x)
-        return self.norm(x) <= tol
+        return self.norm(x) <= (self.prune_tol if tol is None else tol)
+
+    def holds_exact(self, x):
+        """True when the value is exact, not a float approximation."""
+        return self.exact
 
     def _exact_zero(self, x):
         return x == self.zero()
@@ -275,6 +280,9 @@ class _VectorLikeModule(Module):
 
     def norm(self, x):
         return vnorm(x)
+
+    def holds_exact(self, x):
+        return all(isinstance(a, (int, Fraction)) for a in x)
 
     def _exact_zero(self, x):
         return all(a == 0 for a in x)

@@ -11,6 +11,7 @@ when a signal is declared.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -309,6 +310,8 @@ def parse_scalar(value, path="$"):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(path, f"not a finite number: {value!r}")
         return value
     if isinstance(value, str):
         try:

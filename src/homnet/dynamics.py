@@ -520,13 +520,14 @@ def work_energy_check(d, k, forces, tol=1e-6):
         )
 
     ke, _ = kinetic_energy(d)
+    works = work_values(k, forces)
     worst_gap = 0.0
     worst_drift = 0.0
     scale = 1.0
     for i in _node_range(d.complex):
         if i not in d.trajectories:
             continue
-        w_path = path_work(k, forces, i)
+        w_path = float(np.sum(works[i]))
         delta_ke = float(ke[i][-1] - ke[i][0])
         worst_gap = max(worst_gap, abs(w_path - delta_ke))
         scale = max(scale, abs(delta_ke))

@@ -3,7 +3,17 @@
 Rank, linear solves and nullspaces are reduced to one primitive: the
 fraction-free integer row echelon provided by the kernel backend (compiled
 when available, pure Python otherwise).  Rational input rows are scaled to
-integers first, which changes neither ranks, nullspaces, nor solution sets.
+integers first, and floats are taken as the exact dyadic rationals they are;
+neither changes ranks, nullspaces or solution sets.
+
+Each linear system is eliminated once: ``solve`` reads the solution and the
+nullspace of [A | b] off one echelon by one integer back-substitution.  With
+pivot columns p_k and d the last pivot (the pivot minor's determinant), d
+times the pivot block's inverse is integral by Cramer's rule, so in
+X[k] = (d * U[k][cols] - sum_{j>k} U[k][p_j] * X[j]) // U[k][p_k] every
+division is exact.  Then x[p_k] = X[k][b] / d, and the nullspace vector of
+free column f is d at f and -X[k][f] at each p_k, made primitive.
+
 The Smith normal form is computed here directly; it is a diagnostic used for
 torsion reporting, not a hot path.
 """
@@ -18,10 +28,8 @@ from . import _kernel
 
 
 def _scaled_int_row(row):
-    denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-    if not denoms:
-        return [int(x) for x in row]
-    m = math.lcm(*denoms)
+    row = [Fraction(x) if isinstance(x, float) else x for x in row]
+    m = math.lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
     return [int(x * m) if isinstance(x, Fraction) else int(x) * m for x in row]
 
 
@@ -35,32 +43,48 @@ def _echelon_of(matrix, extra=None):
     return _kernel.echelon(rows, ncols)
 
 
+def pivot_columns(matrix):
+    """Pivot columns of the echelon: each is the first column outside the
+    span of the columns before it."""
+    return _echelon_of(matrix)[1] if matrix and matrix[0] else []
+
+
 def rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
-    _, pivots = _echelon_of(matrix)
-    return len(pivots)
+    return len(pivot_columns(matrix))
 
 
 def solve(matrix, rhs):
-    """One exact solution of matrix * x = rhs with free variables set to
-    zero, or None when the system is inconsistent."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if m == 0:
-        return [Fraction(0)] * n
+    """Solve matrix * x = rhs by one elimination of [matrix | rhs].
+
+    Returns ``(x, basis)``: ``x`` is one exact solution with the free
+    variables set to zero, or None when the system is inconsistent;
+    ``basis`` is the nullspace basis of the matrix (see ``nullspace``).
+    """
+    if not matrix:
+        return [], []
+    n = len(matrix[0])
     rows, pivots = _echelon_of(matrix, extra=rhs)
-    if pivots and pivots[-1] == n:
-        return None
+    consistent = not pivots or pivots[-1] != n
+    pivots = pivots if consistent else pivots[:-1]
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    free = sorted(set(range(n)).difference(pivots))
+    cols = free + [n]
+    X = [None] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        row = rows[k]
+        acc = [d * row[c] for c in cols]
+        for j in range(k + 1, len(pivots)):
+            u = row[pivots[j]]
+            if u:
+                acc = [a - u * v for a, v in zip(acc, X[j])]
+        X[k] = [a // row[pivots[k]] for a in acc]
     x = [Fraction(0)] * n
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        acc = Fraction(rows[k][n])
-        for j in range(c + 1, n):
-            if x[j]:
-                acc -= rows[k][j] * x[j]
-        x[c] = acc / rows[k][c]
-    return x
+    basis = [[d if c == fc else 0 for c in range(n)] for fc in free]
+    for k, p in enumerate(pivots):
+        x[p] = Fraction(X[k][-1], d)
+        for vec, v in zip(basis, X[k]):
+            vec[p] = -v
+    return (x if consistent else None), [normalize_primitive(v) for v in basis]
 
 
 def nullspace(matrix):
@@ -70,32 +94,7 @@ def nullspace(matrix):
     entries, and sign-fixed so its first nonzero entry is positive; basis
     vectors are ordered by their free column.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        rows, pivots = [], []
-    else:
-        rows, pivots = _echelon_of(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            if c > fc:
-                continue
-            acc = Fraction(0)
-            for j in range(c + 1, n):
-                if x[j]:
-                    acc -= rows[k][j] * x[j]
-            x[c] = acc / rows[k][c]
-        basis.append(normalize_primitive(x))
-    return basis
+    return solve(matrix, [0] * len(matrix))[1]
 
 
 def normalize_primitive(vec):

@@ -92,7 +92,7 @@ def is_boundary(chain, tol=None):
     kind = chain.module.kind
     if kind in _EXACT_SCALARS:
         rhs = [chain[j] for j in range(cx.r[k])]
-        x = exact.solve(mat, rhs)
+        x, _ = exact.solve(mat, rhs)
         if x is None:
             return BoundaryTest(False)
         witness = Chain(
@@ -113,11 +113,8 @@ def is_boundary(chain, tol=None):
 
 def betti_numbers(complex):
     """Betti numbers b_0..b_dim over the rationals."""
-    out = []
-    for k in range(complex.dim + 1):
-        cycles = complex.r[k] - _rank_boundary(complex, k)
-        out.append(cycles - _rank_boundary(complex, k + 1))
-    return out
+    ranks = [_rank_boundary(complex, k) for k in range(complex.dim + 2)]
+    return [complex.r[k] - ranks[k] - ranks[k + 1] for k in range(complex.dim + 1)]
 
 
 def cycle_basis(complex, k=1):
@@ -150,20 +147,14 @@ def homology_generators(complex, k):
             for comp in path_components(complex)
         ]
     cycles = cycle_basis(complex, k)
-    if k >= complex.dim:
+    if k >= complex.dim or not cycles:
         return cycles
-    # keep only cycle directions independent of the boundary image
-    stack = list(complex.incidence_2)
-    current = exact.rank(stack)
-    chosen = []
-    for z in cycles:
-        cand = stack + [[z[a] for a in range(complex.r[1])]]
-        r = exact.rank(cand)
-        if r > current:
-            chosen.append(z)
-            stack = cand
-            current = r
-    return chosen
+    # keep a cycle iff its column is a pivot of [boundary | cycles], i.e.
+    # independent of the boundaries and of the cycles before it
+    bd = _boundary_matrix(complex, k + 1)
+    width = len(bd[0])
+    mat = [bd[a] + [z[a] for z in cycles] for a in range(complex.r[k])]
+    return [cycles[c - width] for c in exact.pivot_columns(mat) if c >= width]
 
 
 def torsion_coefficients(complex):

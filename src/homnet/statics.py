@@ -13,7 +13,6 @@ with q instead of force-per-unit-length keeps every quantity rational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exact
 from .chains import Chain, Cochain, boundary, evaluate
@@ -170,12 +169,8 @@ def equilibrium_check(fc, tol=DEFAULT_TOL):
 
 
 def _forces_exact(fc):
-    def exact_value(v):
-        return all(isinstance(c, (int, Fraction)) for c in v)
-
-    return all(exact_value(v) for v in fc.f_ext.coeffs.values()) and all(
-        exact_value(v) for v in fc.f_int.coeffs.values()
-    )
+    chains = (fc.f_ext, fc.f_int)
+    return all(c.module.holds_exact(v) for c in chains for v in c.coeffs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +227,9 @@ def solve_statics(g, f_ext):
     chains whose vector-valued chains have exactly zero boundary.
     """
     cx = g.complex
-    # floats are exact dyadic rationals, so the solve stays exact either way
-    mat = [[Fraction(e) for e in row] for row in equilibrium_matrix(g)]
-    rhs = []
-    for i in range(cx.r[0]):
-        v = f_ext[i]
-        for c in range(g.n):
-            rhs.append(Fraction(-v[c]))
-
-    solution = exact.solve(mat, rhs)
-    null_vecs = exact.nullspace(mat)
+    mat = equilibrium_matrix(g)
+    rhs = [-f_ext[i][c] for i in range(cx.r[0]) for c in range(g.n)]
+    solution, null_vecs = exact.solve(mat, rhs)
     basis = [
         Chain(cx, 1, {a: v for a, v in enumerate(vec) if v}, INTEGER)
         for vec in null_vecs

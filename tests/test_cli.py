@@ -231,6 +231,19 @@ def test_main_input_dir(capsys):
     assert "# circle.json" in out
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [("force", float("nan"), "nodes[0].force"), ("pos", float("inf"), "nodes[0].pos")],
+)
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, field, value, path):
+    doc = json.loads((FIXTURES / "triangle_truss.json").read_text())
+    doc["nodes"][0][field] = [value, 0]
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a finite number")
+
+
 def test_main_requires_exactly_one_input(capsys):
     assert cli.main(["homology"]) == 2
     capsys.readouterr()

@@ -4,8 +4,11 @@ The oracle here is a plain Fraction-based Gauss-Jordan elimination written
 for the tests only; the library kernel never shares code with it.
 """
 
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from homnet import _kernel, exact
 
@@ -54,6 +57,39 @@ def det_oracle(matrix):
     return det
 
 
+def primitive_oracle(vec):
+    """Coprime integer multiple of a nonzero rational vector with a positive
+    leading entry."""
+    ints = [int(v * math.lcm(*(w.denominator for w in vec))) for v in vec]
+    g = math.gcd(*ints)
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    return [sign * (v // g) for v in ints]
+
+
+def solve_oracle(matrix, rhs):
+    """The solution with free variables zero (None when inconsistent) and the
+    primitive nullspace basis by free column, read off the reduced echelon of
+    [matrix | rhs]."""
+    n = len(matrix[0])
+    rref, pivots = rref_oracle([list(row) + [b] for row, b in zip(matrix, rhs)])
+    x = None
+    if pivots and pivots[-1] == n:
+        pivots = pivots[:-1]
+    else:
+        x = [Fraction(0)] * n
+        for k, p in enumerate(pivots):
+            x[p] = rref[k][n]
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [Fraction(int(c == f)) for c in range(n)]
+        for k, p in enumerate(pivots):
+            vec[p] = -rref[k][f]
+        basis.append(primitive_oracle(vec))
+    return x, basis
+
+
 def random_matrix(rng, max_dim=8, span=9):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
@@ -90,7 +126,7 @@ def test_solve_produces_solutions_and_detects_inconsistency():
         n = len(mat[0])
         x_true = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         rhs = [sum(row[j] * x_true[j] for j in range(n)) for row in mat]
-        x = exact.solve(mat, rhs)
+        x = exact.solve(mat, rhs)[0]
         assert x is not None
         assert all(
             sum(Fraction(row[j]) * x[j] for j in range(n)) == b
@@ -101,7 +137,7 @@ def test_solve_produces_solutions_and_detects_inconsistency():
         # deficient in rows: detect by oracle solve failing
         rhs_bad = list(rhs)
         rhs_bad[rng.randrange(len(rhs_bad))] += 1
-        x_bad = exact.solve(mat, rhs_bad)
+        x_bad = exact.solve(mat, rhs_bad)[0]
         if x_bad is None:
             misses += 1
         else:
@@ -132,6 +168,57 @@ def test_nullspace_members_and_dimension():
                 g = gcd(g, abs(v))
             assert g == 1
             assert next(v for v in vec if v) > 0
+
+
+@st.composite
+def linear_systems(draw):
+    """(matrix, rhs) with integer or rational entries up to 2**62 in size,
+    some rows zero or combinations of earlier rows, and a consistent or a
+    random right-hand side."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ints = st.one_of(st.integers(-3, 3), st.integers(-(2**62), 2**62))
+    if draw(st.booleans()):
+        entry = ints
+    else:
+        entry = st.builds(Fraction, ints, st.integers(1, 7))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            rows.append([x + k * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entry, min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@settings(deadline=None)
+@given(linear_systems())
+def test_solve_matches_oracle(system):
+    mat, rhs = system
+    x, basis = exact.solve(mat, rhs)
+    assert (x, basis) == solve_oracle(mat, rhs)
+    assert exact.nullspace(mat) == basis
+    assert exact.pivot_columns(mat) == rref_oracle(mat)[1]
+    if x is not None:
+        assert all(isinstance(v, Fraction) for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(mat, rhs))
+    for vec in basis:
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in mat)
+
+
+def test_float_entries_are_exact_dyadic_rationals():
+    assert exact.rank([[0.5, 1.0], [1.0, 2.0]]) == 1
+    assert exact.rank([[0.5, 0.25]]) == 1
+    assert exact.solve([[0.5]], [1])[0] == [Fraction(2)]
 
 
 def test_nullspace_of_rationals():

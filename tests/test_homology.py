@@ -296,6 +296,28 @@ def test_cycle_basis_matches_betti(cx):
 
 @settings(deadline=None)
 @given(complexes())
+def test_generators_match_greedy_rank_selection(cx):
+    # the greedy selection: keep a cycle when it raises the rank of the
+    # face boundaries stacked with the cycles kept before it
+    cycles = hn.cycle_basis(cx, 1)
+    expected = cycles
+    if cx.dim == 2:
+        stack = list(cx.incidence_2)
+        current = exact.rank(stack)
+        expected = []
+        for z in cycles:
+            cand = stack + [[z[a] for a in range(cx.r[1])]]
+            if exact.rank(cand) > current:
+                expected.append(z)
+                stack, current = cand, current + 1
+    gens = hn.homology_generators(cx, 1)
+    assert gens == expected
+    if cx.dim >= 1:
+        assert len(gens) == hn.betti_numbers(cx)[1]
+
+
+@settings(deadline=None)
+@given(complexes())
 def test_degree_zero_has_no_torsion(cx):
     assert hn.torsion_coefficients(cx)[0] == []
     if cx.r[1]:
@@ -316,7 +338,7 @@ def test_exact_coboundary_potential(cx, data):
         d = data.draw(st.lists(values, min_size=r1, max_size=r1))
         drop = hn.Cochain(cx, 1, dict(enumerate(d)), hn.RATIONAL)
     result = hn.is_coboundary(drop)
-    solved = exact.solve(cx.incidence_1, [drop[a] for a in range(r1)])
+    solved = exact.solve(cx.incidence_1, [drop[a] for a in range(r1)])[0]
     assert result.is_coboundary == (solved is not None)
     if result.is_coboundary:
         assert hn.coboundary(result.potential) == drop

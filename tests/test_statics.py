@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import homnet as hn
-from homnet import errors
+from homnet import errors, exact
 from homnet import geometry as geo
 from homnet import statics as st
-from conftest import random_complex
+from conftest import complexes, random_complex
 
 
 def equilibrated_complex(g, coefficients):
@@ -122,6 +123,30 @@ def test_self_stress_dim_matches_rank_deficit(tetra_geo):
     assert tetra_geo.complex.r[1] - exact.rank(mat) == 1
 
 
+@settings(deadline=None)
+@given(complexes(max_nodes=6, with_faces=False), hst.data())
+def test_self_stress_basis_has_zero_boundary(cx, data):
+    points = hst.tuples(hst.integers(-6, 6), hst.integers(-6, 6))
+    spots = data.draw(
+        hst.lists(points, min_size=cx.r[0], max_size=cx.r[0], unique=True)
+    )
+    denominator = data.draw(hst.integers(1, 3))
+    positions = {
+        lab: (Fraction(x, denominator), Fraction(y, denominator))
+        for lab, (x, y) in zip(cx.node_labels, spots)
+    }
+    g = geo.realize(cx, 2, positions)
+    loads = data.draw(hst.lists(points, min_size=cx.r[0], max_size=cx.r[0]))
+    f_ext = hn.Chain(cx, 0, dict(enumerate(loads)), hn.covector(2))
+    sol = st.solve_statics(g, f_ext)
+    assert sol.self_stress_dim == cx.r[1] - exact.rank(st.equilibrium_matrix(g))
+    for k in range(sol.self_stress_dim):
+        residual = hn.boundary(sol.basis_force_chain(k))
+        assert all(c == 0 for v in residual.coeffs.values() for c in v)
+    if sol.tension_coefficients is not None:
+        assert (f_ext + hn.boundary(sol.internal_force_chain())).is_zero(0)
+
+
 def test_degenerate_branch_rejected(circle):
     g = geo.GeometricComplex(
         complex=circle, n=2, positions=[(0, 0), (1, 0), None]
@@ -215,6 +240,16 @@ def test_virtual_work_zero_tolerance_is_exact():
     )
     assert st.equilibrium_via_virtual_work(fc)
     assert not st.equilibrium_via_virtual_work(fc, tol=0)
+
+
+def test_tiny_exact_force_is_not_pruned():
+    # an exact force below the float pruning tolerance is still a force
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, 2, {"A": (0, 0), "B": (3, 4)})
+    fc = st.force_complex(g, external={"A": (Fraction(1, 10**13), 0)})
+    assert fc.f_ext[0] == (Fraction(1, 10**13), 0)
+    assert not st.equilibrium_check(fc).in_equilibrium
+    assert not st.equilibrium_via_virtual_work(fc)
 
 
 def test_zero_virtual_displacement(triangle_geo):
