@@ -131,7 +131,7 @@ def _chain_labels(chain):
 # ---------------------------------------------------------------------------
 
 def _run_homology(doc, options):
-    info = homology.summary(doc.complex, generators=True)
+    info = homology.summary(doc.complex)
     gens = {
         f"H{k}": [_chain_labels(g) for g in gen]
         for k, gen in enumerate(info.generators)

@@ -15,6 +15,12 @@ whose branches are the pivot columns of the echelon form of that map: the
 path components are its trees, the rank is its number of branches, and the
 fundamental cycle of each chord is the nullspace vector of that chord's
 free column.
+
+Every question about the boundary map on faces is answered by one cached
+echelon (``Complex.face_echelon``) of that map stacked with the chords'
+fundamental cycles: its pivots below the face count are the rank, its face
+block back-substitutes to the 2-cycles, and the cycle columns that are
+pivots are independent modulo the face boundaries.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import exact
 from .errors import (
     DuplicateLabel,
     NonClosingFace,
@@ -230,6 +237,23 @@ class Complex:
         return SpanningForest(tuple(self.branches), tuple(parent), tuple(branch),
                               tuple(sign), tuple(component), tuple(order),
                               tuple(chords))
+
+    @cached_property
+    def face_echelon(self):
+        """Echelon ``(rows, pivots)`` of the r1 x (r2 + m) matrix
+        [boundary on faces | z_1 ... z_m], z_i the fundamental cycle of the
+        i-th chord.  The pivots below r2 count the rank of the boundary on
+        faces, and column r2 + i is a pivot iff z_i is independent of the
+        face boundaries and of the cycles before it.  Shared by every
+        caller, so read-only."""
+        forest = self.forest
+        cycles = [forest.cycle(a) for a in forest.chords]
+        rows = [[0] * len(self.faces) + [z.get(a, 0) for z in cycles]
+                for a in range(len(self.branches))]
+        for f, edges in enumerate(self.faces):
+            for b, s in edges:
+                rows[b][f] += s
+        return exact.echelon(rows)
 
     def __repr__(self):
         r0, r1, r2 = self.r

@@ -140,9 +140,7 @@ def parse(text):
 
     signal = raw.get("signal")
     if signal is not None:
-        if not isinstance(signal, dict) or "dt" not in signal or "samples" not in signal:
-            raise ValidationError("signal", "signal needs dt and samples")
-        signal = {"dt": float(signal["dt"]), "samples": int(signal["samples"])}
+        signal = _parse_signal(signal)
 
     nodes = _parse_nodes(raw.get("nodes"), dimension, signal)
     branches = _parse_branches(raw.get("branches"), {n["id"] for n in nodes}, signal)
@@ -319,6 +317,22 @@ def parse_scalar(value, path="$"):
         except (ValueError, ZeroDivisionError):
             raise ValidationError(path, f"not a number or fraction: {value!r}") from None
     raise ValidationError(path, f"not a scalar: {value!r}")
+
+
+def _parse_signal(raw):
+    """The sampling block: a finite step dt > 0 and an integer count >= 1."""
+    if not isinstance(raw, dict) or "dt" not in raw or "samples" not in raw:
+        raise ValidationError("signal", "signal needs dt and samples")
+    try:
+        dt = float(parse_scalar(raw["dt"], "signal.dt"))
+    except OverflowError:
+        dt = math.inf
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("signal.dt", f"not a finite step > 0: {raw['dt']!r}")
+    samples = raw["samples"]
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValidationError("signal.samples", f"not an integer >= 1: {samples!r}")
+    return {"dt": dt, "samples": samples}
 
 
 def _parse_quantity(value, signal, path):

@@ -451,6 +451,7 @@ class ConservativeReport:
     potential: dict | None = None  # node -> (steps+1,) potential samples
     witness_cycle: object = None  # trace 1-chain with nonzero work
     cycle_work: float | None = None
+    work: dict | None = None  # node -> (steps,) work per motion link
 
 
 def conservative_check(k, forces, tol=DEFAULT_TOL):
@@ -473,7 +474,8 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
         total = evaluate(work, z)
         if abs(float(total)) > tol:
             return ConservativeReport(
-                conservative=False, witness_cycle=z, cycle_work=float(total)
+                conservative=False, witness_cycle=z, cycle_work=float(total),
+                work=w,
             )
 
     # U = -integrate(W) has U(root) = 0 and U(head) = U(tail) - w(edge)
@@ -482,7 +484,7 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
     potential = {}
     for i, per_time in enumerate(trace.node_vertices):
         potential[i] = -np.array([integrated[v] for v in per_time])
-    return ConservativeReport(conservative=True, potential=potential)
+    return ConservativeReport(conservative=True, potential=potential, work=w)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +522,7 @@ def work_energy_check(d, k, forces, tol=1e-6):
         )
 
     ke, _ = kinetic_energy(d)
-    works = work_values(k, forces)
+    works = report.work
     worst_gap = 0.0
     worst_drift = 0.0
     scale = 1.0

@@ -7,9 +7,12 @@ integers first, and floats are taken as the exact dyadic rationals they are;
 neither changes ranks, nullspaces or solution sets.
 
 Each linear system is eliminated once: ``solve`` reads the solution and the
-nullspace of [A | b] off one echelon by one integer back-substitution.  With
-pivot columns p_k and d the last pivot (the pivot minor's determinant), d
-times the pivot block's inverse is integral by Cramer's rule, so in
+nullspace of [A | b] off one echelon by one integer back-substitution,
+``back_substitute``.  It reads only the columns below a bound n: the left
+block of an echelon is the echelon of that block, so one echelon of [A | B]
+serves every question about A.  With pivot columns p_k < n and d the last
+of those pivots (the pivot minor's determinant), d times the pivot block's
+inverse is integral by Cramer's rule, so in
 X[k] = (d * U[k][cols] - sum_{j>k} U[k][p_j] * X[j]) // U[k][p_k] every
 division is exact.  Then x[p_k] = X[k][b] / d, and the nullspace vector of
 free column f is d at f and -X[k][f] at each p_k, made primitive.
@@ -33,8 +36,9 @@ def _scaled_int_row(row):
     return [int(x * m) if isinstance(x, Fraction) else int(x) * m for x in row]
 
 
-def _echelon_of(matrix, extra=None):
-    """Echelon of [matrix | extra] after per-row integer scaling."""
+def echelon(matrix, extra=None):
+    """Echelon ``(rows, pivots)`` of [matrix | extra] after per-row integer
+    scaling."""
     rows = []
     for i, row in enumerate(matrix):
         full = list(row) + ([extra[i]] if extra is not None else [])
@@ -46,11 +50,43 @@ def _echelon_of(matrix, extra=None):
 def pivot_columns(matrix):
     """Pivot columns of the echelon: each is the first column outside the
     span of the columns before it."""
-    return _echelon_of(matrix)[1] if matrix and matrix[0] else []
+    return echelon(matrix)[1] if matrix and matrix[0] else []
 
 
 def rank(matrix):
     return len(pivot_columns(matrix))
+
+
+def back_substitute(rows, pivots, n, extra=()):
+    """Nullspace and solutions of the first n columns of an echelon.
+
+    The left block of an echelon is the echelon of that block, so only the
+    pivots below column n count.  Returns ``(basis, solutions)``: the
+    nullspace basis of the first n columns (see ``nullspace``), and for each
+    column e in ``extra`` the exact solution, free variables zero, of that
+    block times x = column e.
+    """
+    pivots = [p for p in pivots if p < n]
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    free = sorted(set(range(n)).difference(pivots))
+    cols = free + list(extra)
+    X = [None] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        row = rows[k]
+        acc = [d * row[c] for c in cols]
+        for j in range(k + 1, len(pivots)):
+            u = row[pivots[j]]
+            if u:
+                acc = [a - u * v for a, v in zip(acc, X[j])]
+        X[k] = [a // row[pivots[k]] for a in acc]
+    basis = [[d if c == fc else 0 for c in range(n)] for fc in free]
+    solutions = [[Fraction(0)] * n for _ in extra]
+    for k, p in enumerate(pivots):
+        for vec, v in zip(basis, X[k]):
+            vec[p] = -v
+        for x, v in zip(solutions, X[k][len(free):]):
+            x[p] = Fraction(v, d)
+    return [normalize_primitive(v) for v in basis], solutions
 
 
 def solve(matrix, rhs):
@@ -63,28 +99,10 @@ def solve(matrix, rhs):
     if not matrix:
         return [], []
     n = len(matrix[0])
-    rows, pivots = _echelon_of(matrix, extra=rhs)
+    rows, pivots = echelon(matrix, extra=rhs)
+    basis, (x,) = back_substitute(rows, pivots, n, [n])
     consistent = not pivots or pivots[-1] != n
-    pivots = pivots if consistent else pivots[:-1]
-    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-    free = sorted(set(range(n)).difference(pivots))
-    cols = free + [n]
-    X = [None] * len(pivots)
-    for k in reversed(range(len(pivots))):
-        row = rows[k]
-        acc = [d * row[c] for c in cols]
-        for j in range(k + 1, len(pivots)):
-            u = row[pivots[j]]
-            if u:
-                acc = [a - u * v for a, v in zip(acc, X[j])]
-        X[k] = [a // row[pivots[k]] for a in acc]
-    x = [Fraction(0)] * n
-    basis = [[d if c == fc else 0 for c in range(n)] for fc in free]
-    for k, p in enumerate(pivots):
-        x[p] = Fraction(X[k][-1], d)
-        for vec, v in zip(basis, X[k]):
-            vec[p] = -v
-    return (x if consistent else None), [normalize_primitive(v) for v in basis]
+    return (x if consistent else None), basis
 
 
 def nullspace(matrix):

@@ -9,8 +9,16 @@ In dimension one every question goes through the complex's spanning forest
 the boundary map on branches is the number of tree branches, the cycle
 basis is the chords' fundamental cycles, and a 1-cochain is a coboundary
 exactly when it sums to zero around each of them (within the tolerance, for
-float kinds).  Its potential is then found by integrating along the trees.
-Faces still go through exact elimination of their incidence matrix.
+float kinds).  Its potential is then found by integrating along the trees,
+and a 0-chain bounds exactly when it sums to zero on each tree.
+
+In dimension two every question reads one cached echelon of the boundary
+map on faces stacked with the fundamental cycles (``Complex.face_echelon``):
+its pivots below the face count give the rank, its face block
+back-substitutes to the 2-cycle basis, and the cycle columns that are
+pivots are the H1 generators.  Only two eliminations are left here: the
+boundary test of a 1-chain, whose right-hand side changes with every call,
+and the Smith form behind the torsion coefficients.
 """
 
 from __future__ import annotations
@@ -28,23 +36,6 @@ from .errors import InternalMismatch, KindMismatch, NotACycle
 DEFAULT_TOL = 1e-9
 
 _EXACT_SCALARS = {"integer", "rational"}
-_FLOAT_SCALARS = {"real64", "timeseries"}
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
-def _boundary_matrix(complex, k):
-    """Matrix of the boundary map on k-chains: one row per (k-1)-simplex,
-    one column per k-simplex."""
-    if k == 1:
-        mat = _transpose(complex.incidence_1)
-        return mat if mat else [[] for _ in range(complex.r[0])]
-    if k == 2:
-        mat = _transpose(complex.incidence_2)
-        return mat if mat else [[] for _ in range(complex.r[1])]
-    raise ValueError(f"no boundary matrix in dimension {k}")
 
 
 def _rank_boundary(complex, k):
@@ -53,7 +44,7 @@ def _rank_boundary(complex, k):
     if k == 1:
         # one echelon pivot per tree branch
         return complex.r[1] - len(complex.forest.chords)
-    return exact.rank(complex.incidence_2)
+    return sum(1 for p in complex.face_echelon[1] if p < complex.r[2])
 
 
 def is_cycle(chain, tol=None):
@@ -76,8 +67,11 @@ class BoundaryTest:
 def is_boundary(chain, tol=None):
     """Decide whether a cycle bounds, producing a witness chain when it does.
 
-    Exact coefficient kinds are solved exactly over the rationals; real64
-    chains use a least-squares solve with a residual tolerance.
+    A 0-chain bounds when its coefficients sum to zero on every path
+    component, or to within the tolerance for real64 chains; the witness is
+    the tree flow of the spanning forest (see ``_tree_flow``).  A 1-chain
+    of an exact kind is solved exactly over the rationals; real64 1-chains
+    use a least-squares solve with a residual tolerance.
     """
     if not is_cycle(chain, tol):
         raise NotACycle("only cycles can bound")
@@ -88,8 +82,12 @@ def is_boundary(chain, tol=None):
             return BoundaryTest(True, Chain.zero(cx, min(k + 1, 2), chain.module))
         return BoundaryTest(False)
 
-    mat = _boundary_matrix(cx, k + 1)
     kind = chain.module.kind
+    if kind not in _EXACT_SCALARS and kind != "real64":
+        raise KindMismatch(f"boundary test is not defined for {kind} chains")
+    if k == 0:
+        return _tree_flow(chain, tol)
+    mat = [list(col) for col in zip(*cx.incidence_2)]
     if kind in _EXACT_SCALARS:
         rhs = [chain[j] for j in range(cx.r[k])]
         x, _ = exact.solve(mat, rhs)
@@ -99,16 +97,41 @@ def is_boundary(chain, tol=None):
             cx, k + 1, {i: v for i, v in enumerate(x)}, RATIONAL
         )
         return BoundaryTest(True, witness)
-    if kind == "real64":
-        tol = DEFAULT_TOL if tol is None else tol
-        a = np.array(mat, dtype=float)
-        rhs = np.array([chain[j] for j in range(cx.r[k])], dtype=float)
-        x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        if np.max(np.abs(a @ x - rhs), initial=0.0) > tol:
-            return BoundaryTest(False)
-        witness = Chain(cx, k + 1, dict(enumerate(x.tolist())), chain.module)
-        return BoundaryTest(True, witness)
-    raise KindMismatch(f"boundary test is not defined for {kind} chains")
+    tol = DEFAULT_TOL if tol is None else tol
+    a = np.array(mat, dtype=float)
+    rhs = np.array([chain[j] for j in range(cx.r[k])], dtype=float)
+    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    if np.max(np.abs(a @ x - rhs), initial=0.0) > tol:
+        return BoundaryTest(False)
+    witness = Chain(cx, k + 1, dict(enumerate(x.tolist())), chain.module)
+    return BoundaryTest(True, witness)
+
+
+def _tree_flow(chain, tol):
+    """Boundary test of a 0-chain on the spanning forest.
+
+    Each tree branch carries the sum of the chain over the subtree below it,
+    pushed towards the root, so the flow's boundary matches the chain at
+    every node but the roots, where the component's sum is left over.  Exact
+    chains are summed as rationals; the flow is then the exact solution that
+    is zero on every chord.
+    """
+    if chain.module.kind in _EXACT_SCALARS:
+        chain, limit = chain.as_module(RATIONAL), 0
+    else:
+        limit = DEFAULT_TOL if tol is None else tol
+    forest = chain.complex.forest
+    total = [chain[v] for v in range(chain.complex.r[0])]
+    flow = {}
+    for v in reversed(forest.order):
+        a = forest.branch[v]
+        if a is not None:
+            flow[a] = forest.sign[v] * total[v]
+            total[forest.parent[v]] += total[v]
+    roots = set(forest.component)
+    if not all(abs(total[root]) <= limit for root in roots):
+        return BoundaryTest(False)
+    return BoundaryTest(True, Chain(chain.complex, 1, flow, chain.module))
 
 
 def betti_numbers(complex):
@@ -122,8 +145,9 @@ def cycle_basis(complex, k=1):
 
     In dimension one this is the fundamental-cycle basis of the spanning
     forest, one cycle per chord in chord order with coefficients all +-1;
-    it equals the exact nullspace basis vector for vector.  Dimension two
-    falls back to the exact nullspace.
+    it equals the exact nullspace basis vector for vector.  In dimension two
+    it is the exact nullspace of the boundary map on faces, back-substituted
+    from the face block of ``Complex.face_echelon``.
     """
     if k == 0:
         return [Chain(complex, 0, {i: 1}, INTEGER) for i in range(complex.r[0])]
@@ -132,7 +156,8 @@ def cycle_basis(complex, k=1):
         return [Chain(complex, 1, forest.cycle(a), INTEGER) for a in forest.chords]
     if k > complex.dim:
         return []
-    vecs = exact.nullspace(_boundary_matrix(complex, k))
+    rows, pivots = complex.face_echelon
+    vecs, _ = exact.back_substitute(rows, pivots, complex.r[2])
     return [
         Chain(complex, k, {i: v for i, v in enumerate(vec) if v}, INTEGER)
         for vec in vecs
@@ -149,12 +174,9 @@ def homology_generators(complex, k):
     cycles = cycle_basis(complex, k)
     if k >= complex.dim or not cycles:
         return cycles
-    # keep a cycle iff its column is a pivot of [boundary | cycles], i.e.
-    # independent of the boundaries and of the cycles before it
-    bd = _boundary_matrix(complex, k + 1)
-    width = len(bd[0])
-    mat = [bd[a] + [z[a] for z in cycles] for a in range(complex.r[k])]
-    return [cycles[c - width] for c in exact.pivot_columns(mat) if c >= width]
+    # keep a cycle iff its column of [boundary on faces | cycles] is a pivot
+    r2 = complex.r[2]
+    return [cycles[c - r2] for c in complex.face_echelon[1] if c >= r2]
 
 
 def torsion_coefficients(complex):
@@ -188,13 +210,11 @@ class HomologySummary:
     betti: list
     torsion: list
     euler: int
-    generators: list | None = None
+    generators: list
 
 
-def summary(complex, generators=False):
-    gens = None
-    if generators:
-        gens = [homology_generators(complex, k) for k in range(complex.dim + 1)]
+def summary(complex):
+    gens = [homology_generators(complex, k) for k in range(complex.dim + 1)]
     return HomologySummary(
         betti=betti_numbers(complex),
         torsion=torsion_coefficients(complex),

@@ -56,8 +56,7 @@ def tetra_geo():
     return geo.realize(cx, 2, {"A": (0, 0), "B": (4, 0), "C": (2, 3), "D": (2, 1)})
 
 
-@pytest.fixture
-def projective_plane():
+def real_projective_plane():
     """Minimal 6-vertex triangulation of the projective plane (the antipodal
     quotient of the icosahedron); its first homology has 2-torsion."""
     faces = [
@@ -70,6 +69,21 @@ def projective_plane():
         verts,
         [(verts[a], verts[b]) for a, b in edges],
         faces=[tuple(verts[i] for i in f) for f in faces],
+    )
+
+
+@pytest.fixture
+def projective_plane():
+    return real_projective_plane()
+
+
+def tetrahedron_surface():
+    """Boundary of the tetrahedron, a closed sphere: one 2-cycle, no H1."""
+    verts = ["A", "B", "C", "D"]
+    return hn.build_complex(
+        verts,
+        list(itertools.combinations(verts, 2)),
+        faces=list(itertools.combinations(verts, 3)),
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from homnet import cli, documents, reports
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDENS = FIXTURES.parent / "perfbench" / "goldens"
 
 
 def load(name):
@@ -242,6 +243,34 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, field, value, path):
     source.write_text(json.dumps(doc))
     assert cli.main(["report-all", "--input", str(source)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: not a finite number")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", float("nan")),
+        ("dt", 0),
+        ("dt", "-1/40"),
+        ("samples", float("inf")),
+        ("samples", 5.7),
+        ("samples", 41.0),
+        ("samples", True),
+        ("samples", 0),
+    ],
+)
+def test_main_rejects_bad_signal_block(tmp_path, capsys, key, value):
+    doc = json.loads((FIXTURES / "freefall.json").read_text())
+    doc["signal"][key] = value
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: signal.{key}: ")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_report_all_matches_golden_bytes(path, capsysbinary):
+    cli.main(["report-all", "--input", str(path)])
+    assert capsysbinary.readouterr().out == (GOLDENS / f"{path.stem}.txt").read_bytes()
 
 
 def test_main_requires_exactly_one_input(capsys):

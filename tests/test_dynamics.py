@@ -417,6 +417,20 @@ def test_work_energy_on_free_fall(single_node):
     assert report.max_work_energy_gap / delta_ke <= 1e-6
 
 
+def test_work_energy_computes_the_work_once(single_node, monkeypatch):
+    d, k, forces = free_fall_state(single_node, samples=21)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return work_values(*args)
+
+    work_values = dyn.work_values
+    monkeypatch.setattr(dyn, "work_values", counted)
+    assert dyn.work_energy_check(d, k, forces, tol=1e-6).passed
+    assert len(calls) == 1
+
+
 def test_static_network_work_energy(pair):
     traj = {
         0: np.tile([0.0, 0.0], (5, 1)),

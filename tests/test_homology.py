@@ -1,11 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import homnet as hn
-from homnet import errors, exact, homology
-from conftest import complexes, random_chain, random_cochain, random_complex
+from homnet import _kernel, errors, exact, homology
+from conftest import (
+    complexes,
+    random_chain,
+    random_cochain,
+    random_complex,
+    real_projective_plane,
+    tetrahedron_surface,
+)
 
 
 # -- cycles and boundaries ------------------------------------------------
@@ -50,6 +57,41 @@ def test_zero_chain_bounds(circle):
     result = hn.is_boundary(hn.Chain.zero(circle, 1, hn.INTEGER))
     assert result.bounds
     assert result.witness.is_zero(0)
+
+
+def test_float_zero_chain_bound_does_not_scale_with_component():
+    # the component A -> B sums to 1.5e-9 > tol, although a least-squares
+    # witness misses each node by only half of that
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    assert not hn.is_boundary(hn.Chain(cx, 0, {1: 1.5e-9}, hn.REAL64), tol=1e-9).bounds
+    result = hn.is_boundary(hn.Chain(cx, 0, {0: -1e-9, 1: 1.5e-9}, hn.REAL64), tol=1e-9)
+    assert result.bounds
+    assert dict(result.witness.coeffs) == {0: 1.5e-9}
+
+
+@settings(deadline=None)
+@given(complexes(), st.data())
+def test_zero_chain_witness_is_the_exact_solution(cx, data):
+    r0 = cx.r[0]
+    if data.draw(st.booleans()):
+        module, values = hn.INTEGER, st.integers(-9, 9)
+    else:
+        module, values = hn.RATIONAL, st.fractions(-9, 9, max_denominator=7)
+    c = data.draw(st.lists(values, min_size=r0, max_size=r0))
+    if data.draw(st.booleans()):
+        # make every component sum to zero, so the chain bounds
+        for comp in hn.path_components(cx):
+            c[comp[-1]] -= sum(c[v] for v in comp)
+    chain = hn.Chain(cx, 0, dict(enumerate(c)), module)
+    boundary_1 = [[row[i] for row in cx.incidence_1] for i in range(r0)]
+    solved = exact.solve(boundary_1, c)[0]
+    result = hn.is_boundary(chain)
+    assert result.bounds == (solved is not None)
+    if result.bounds:
+        assert result.witness.coeffs == {a: v for a, v in enumerate(solved) if v}
+        assert all(type(v) is Fraction for v in result.witness.coeffs.values())
+        rational = chain.as_module(hn.RATIONAL)
+        assert hn.boundary(result.witness).as_module(hn.RATIONAL) == rational
 
 
 def test_non_cycle_rejected(circle):
@@ -131,7 +173,7 @@ def test_projective_plane_torsion(projective_plane):
 
 
 def test_summary(disc):
-    info = hn.summary(disc, generators=True)
+    info = hn.summary(disc)
     assert info.betti == [1, 0, 0]
     assert info.euler == 1
     assert len(info.generators[0]) == 1
@@ -296,6 +338,41 @@ def test_cycle_basis_matches_betti(cx):
 
 @settings(deadline=None)
 @given(complexes())
+@example(tetrahedron_surface())
+@example(real_projective_plane())
+def test_face_echelon_matches_independent_eliminations(cx):
+    betti = hn.betti_numbers(cx)
+    rank_1 = exact.rank(cx.incidence_1) if cx.r[1] else 0
+    rank_2 = exact.rank(cx.incidence_2) if cx.r[2] else 0
+    if cx.dim >= 1:
+        assert betti[1] == cx.r[1] - rank_1 - rank_2
+    if cx.dim == 2:
+        assert betti[2] == cx.r[2] - rank_2
+        boundary_2 = [list(col) for col in zip(*cx.incidence_2)]
+        vectors = [[z[f] for f in range(cx.r[2])] for z in hn.cycle_basis(cx, 2)]
+        assert vectors == exact.nullspace(boundary_2)
+    hn.euler_characteristic(cx)  # raises InternalMismatch on disagreement
+
+
+def test_summary_eliminates_the_faces_once(projective_plane, monkeypatch):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    echelon = _kernel.echelon
+    monkeypatch.setattr(_kernel, "echelon", counted)
+    info = hn.summary(projective_plane)
+    assert info.betti == [1, 0, 0]
+    assert info.generators[1] == []
+    assert len(calls) == 1
+
+
+@settings(deadline=None)
+@given(complexes())
+@example(tetrahedron_surface())
+@example(real_projective_plane())
 def test_generators_match_greedy_rank_selection(cx):
     # the greedy selection: keep a cycle when it raises the rank of the
     # face boundaries stacked with the cycles kept before it
