@@ -302,31 +302,44 @@ def _parse_analyses(raw):
 # -- value parsing -----------------------------------------------------------
 
 def parse_scalar(value, path="$"):
-    """One scalar: int and "p/q" strings stay exact, everything else floats."""
+    """One scalar: int and "p/q" strings stay exact, everything else floats.
+
+    Exact numbers must still fit a float, because the float paths (lengths,
+    unit vectors, sampled signals) read them too.
+    """
     if isinstance(value, bool):
         raise ValidationError(path, "booleans are not quantities")
     if isinstance(value, int):
-        return value
+        return _in_float_range(value, path)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValidationError(path, f"not a finite number: {value!r}")
         return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(path, f"not a number or fraction: {value!r}") from None
+        return _in_float_range(x, path)
     raise ValidationError(path, f"not a scalar: {value!r}")
+
+
+def _in_float_range(x, path):
+    try:
+        float(x)
+    except OverflowError:
+        bits = abs(x).numerator.bit_length() - x.denominator.bit_length()
+        raise ValidationError(
+            path, f"too large for a float: about 2**{bits}"
+        ) from None
+    return x
 
 
 def _parse_signal(raw):
     """The sampling block: a finite step dt > 0 and an integer count >= 1."""
     if not isinstance(raw, dict) or "dt" not in raw or "samples" not in raw:
         raise ValidationError("signal", "signal needs dt and samples")
-    try:
-        dt = float(parse_scalar(raw["dt"], "signal.dt"))
-    except OverflowError:
-        dt = math.inf
+    dt = float(parse_scalar(raw["dt"], "signal.dt"))
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError("signal.dt", f"not a finite step > 0: {raw['dt']!r}")
     samples = raw["samples"]

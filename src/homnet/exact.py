@@ -4,7 +4,8 @@ Rank, linear solves and nullspaces are reduced to one primitive: the
 fraction-free integer row echelon provided by the kernel backend (compiled
 when available, pure Python otherwise).  Rational input rows are scaled to
 integers first, and floats are taken as the exact dyadic rationals they are;
-neither changes ranks, nullspaces or solution sets.
+neither changes ranks, nullspaces or solution sets.  Rows of plain ints
+(incidence and integer-position statics) pass to the kernel as they are.
 
 Each linear system is eliminated once: ``solve`` reads the solution and the
 nullspace of [A | b] off one echelon by one integer back-substitution,
@@ -31,6 +32,8 @@ from . import _kernel
 
 
 def _scaled_int_row(row):
+    if all(type(x) is int for x in row):
+        return row
     row = [Fraction(x) if isinstance(x, float) else x for x in row]
     m = math.lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
     return [int(x * m) if isinstance(x, Fraction) else int(x) * m for x in row]
@@ -117,9 +120,12 @@ def nullspace(matrix):
 
 def normalize_primitive(vec):
     """Scale a rational vector to coprime integers with positive leading sign."""
-    denoms = [v.denominator for v in vec if isinstance(v, Fraction)]
-    m = math.lcm(*denoms) if denoms else 1
-    ints = [int(v * m) for v in vec]
+    if all(type(v) is int for v in vec):
+        ints = list(vec)
+    else:
+        denoms = [v.denominator for v in vec if isinstance(v, Fraction)]
+        m = math.lcm(*denoms) if denoms else 1
+        ints = [int(v * m) for v in vec]
     g = 0
     for v in ints:
         g = math.gcd(g, abs(v))

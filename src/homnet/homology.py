@@ -79,7 +79,8 @@ def is_boundary(chain, tol=None):
     k = chain.dim
     if k >= cx.dim or cx.r[k + 1] == 0:
         if chain.is_zero(0 if chain.module.exact else tol):
-            return BoundaryTest(True, Chain.zero(cx, min(k + 1, 2), chain.module))
+            module = RATIONAL if chain.module.kind in _EXACT_SCALARS else chain.module
+            return BoundaryTest(True, Chain.zero(cx, min(k + 1, 2), module))
         return BoundaryTest(False)
 
     kind = chain.module.kind

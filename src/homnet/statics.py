@@ -199,7 +199,9 @@ class StaticsSolution:
 
 def equilibrium_matrix(g):
     """Matrix of the axial equilibrium system: one row per node component,
-    one column per branch, entries incidence * branch vector component."""
+    one column per branch, entries incidence * branch vector component.
+    Each branch has 2n nonzeros, minus the vector at its tail's rows and
+    plus the vector at its head's."""
     cx = g.complex
     r0, r1, _ = cx.r
     for a in range(r1):
@@ -207,15 +209,12 @@ def equilibrium_matrix(g):
             raise DegenerateBranch("branch to the point at infinity has no direction")
         if all(c == 0 for c in g.branch_vector(a)):
             raise DegenerateBranch(f"branch {a} has zero length")
-    rows = []
-    for i in range(r0):
-        for c in range(g.n):
-            row = []
-            for a in range(r1):
-                tail, head = cx.branches[a]
-                inc = 1 if head == i else (-1 if tail == i else 0)
-                row.append(inc * g.branch_vector(a)[c] if inc else 0)
-            rows.append(row)
+    n = g.n
+    rows = [[0] * r1 for _ in range(r0 * n)]
+    for a, (tail, head) in enumerate(cx.branches):
+        for c, x in enumerate(g.branch_vector(a)):
+            rows[tail * n + c][a] = -x
+            rows[head * n + c][a] = x
     return rows
 
 

@@ -138,6 +138,18 @@ def complexes(draw, max_nodes=7, with_faces=True):
     return hn.build_complex(labels, branches, faces=faces, branch_labels=names)
 
 
+@st.composite
+def frameworks(draw, coordinates, max_nodes=6, dims=(1, 2, 3)):
+    """Hypothesis strategy: a face-free complexes() draw realized in one of
+    ``dims`` dimensions at pairwise-distinct positions, each coordinate
+    drawn from ``coordinates``."""
+    cx = draw(complexes(max_nodes=max_nodes, with_faces=False))
+    n = draw(st.sampled_from(dims))
+    points = st.tuples(*[coordinates] * n)
+    spots = draw(st.lists(points, min_size=cx.r[0], max_size=cx.r[0], unique=True))
+    return geo.realize(cx, n, spots)
+
+
 def random_chain(rng, cx, dim, module=None, span=9):
     module = module or hn.INTEGER
     values = {}

@@ -246,6 +246,23 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, field, value, path):
 
 
 @pytest.mark.parametrize(
+    "fixture, sample",
+    [("triangle_truss.json", None), ("freefall.json", 3)],
+)
+def test_main_rejects_exact_numbers_beyond_float_range(tmp_path, capsys, fixture, sample):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    if sample is None:
+        doc["nodes"][0]["pos"] = [10**400, 0]
+    else:
+        doc["nodes"][0]["pos"][sample] = [0, 10**400]
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[0].pos: too large for a float")
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("dt", float("nan")),

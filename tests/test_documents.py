@@ -154,3 +154,22 @@ def test_fixture_corpus_parses():
     for path in sorted(FIXTURES.glob("*.json")):
         doc = documents.parse(path.read_text())
         assert doc.complex.r[0] >= 1
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -(2**1024), "1e400", "-1e400"],
+    ids=["10**400", "-2**1024", "1e400", "-1e400"],
+)
+def test_parse_scalar_rejects_exact_numbers_beyond_float_range(value):
+    with pytest.raises(ValidationError, match="too large for a float"):
+        documents.parse_scalar(value, "x")
+
+
+@pytest.mark.parametrize(
+    "value", [2**1023, -(2**1023), "1e-400", "-17/3"],
+    ids=["2**1023", "-2**1023", "1e-400", "-17/3"],
+)
+def test_parse_scalar_keeps_exact_numbers_within_float_range(value):
+    assert documents.parse_scalar(value, "x") == (
+        value if isinstance(value, int) else Fraction(value)
+    )

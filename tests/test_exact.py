@@ -215,6 +215,42 @@ def test_solve_matches_oracle(system):
         assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in mat)
 
 
+def scaled_rows_reference(matrix):
+    """Each row times the lcm of its denominators, every entry through
+    Fraction or int, floats as their dyadic rationals."""
+    out = []
+    for row in matrix:
+        row = [Fraction(x) if isinstance(x, float) else x for x in row]
+        m = math.lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
+        out.append([
+            int(x * m) if isinstance(x, Fraction) else int(x) * m for x in row
+        ])
+    return out
+
+
+mixed_entries = st.one_of(
+    st.integers(-2**63, 2**63),
+    st.booleans(),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.fractions(-9, 9, max_denominator=12),
+)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.one_of(
+        st.lists(mixed_entries, min_size=n, max_size=n),
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    ),
+    min_size=1, max_size=5,
+)))
+def test_echelon_scales_mixed_rows_as_the_reference(matrix):
+    rows, pivots = exact.echelon(matrix)
+    n = len(matrix[0])
+    assert (rows, pivots) == _kernel.echelon(scaled_rows_reference(matrix), n)
+    assert all(type(x) is int for row in rows for x in row)
+
+
 def test_float_entries_are_exact_dyadic_rationals():
     assert exact.rank([[0.5, 1.0], [1.0, 2.0]]) == 1
     assert exact.rank([[0.5, 0.25]]) == 1
@@ -290,3 +326,7 @@ def test_normalize_primitive():
     vec = [Fraction(2, 3), Fraction(-4, 3), Fraction(0)]
     assert exact.normalize_primitive(vec) == [1, -2, 0]
     assert exact.normalize_primitive([Fraction(-1, 2)]) == [1]
+    ints = [0, -6, 4, 0]
+    assert exact.normalize_primitive(ints) == [0, 3, -2, 0]
+    assert ints == [0, -6, 4, 0]
+    assert exact.normalize_primitive([0, 0]) == [0, 0]

@@ -59,6 +59,25 @@ def test_zero_chain_bounds(circle):
     assert result.witness.is_zero(0)
 
 
+@pytest.mark.parametrize(
+    "nodes, branches, dim, module, witness_module",
+    [
+        (["A"], [], 0, hn.INTEGER, hn.RATIONAL),
+        (["A"], [], 0, hn.RATIONAL, hn.RATIONAL),
+        (["A", "B"], [("A", "B")], 1, hn.INTEGER, hn.RATIONAL),
+        (["A", "B"], [("A", "B")], 1, hn.REAL64, hn.REAL64),
+    ],
+)
+def test_witness_without_higher_cells_keeps_the_witness_kind(
+    nodes, branches, dim, module, witness_module
+):
+    # exact witnesses are rational on every path, this early return included
+    cx = hn.build_complex(nodes, branches)
+    result = hn.is_boundary(hn.Chain.zero(cx, dim, module))
+    assert result.bounds
+    assert result.witness.module == witness_module
+
+
 def test_float_zero_chain_bound_does_not_scale_with_component():
     # the component A -> B sums to 1.5e-9 > tol, although a least-squares
     # witness misses each node by only half of that

@@ -7,7 +7,7 @@ import homnet as hn
 from homnet import errors, exact
 from homnet import geometry as geo
 from homnet import statics as st
-from conftest import complexes, random_complex
+from conftest import complexes, frameworks, random_complex
 
 
 def equilibrated_complex(g, coefficients):
@@ -121,6 +121,36 @@ def test_self_stress_dim_matches_rank_deficit(tetra_geo):
 
     mat = st.equilibrium_matrix(tetra_geo)
     assert tetra_geo.complex.r[1] - exact.rank(mat) == 1
+
+
+def dense_equilibrium_matrix(g):
+    """Row (i, c), column a: incidence of node i on branch a times the
+    branch vector's component c, every one of the r0 * n * r1 cells."""
+    cx = g.complex
+    rows = []
+    for i in range(cx.r[0]):
+        for c in range(g.n):
+            row = []
+            for a in range(cx.r[1]):
+                tail, head = cx.branches[a]
+                inc = 1 if head == i else (-1 if tail == i else 0)
+                row.append(inc * g.branch_vector(a)[c] if inc else 0)
+            rows.append(row)
+    return rows
+
+
+@settings(deadline=None)
+@given(frameworks(hst.one_of(
+    hst.integers(-6, 6),
+    hst.fractions(-6, 6, max_denominator=5),
+    hst.floats(-6, 6, allow_nan=False),
+)))
+def test_equilibrium_matrix_matches_dense_definition(g):
+    # repr tells int 0 from 0.0 and from -0.0, so the entries' types match too
+    want = dense_equilibrium_matrix(g)
+    assert [list(map(repr, row)) for row in st.equilibrium_matrix(g)] == [
+        list(map(repr, row)) for row in want
+    ]
 
 
 @settings(deadline=None)
