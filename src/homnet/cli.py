@@ -19,8 +19,8 @@ from . import statics as st
 from .chains import Chain, boundary
 from .coeffs import Bivector, covector
 from .errors import HomnetError, MissingData, UnknownCommand
-from .geometry import GeometricComplex, maxwell_dof
-from .kinematics import build_kinematical_complex
+from .geometry import maxwell_dof
+from .kinematics import KinematicalComplex
 from .reports import AnalysisReport, emit, provenance_for
 
 DEFAULT_TOL = 1e-9
@@ -350,14 +350,10 @@ def _run_angular(doc, options):
 def _run_energy(doc, options):
     d = _dynamics_state(doc)
     tol = options.get("tolerance", 1e-6)
-    trajectories = doc.trajectories()
-    snapshots = []
-    for a in range(d.samples):
-        positions = [tuple(trajectories[i][a]) for i in range(doc.complex.r[0])]
-        snapshots.append(
-            GeometricComplex(complex=doc.complex, n=doc.dimension, positions=positions)
-        )
-    k = build_kinematical_complex(snapshots)
+    k = KinematicalComplex(
+        base=doc.complex,
+        positions=np.stack([d.trajectory(i) for i in range(doc.complex.r[0])], axis=1),
+    )
     series = _node_forces_series(doc, d.samples)
     if not series:
         raise MissingData("nodes[*].force")

@@ -110,8 +110,9 @@ class Module:
     kind = "abstract"
     exact = False
 
-    def __init__(self, prune_tol=DEFAULT_PRUNE_TOL):
-        self.prune_tol = 0 if self.exact else prune_tol
+    @property
+    def prune_tol(self):
+        return 0 if self.exact else DEFAULT_PRUNE_TOL
 
     def zero(self):
         raise NotImplementedError
@@ -212,8 +213,7 @@ class TimeSeriesModule(Module):
     kind = "timeseries"
     exact = False
 
-    def __init__(self, dt, length, prune_tol=DEFAULT_PRUNE_TOL):
-        super().__init__(prune_tol)
+    def __init__(self, dt, length):
         self.dt = float(dt)
         self.length = int(length)
 
@@ -259,8 +259,7 @@ class TimeSeriesModule(Module):
 
 
 class _VectorLikeModule(Module):
-    def __init__(self, n, prune_tol=DEFAULT_PRUNE_TOL):
-        super().__init__(prune_tol)
+    def __init__(self, n):
         self.n = int(n)
 
     def signature(self):
@@ -305,8 +304,7 @@ class CovectorModule(_VectorLikeModule):
 class BivectorModule(Module):
     kind = "bivector"
 
-    def __init__(self, n, prune_tol=DEFAULT_PRUNE_TOL):
-        super().__init__(prune_tol)
+    def __init__(self, n):
         self.n = int(n)
 
     def signature(self):

@@ -211,13 +211,15 @@ def _parse_nodes(raw, dimension, signal):
         seen.add(nid)
         node = {"id": nid}
         if "pos" in spec:
-            node["pos"] = _parse_position(spec["pos"], dimension, signal, f"{path}.pos")
+            node["pos"] = _parse_vectors(
+                spec["pos"], dimension, signal, f"{path}.pos", "position"
+            )
         for attr in ("mass", "charge", "voltage"):
             if attr in spec:
                 node[attr] = _parse_quantity(spec[attr], signal, f"{path}.{attr}")
         if "force" in spec:
-            node["force"] = _parse_vector_quantity(
-                spec["force"], dimension, signal, f"{path}.force"
+            node["force"] = _parse_vectors(
+                spec["force"], dimension, signal, f"{path}.force", "force"
             )
         if "moment" in spec:
             comps = dimension * (dimension - 1) // 2
@@ -359,7 +361,9 @@ def _parse_quantity(value, signal, path):
                 f"series of length {len(value)} does not match "
                 f"declared {signal['samples']} samples",
             )
-        return np.array([float(parse_scalar(v, path)) for v in value])
+        return np.array(
+            [float(parse_scalar(v, f"{path}[{k}]")) for k, v in enumerate(value)]
+        )
     return parse_scalar(value, path)
 
 
@@ -369,34 +373,24 @@ def _parse_fixed_list(value, length, path):
     return tuple(parse_scalar(v, path) for v in value)
 
 
-def _parse_position(value, dimension, signal, path):
+def _parse_vectors(value, dimension, signal, path, noun):
+    """One coordinate list, or one per sample when a signal is declared;
+    ``noun`` names the quantity ("position", "force") in the messages."""
     if not isinstance(value, list) or not value:
-        raise ValidationError(path, "positions are coordinate lists")
+        raise ValidationError(path, f"{noun}s are coordinate lists")
     if is_sample_list(value):
         if signal is None:
-            raise ValidationError(path, "position samples given but no signal declared")
+            raise ValidationError(path, f"{noun} samples given but no signal declared")
         if len(value) != signal["samples"]:
             raise ValidationError(
                 path,
-                f"{len(value)} position samples do not match "
+                f"{len(value)} {noun} samples do not match "
                 f"declared {signal['samples']}",
             )
-        return [_parse_fixed_list(row, dimension, path) for row in value]
-    return _parse_fixed_list(value, dimension, path)
-
-
-def _parse_vector_quantity(value, dimension, signal, path):
-    if not isinstance(value, list) or not value:
-        raise ValidationError(path, "forces are coordinate lists")
-    if is_sample_list(value):
-        if signal is None:
-            raise ValidationError(path, "force samples given but no signal declared")
-        if len(value) != signal["samples"]:
-            raise ValidationError(
-                path,
-                f"{len(value)} force samples do not match declared {signal['samples']}",
-            )
-        return [_parse_fixed_list(row, dimension, path) for row in value]
+        return [
+            _parse_fixed_list(row, dimension, f"{path}[{k}]")
+            for k, row in enumerate(value)
+        ]
     return _parse_fixed_list(value, dimension, path)
 
 

@@ -400,18 +400,15 @@ def work_values(k, forces):
     w(i)(A) = <F(i)(A), x_{A+1}(i) - x_A(i)>.  Forces are per node arrays of
     shape (steps, n) and must be constant along each link."""
     out = {}
-    r0 = k.snapshots[0].complex.r[0]
-    for i in range(r0):
+    for i in range(k.base.r[0]):
         f = np.asarray(forces[i], dtype=float)
         if f.shape[0] != k.steps:
             raise KindMismatch(
                 f"need one force per step ({k.steps}), got {f.shape[0]}"
             )
-        w = np.empty(k.steps)
-        for a in range(k.steps):
-            disp = np.asarray(k.displacement(i, a), dtype=float)
-            w[a] = float(f[a] @ disp)
-        out[i] = w
+        # exact positions are differenced exactly, then rounded once
+        disp = np.diff(k.positions[:, i], axis=0).astype(float)
+        out[i] = np.vecdot(f, disp)
     return out
 
 
@@ -433,15 +430,9 @@ def constant_field_potential(k, field):
     """Potential U(i)(A) = -<F(i), x(i)(A)> of a constant force field,
     satisfying W = -coboundary(U) along every motion link."""
     out = {}
-    r0 = k.snapshots[0].complex.r[0]
-    for i in range(r0):
+    for i in range(k.base.r[0]):
         f = np.asarray(field[i], dtype=float)
-        out[i] = np.array(
-            [
-                -float(f @ np.asarray(g.positions[i], dtype=float))
-                for g in k.snapshots
-            ]
-        )
+        out[i] = -np.vecdot(k.positions[:, i].astype(float), f)
     return out
 
 

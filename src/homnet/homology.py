@@ -16,14 +16,16 @@ In dimension two every question reads one cached echelon of the boundary
 map on faces stacked with the fundamental cycles (``Complex.face_echelon``):
 its pivots below the face count give the rank, its face block
 back-substitutes to the 2-cycle basis, and the cycle columns that are
-pivots are the H1 generators.  Only two eliminations are left here: the
-boundary test of a 1-chain, whose right-hand side changes with every call,
-and the Smith form behind the torsion coefficients.
+pivots are the H1 generators; the boundary test of an exact 1-chain
+back-substitutes it too.  The only elimination left here is the Smith form
+behind the torsion coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,8 +72,8 @@ def is_boundary(chain, tol=None):
     A 0-chain bounds when its coefficients sum to zero on every path
     component, or to within the tolerance for real64 chains; the witness is
     the tree flow of the spanning forest (see ``_tree_flow``).  A 1-chain
-    of an exact kind is solved exactly over the rationals; real64 1-chains
-    use a least-squares solve with a residual tolerance.
+    of an exact kind is solved exactly on the face echelon (``_face_solve``);
+    real64 1-chains use a least-squares solve with a residual tolerance.
     """
     if not is_cycle(chain, tol):
         raise NotACycle("only cycles can bound")
@@ -88,16 +90,9 @@ def is_boundary(chain, tol=None):
         raise KindMismatch(f"boundary test is not defined for {kind} chains")
     if k == 0:
         return _tree_flow(chain, tol)
-    mat = [list(col) for col in zip(*cx.incidence_2)]
     if kind in _EXACT_SCALARS:
-        rhs = [chain[j] for j in range(cx.r[k])]
-        x, _ = exact.solve(mat, rhs)
-        if x is None:
-            return BoundaryTest(False)
-        witness = Chain(
-            cx, k + 1, {i: v for i, v in enumerate(x)}, RATIONAL
-        )
-        return BoundaryTest(True, witness)
+        return _face_solve(chain)
+    mat = [list(col) for col in zip(*cx.incidence_2)]
     tol = DEFAULT_TOL if tol is None else tol
     a = np.array(mat, dtype=float)
     rhs = np.array([chain[j] for j in range(cx.r[k])], dtype=float)
@@ -106,6 +101,34 @@ def is_boundary(chain, tol=None):
         return BoundaryTest(False)
     witness = Chain(cx, k + 1, dict(enumerate(x.tolist())), chain.module)
     return BoundaryTest(True, witness)
+
+
+def _face_solve(chain):
+    """Boundary test of an exact 1-cycle c on ``Complex.face_echelon``, the
+    echelon E [boundary on faces | cycles] for some invertible E.
+
+    c is sum_i c[chord_i] * s_i * z_i, s_i = +-1 the chord's coefficient in
+    its fundamental cycle z_i, so E c is that combination of the cycle
+    columns.  c bounds iff E c is zero past the face pivots; the face rows
+    then back-substitute to the witness ``exact.solve`` would return.
+    """
+    cx = chain.complex
+    forest, r2 = cx.forest, cx.r[2]
+    scale = math.lcm(*(Fraction(v).denominator for v in chain.coeffs.values()))
+    weights = [
+        (r2 + i, int(chain[a] * scale) * forest.cycle(a)[a])
+        for i, a in enumerate(forest.chords)
+        if chain[a]
+    ]
+    rows, pivots = cx.face_echelon
+    ec = [sum(w * row[col] for col, w in weights) for row in rows[: len(pivots)]]
+    faces = _rank_boundary(cx, 2)
+    if any(ec[faces:]):
+        return BoundaryTest(False)
+    augmented = [row + [v] for row, v in zip(rows, ec[:faces])]
+    _, (x,) = exact.back_substitute(augmented, pivots, r2, [len(rows[0])])
+    witness = {f: v / scale for f, v in enumerate(x)}
+    return BoundaryTest(True, Chain(cx, 2, witness, RATIONAL))
 
 
 def _tree_flow(chain, tol):

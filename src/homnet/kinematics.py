@@ -1,14 +1,16 @@
 """Deformation sequences of a structural complex.
 
-A kinematical complex joins every node of each snapshot to its successor by
-a motion link carrying the step displacement.  The spatial trace projects a
-node's motion links onto space, where revisited positions close into loops;
-work and conservativity checks live on that projection.
+A motion is one array of node positions per snapshot.  The kinematical
+complex, built only when asked for, joins every node of each snapshot to its
+successor by a motion link carrying the step displacement.  The spatial trace
+projects a node's motion links onto space, where revisited positions close
+into loops; work and conservativity checks live on that projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,48 +22,62 @@ from .errors import SnapshotMismatch, TooFewSamples
 
 @dataclass
 class KinematicalComplex:
-    """All snapshots of a deforming network, joined by motion links.
+    """A motion of a base complex: ``positions[a, i]`` is node i at snapshot a.
 
-    The underlying complex holds every snapshot's nodes and structural
-    branches plus one motion link per node per step; ``u`` is the
-    displacement cochain on the motion links.
+    The array has shape (steps + 1, r0, n).  It is a float array for float
+    coordinates and an object array otherwise, so int and ``Fraction``
+    displacements stay exact, types included.  ``complex`` (every snapshot's
+    nodes and branches plus one motion link per node per step) is built on
+    first use; ``u`` is the displacement cochain on its motion links.
     """
 
-    snapshots: list
-    complex: Complex
-    steps: int
+    base: Complex
+    positions: np.ndarray
 
-    def node_at(self, i, a):
-        return a * self._r0 + i
-
-    def structural_branch(self, b, a):
-        return a * self._r1 + b
-
-    def motion_link(self, i, a):
-        return (self.steps + 1) * self._r1 + a * self._r0 + i
+    def __post_init__(self):
+        if len(self.positions) < 2:
+            raise SnapshotMismatch("need at least two snapshots")
 
     @property
-    def _r0(self):
-        return self.snapshots[0].complex.r[0]
-
-    @property
-    def _r1(self):
-        return self.snapshots[0].complex.r[1]
+    def steps(self):
+        return len(self.positions) - 1
 
     @property
     def n(self):
-        return self.snapshots[0].n
+        return self.positions.shape[2]
+
+    def node_at(self, i, a):
+        return a * self.base.r[0] + i
+
+    def structural_branch(self, b, a):
+        return a * self.base.r[1] + b
+
+    def motion_link(self, i, a):
+        return (self.steps + 1) * self.base.r[1] + a * self.base.r[0] + i
+
+    @cached_property
+    def complex(self):
+        """Copies ``lab@a`` of the base, then motion links ``lab@a->a+1``,
+        indexed by ``node_at``, ``structural_branch`` and ``motion_link``."""
+        base, r0, times = self.base, self.base.r[0], range(self.steps + 1)
+        nodes = [f"{lab}@{a}" for a in times for lab in base.node_labels]
+        ends = [(a * r0 + t, a * r0 + h) for a in times for t, h in base.branches]
+        labels = [f"{lab}@{a}" for a in times for lab in base.branch_labels]
+        for a in range(self.steps):
+            ends += [(a * r0 + i, (a + 1) * r0 + i) for i in range(r0)]
+            labels += [f"{lab}@{a}->{a + 1}" for lab in base.node_labels]
+        return Complex(nodes, ends, branch_labels=labels)
 
     def displacement(self, i, a):
         """Step displacement u(i)(a) = x_{a+1}(i) - x_a(i)."""
-        return vsub(self.snapshots[a + 1].positions[i], self.snapshots[a].positions[i])
+        return tuple((self.positions[a + 1, i] - self.positions[a, i]).tolist())
 
     @property
     def u(self):
         values = {
             self.motion_link(i, a): self.displacement(i, a)
             for a in range(self.steps)
-            for i in range(self._r0)
+            for i in range(self.base.r[0])
         }
         return Cochain(self.complex, 1, values, vector(self.n), prune=False)
 
@@ -80,7 +96,7 @@ class KinematicalComplex:
         the tail's motion link, minus the head's motion link; the result is
         always a 1-cycle.
         """
-        tail, head = self.snapshots[0].complex.branches[b]
+        tail, head = self.base.branches[b]
         values = {
             self.structural_branch(b, a + 1): 1,
             self.structural_branch(b, a): -1,
@@ -93,34 +109,15 @@ class KinematicalComplex:
 def build_kinematical_complex(snapshots):
     """Join two or more equally shaped snapshots into a kinematical complex."""
     snapshots = list(snapshots)
-    if len(snapshots) < 2:
-        raise SnapshotMismatch("need at least two snapshots")
-    base = snapshots[0].complex
-    n = snapshots[0].n
+    base = snapshots[0].complex if snapshots else None
     for g in snapshots[1:]:
         if g.complex.r[:2] != base.r[:2] or g.complex.branches != base.branches:
             raise SnapshotMismatch("snapshots must share node and branch structure")
-        if g.n != n:
+        if g.n != snapshots[0].n:
             raise SnapshotMismatch("snapshots must share the ambient dimension")
-
-    steps = len(snapshots) - 1
-    node_labels = []
-    for a in range(steps + 1):
-        node_labels.extend(f"{lab}@{a}" for lab in base.node_labels)
-    r0, r1, _ = base.r
-    endpoints = []
-    branch_labels = []
-    for a in range(steps + 1):
-        for b, (t, h) in enumerate(base.branches):
-            endpoints.append((a * r0 + t, a * r0 + h))
-            branch_labels.append(f"{base.branch_labels[b]}@{a}")
-    for a in range(steps):
-        for i in range(r0):
-            endpoints.append((a * r0 + i, (a + 1) * r0 + i))
-            branch_labels.append(f"{base.node_labels[i]}@{a}->{a + 1}")
-
-    big = Complex(node_labels, endpoints, branch_labels=branch_labels)
-    return KinematicalComplex(snapshots=snapshots, complex=big, steps=steps)
+    coords = [g.positions for g in snapshots]
+    floats = all(isinstance(c, float) for p in coords for x in p for c in x)
+    return KinematicalComplex(base, np.array(coords, dtype=float if floats else object))
 
 
 def verify_deformation_homology(k, loop_chain, a):
@@ -149,14 +146,13 @@ class SpatialTrace:
 
 
 def spatial_trace(k):
-    base = k.snapshots[0].complex
+    base = k.base
     labels = []
     vertex_of = []
     for i in range(base.r[0]):
         seen = {}
         per_time = []
-        for a, g in enumerate(k.snapshots):
-            pos = g.positions[i]
+        for pos in map(tuple, k.positions[:, i].tolist()):
             if pos not in seen:
                 seen[pos] = len(labels)
                 labels.append(f"{base.node_labels[i]}@p{len(seen) - 1}")

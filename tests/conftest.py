@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import homnet as hn
 from homnet import geometry as geo
+from homnet import kinematics as kin
 
 
 @pytest.fixture
@@ -148,6 +150,23 @@ def frameworks(draw, coordinates, max_nodes=6, dims=(1, 2, 3)):
     points = st.tuples(*[coordinates] * n)
     spots = draw(st.lists(points, min_size=cx.r[0], max_size=cx.r[0], unique=True))
     return geo.realize(cx, n, spots)
+
+
+@st.composite
+def motions(draw, max_nodes=3, max_steps=8):
+    """Hypothesis strategy: a float motion of a face-free complexes() draw
+    in n = 1, 2 or 3 dimensions.  Each node moves among a few positions of
+    its own, so positions are revisited and some steps are zero."""
+    cx = draw(complexes(max_nodes=max_nodes, with_faces=False))
+    n = draw(st.sampled_from((1, 2, 3)))
+    samples = draw(st.integers(2, max_steps + 1))
+    coords = st.floats(-1e6, 1e6, allow_nan=False)
+    positions = np.empty((samples, cx.r[0], n))
+    for i in range(cx.r[0]):
+        spots = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3))
+        path = st.lists(st.sampled_from(spots), min_size=samples, max_size=samples)
+        positions[:, i] = draw(path)
+    return kin.KinematicalComplex(base=cx, positions=positions)
 
 
 def random_chain(rng, cx, dim, module=None, span=9):

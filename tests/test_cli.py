@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from homnet import cli, documents, reports
+from homnet.complexes import Complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDENS = FIXTURES.parent / "perfbench" / "goldens"
@@ -258,8 +259,48 @@ def test_main_rejects_exact_numbers_beyond_float_range(tmp_path, capsys, fixture
     source = tmp_path / "bad.json"
     source.write_text(json.dumps(doc))
     assert cli.main(["report-all", "--input", str(source)]) == 2
+    path = "nodes[0].pos" if sample is None else f"nodes[0].pos[{sample}]"
     err = capsys.readouterr().err
-    assert err.startswith("error: nodes[0].pos: too large for a float")
+    assert err.startswith(f"error: {path}: too large for a float")
+
+
+def test_main_names_the_bad_sample_of_a_scalar_series(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "freefall.json").read_text())
+    masses = [2.0] * doc["signal"]["samples"]
+    masses[2] = 10**400
+    doc["nodes"][0]["mass"] = masses
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[0].mass[2]: too large for a float")
+
+
+def test_energy_on_one_sample_needs_two_snapshots(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "freefall.json").read_text())
+    doc["signal"]["samples"] = 1
+    doc["nodes"][0]["pos"] = doc["nodes"][0]["pos"][:1]
+    source = tmp_path / "one.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["energy", "--input", str(source)]) == 2
+    assert capsys.readouterr().err == "error: need at least two snapshots\n"
+
+
+def test_energy_builds_only_the_spatial_trace(monkeypatch):
+    # the motion is read from the trajectory arrays: no snapshot complexes
+    # and no motion-link complex, only the trace the work is checked on
+    doc = load("freefall.json")
+    built = []
+    init = Complex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "__init__", counted)
+    assert cli.run(doc, "energy", {"tolerance": 1e-6}).verdict == "pass"
+    assert len(built) == 1
+    assert all(label.startswith("P@p") for label in built[0])
 
 
 @pytest.mark.parametrize(

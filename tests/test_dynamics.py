@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homnet as hn
 from homnet import dynamics as dyn
 from homnet import errors
 from homnet import geometry as geo
 from homnet import kinematics as kin
+from conftest import motions
 
 
 @pytest.fixture
@@ -393,6 +395,27 @@ def test_back_and_forth_under_time_varying_force_detected(single_node):
     forces = {0: np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]])}
     report = dyn.conservative_check(k, {0: forces[0]})
     assert not report.conservative
+
+
+@settings(deadline=None)
+@given(motions(), st.data())
+def test_work_values_match_the_per_step_loop(k, data):
+    r0, n = k.base.r[0], k.n
+    coords = st.floats(-1e6, 1e6, allow_nan=False)
+    rows = st.lists(st.tuples(*[coords] * n), min_size=k.steps, max_size=k.steps)
+    forces = {i: np.array(data.draw(rows)) for i in range(r0)}
+    work = dyn.work_values(k, forces)
+    field = {i: f[0] for i, f in forces.items()}
+    potential = dyn.constant_field_potential(k, field)
+    for i in range(r0):
+        want = np.empty(k.steps)
+        for a in range(k.steps):
+            disp = np.asarray(k.displacement(i, a), dtype=float)
+            want[a] = float(forces[i][a] @ disp)
+        assert work[i].tobytes() == want.tobytes()
+        want = np.array([-float(field[i] @ np.asarray(tuple(x), dtype=float))
+                         for x in k.positions[:, i]])
+        assert potential[i].tobytes() == want.tobytes()
 
 
 # -- work-energy and total energy ---------------------------------------------------------------

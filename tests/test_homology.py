@@ -113,6 +113,58 @@ def test_zero_chain_witness_is_the_exact_solution(cx, data):
         assert hn.boundary(result.witness).as_module(hn.RATIONAL) == rational
 
 
+WEIGHTS = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), max_size=12)
+
+# a filled triangle whose one fundamental cycle is -1 on its chord
+SIGNED_TRIANGLE = hn.build_complex(
+    ["A", "B", "C"], [("B", "A"), ("A", "C"), ("B", "C")], faces=[("A", "B", "C")]
+)
+
+
+@settings(deadline=None)
+@given(complexes(), st.booleans(), WEIGHTS, WEIGHTS)
+# the fundamental cycle of chord 1 generates the 2-torsion of H1: it bounds
+# only over the rationals, and twice it bounds over the integers
+@example(real_projective_plane(), False, [(0, 1), (1, 1)], [])
+@example(real_projective_plane(), False, [(0, 1), (2, 1)], [])
+@example(real_projective_plane(), True, [(0, 1), (1, 3)], [])
+@example(SIGNED_TRIANGLE, False, [], [(2, 1)])
+def test_one_chain_witness_is_the_exact_solution(cx, rational, cycles, faces):
+    # a combination of fundamental cycles and face boundaries: every 1-cycle
+    module = hn.RATIONAL if rational else hn.INTEGER
+    weight = (lambda w: Fraction(*w)) if rational else (lambda w: w[0])
+    chain = hn.Chain.zero(cx, 1, module)
+    for z, w in zip(hn.cycle_basis(cx, 1), cycles):
+        chain = chain + z.as_module(module).scaled(weight(w))
+    for f, w in zip(range(cx.r[2]), faces):
+        face = hn.Chain(cx, 2, {f: 1}, module)
+        chain = chain + hn.boundary(face).scaled(weight(w))
+    boundary_2 = [[row[a] for row in cx.incidence_2] for a in range(cx.r[1])]
+    solved = exact.solve(boundary_2, [chain[a] for a in range(cx.r[1])])[0]
+    result = hn.is_boundary(chain)
+    assert result.bounds == (solved is not None)
+    if result.bounds:
+        assert result.witness.module == hn.RATIONAL
+        assert result.witness.coeffs == {f: v for f, v in enumerate(solved) if v}
+        assert all(type(v) is Fraction for v in result.witness.coeffs.values())
+
+
+def test_one_chain_boundary_test_reuses_the_face_echelon(disc, monkeypatch):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    echelon = _kernel.echelon
+    disc.face_echelon  # cached by the first question about the faces
+    monkeypatch.setattr(_kernel, "echelon", counted)
+    rim = hn.Chain(disc, 1, {0: 1, 3: 1, 1: -1}, hn.INTEGER)
+    assert hn.is_boundary(rim).bounds
+    assert hn.is_boundary(rim.as_module(hn.RATIONAL).scaled(Fraction(1, 2))).bounds
+    assert calls == []
+
+
 def test_non_cycle_rejected(circle):
     c = hn.Chain(circle, 1, {0: 1}, hn.INTEGER)
     with pytest.raises(errors.NotACycle):

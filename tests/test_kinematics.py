@@ -1,10 +1,16 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import homnet as hn
+from homnet import dynamics as dyn
 from homnet import errors
 from homnet import geometry as geo
 from homnet import kinematics as kin
+from conftest import motions
 
 
 def snapshots_of(complex, *position_lists):
@@ -82,6 +88,59 @@ def test_cyclic_motion_closes_in_spatial_trace(triangle):
     assert hn.betti_numbers(trace.complex)[1] == 3  # one loop per node
     for i in range(3):
         assert trace.node_vertices[i][0] == trace.node_vertices[i][-1]
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1, 3)], ids=["int", "fraction"])
+def test_exact_snapshots_stay_exact(triangle, unit):
+    frames = [
+        [(0, 0), (3, 0), (0, 3)],
+        [(2, 1), (3, 0), (0, 3)],
+        [(0, 0), (3, 0), (0, 3)],
+    ]
+    # far from the origin, where rounding before differencing loses the steps
+    far = 10**17
+    scaled = [[(unit * (far + x), unit * (far + y)) for x, y in f] for f in frames]
+    k = kin.build_kinematical_complex(snapshots_of(triangle, *scaled))
+    assert k.positions.dtype == object
+    assert k.displacement(0, 0) == (2 * unit, unit)
+    assert k.displacement(0, 1) == (-2 * unit, -unit)
+    u = k.u
+    for i, a in itertools.product(range(3), range(2)):
+        assert all(type(c) is type(unit) for c in k.displacement(i, a))
+        assert all(type(c) is type(unit) for c in u[k.motion_link(i, a)])
+    # node 0 returns to its start; nodes 1 and 2 sit still
+    trace = kin.spatial_trace(k)
+    assert trace.node_vertices == [[0, 1, 0], [2, 2, 2], [3, 3, 3]]
+    assert trace.step_edges == {(0, 0): 0, (0, 1): 1}
+    work = dyn.work_values(k, {i: np.ones((2, 2)) for i in range(3)})
+    assert work[0].tolist() == [float(3 * unit), float(-3 * unit)]
+
+
+def test_float_snapshots_give_a_float_array(triangle):
+    frames = [[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0.5, 0.0), (1.0, 0.0), (0.0, 1.5)]]
+    k = kin.build_kinematical_complex(snapshots_of(triangle, *frames))
+    assert k.positions.dtype == float
+    assert k.positions.shape == (2, 3, 2)
+    assert k.displacement(2, 0) == (0.0, 0.5)
+
+
+@settings(deadline=None)
+@given(motions())
+def test_spatial_trace_identifies_revisited_positions(k):
+    trace = kin.spatial_trace(k)
+    seen = set()
+    for i, vertices in enumerate(trace.node_vertices):
+        spots = [tuple(x) for x in k.positions[:, i]]
+        for a, b in itertools.combinations(range(k.steps + 1), 2):
+            assert (vertices[a] == vertices[b]) == (spots[a] == spots[b])
+        for a in range(k.steps):
+            edge = trace.step_edges.get((i, a))
+            assert (edge is None) == (spots[a] == spots[a + 1])
+            if edge is not None:
+                assert trace.complex.branches[edge] == (vertices[a], vertices[a + 1])
+        assert seen.isdisjoint(vertices)
+        seen.update(vertices)
+    assert trace.complex.r[0] == len(seen)
 
 
 def test_kinematical_state_uniform_motion(triangle):
