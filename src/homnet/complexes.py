@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import exact
+from . import _kernel
 from .errors import (
     DuplicateLabel,
     NonClosingFace,
@@ -247,13 +247,16 @@ class Complex:
         face boundaries and of the cycles before it.  Shared by every
         caller, so read-only."""
         forest = self.forest
-        cycles = [forest.cycle(a) for a in forest.chords]
-        rows = [[0] * len(self.faces) + [z.get(a, 0) for z in cycles]
-                for a in range(len(self.branches))]
+        r2 = len(self.faces)
+        ncols = r2 + len(forest.chords)
+        rows = [[0] * ncols for _ in self.branches]
         for f, edges in enumerate(self.faces):
             for b, s in edges:
                 rows[b][f] += s
-        return exact.echelon(rows)
+        for i, a in enumerate(forest.chords, r2):
+            for b, v in forest.cycle(a).items():
+                rows[b][i] = v
+        return _kernel.echelon(rows, ncols)
 
     def __repr__(self):
         r0, r1, r2 = self.r

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,13 @@ class NetworkDocument:
 
     def trajectories(self):
         """Node trajectories as float arrays of shape (samples, n); static
-        positions broadcast to a constant trajectory."""
+        positions broadcast to a constant trajectory.  The samples are
+        converted once per document, and every call shares the same
+        read-only arrays."""
+        return dict(self._trajectory_arrays)
+
+    @cached_property
+    def _trajectory_arrays(self):
         if self.signal is None:
             raise MissingData("signal", "trajectories need a signal block")
         out = {}
@@ -114,6 +121,7 @@ class NetworkDocument:
                 )
             else:
                 out[i] = np.tile([float(c) for c in p], (self.samples, 1))
+            out[i].setflags(write=False)
         return out
 
 

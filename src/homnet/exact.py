@@ -18,8 +18,9 @@ X[k] = (d * U[k][cols] - sum_{j>k} U[k][p_j] * X[j]) // U[k][p_k] every
 division is exact.  Then x[p_k] = X[k][b] / d, and the nullspace vector of
 free column f is d at f and -X[k][f] at each p_k, made primitive.
 
-The Smith normal form is computed here directly; it is a diagnostic used for
-torsion reporting, not a hot path.
+The Smith normal form is computed here directly; torsion reporting runs it
+only when the face echelon does not already certify H1 torsion-free, so it
+is not a hot path.
 """
 
 from __future__ import annotations

@@ -17,8 +17,11 @@ map on faces stacked with the fundamental cycles (``Complex.face_echelon``):
 its pivots below the face count give the rank, its face block
 back-substitutes to the 2-cycle basis, and the cycle columns that are
 pivots are the H1 generators; the boundary test of an exact 1-chain
-back-substitutes it too.  The only elimination left here is the Smith form
-behind the torsion coefficients.
+back-substitutes it too.  The last face pivot is, up to sign, a minor of
+full rank, which the product of the invariant factors divides, so a unit
+pivot proves H1 torsion-free.  The only elimination left here is the Smith
+form behind the torsion coefficients, and it runs only when that pivot is
+not +-1.
 """
 
 from __future__ import annotations
@@ -195,12 +198,16 @@ def homology_generators(complex, k):
             Chain(complex, 0, {comp[0]: 1}, INTEGER)
             for comp in path_components(complex)
         ]
-    cycles = cycle_basis(complex, k)
-    if k >= complex.dim or not cycles:
-        return cycles
-    # keep a cycle iff its column of [boundary on faces | cycles] is a pivot
-    r2 = complex.r[2]
-    return [cycles[c - r2] for c in complex.face_echelon[1] if c >= r2]
+    if k != 1 or complex.dim < 2:
+        return cycle_basis(complex, k)
+    # keep a chord's cycle iff its column of [boundary on faces | cycles]
+    # is a pivot
+    forest, r2 = complex.forest, complex.r[2]
+    return [
+        Chain(complex, 1, forest.cycle(forest.chords[c - r2]), INTEGER)
+        for c in complex.face_echelon[1]
+        if c >= r2
+    ]
 
 
 def torsion_coefficients(complex):
@@ -208,12 +215,20 @@ def torsion_coefficients(complex):
     from the boundary map out of dimension k+1.  Integer coefficients only.
 
     H_0 never has torsion: the boundary map on branches of a loop-free
-    directed multigraph is totally unimodular.
+    directed multigraph is totally unimodular.  H_1 is certified
+    torsion-free from ``Complex.face_echelon``: with r the rank of the
+    boundary on faces, the Bareiss pivot in row r-1 is +-1 times an r x r
+    minor, and the product of the invariant factors is the gcd of all such
+    minors, so it divides that pivot.  Only when the pivot is not +-1 does
+    the Smith form run.
     """
     out = [[] for _ in range(complex.dim + 1)]
     if complex.dim == 2:
-        snf = exact.smith_normal_form(complex.incidence_2)
-        out[1] = [d for d in snf.d if d > 1]
+        r = _rank_boundary(complex, 2)
+        rows, pivots = complex.face_echelon
+        if r and abs(rows[r - 1][pivots[r - 1]]) != 1:
+            snf = exact.smith_normal_form(complex.incidence_2)
+            out[1] = [d for d in snf.d if d > 1]
     return out
 
 

@@ -89,6 +89,32 @@ def tetrahedron_surface():
     )
 
 
+def triangulated_grid(k, holes=()):
+    """The k x k node grid with every cell split by its rising diagonal into
+    two triangles, numbered cell by cell, lower one first.  The triangles
+    whose numbers are in ``holes`` are left out but all branches stay, so
+    each is a hole of its own and b1 = len(holes)."""
+    node = "n{}_{}".format
+    nodes = [node(i, j) for i in range(k) for j in range(k)]
+    branches = []
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                branches.append((node(i, j), node(i + 1, j)))
+            if j + 1 < k:
+                branches.append((node(i, j), node(i, j + 1)))
+            if i + 1 < k and j + 1 < k:
+                branches.append((node(i, j), node(i + 1, j + 1)))
+    faces = []
+    for i in range(k - 1):
+        for j in range(k - 1):
+            faces.append((node(i, j), node(i + 1, j), node(i + 1, j + 1)))
+            faces.append((node(i, j), node(i + 1, j + 1), node(i, j + 1)))
+    holes = set(holes)
+    faces = [f for t, f in enumerate(faces) if t not in holes]
+    return hn.build_complex(nodes, branches, faces=faces)
+
+
 def random_complex(rng, max_nodes=7, with_faces=True):
     """Random small complex; faces (when requested) are triangles whose three
     edges exist, so the boundary-of-boundary identity holds by construction."""

@@ -171,6 +171,38 @@ def test_mass_on_signal_with_constant_masses():
     assert report.numbers["total_mass_constant"] is True
 
 
+def test_trajectory_document_converts_its_samples_once(monkeypatch):
+    # the benchmark's five trajectory analyses on one document; the four
+    # that read the trajectories share one set of arrays
+    raw = json.loads((FIXTURES / "freefall.json").read_text())
+    commands = ("momentum", "angular", "dalembert", "energy", "mass")
+    raw["analyses"] = [{"command": c, "tolerance": 1e-6} for c in commands]
+    text = json.dumps(raw)
+    seen = []
+
+    def recorded(doc):
+        state = dynamics_state(doc)
+        seen.append(state.trajectories)
+        return state
+
+    dynamics_state = cli._dynamics_state
+    monkeypatch.setattr(cli, "_dynamics_state", recorded)
+    shared = cli.run_all(documents.parse(text))
+    assert len(seen) == 4
+    for trajectories in seen:
+        assert trajectories.keys() == seen[0].keys()
+        for i, arr in trajectories.items():
+            assert arr is seen[0][i]
+            assert not arr.flags.writeable
+    # each analysis on a freshly parsed copy emits the same bytes
+    alone = [
+        cli.run(documents.parse(text), request.command, dict(request.options))
+        for request in documents.parse(text).analyses
+    ]
+    for fmt in ("text", "json"):
+        assert reports.emit(shared, fmt) == reports.emit(alone, fmt)
+
+
 def test_virtual_work_zero_tolerance():
     # a float force residual of about 1e-12 fails both verdicts at tol=0
     text = json.dumps({

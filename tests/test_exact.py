@@ -319,7 +319,12 @@ def test_snf_random_matrices():
     rng = random.Random(777)
     for _ in range(120):
         mat = random_matrix(rng, max_dim=6, span=6)
-        check_snf_postconditions(mat)
+        result = check_snf_postconditions(mat)
+        # the last Bareiss pivot is +-1 times a minor of full rank, and the
+        # product of the invariant factors is the gcd of all such minors
+        rows, pivots = exact.echelon(mat)
+        if pivots:
+            assert rows[len(pivots) - 1][pivots[-1]] % math.prod(result.d) == 0
 
 
 def test_normalize_primitive():

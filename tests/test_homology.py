@@ -12,6 +12,7 @@ from conftest import (
     random_complex,
     real_projective_plane,
     tetrahedron_surface,
+    triangulated_grid,
 )
 
 
@@ -241,6 +242,46 @@ def test_projective_plane_torsion(projective_plane):
     assert hn.betti_numbers(projective_plane) == [1, 0, 0]
     assert hn.euler_characteristic(projective_plane) == 1
     assert hn.torsion_coefficients(projective_plane) == [[], [2], []]
+
+
+def smith_torsion(cx):
+    if cx.dim < 2:
+        return [[] for _ in range(cx.dim + 1)]
+    return [[], [d for d in exact.smith_normal_form(cx.incidence_2).d if d > 1], []]
+
+
+@settings(deadline=None)
+@given(complexes())
+@example(real_projective_plane())
+@example(tetrahedron_surface())
+def test_certified_torsion_matches_smith_form(cx):
+    assert hn.torsion_coefficients(cx) == smith_torsion(cx)
+
+
+def test_summary_runs_the_smith_form_once_on_torsion(projective_plane, monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return smith_normal_form(matrix)
+
+    smith_normal_form = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", counted)
+    info = hn.summary(projective_plane)
+    assert info.torsion == [[], [2], []]
+    assert calls == [projective_plane.r[2]]
+
+
+def test_large_grid_is_certified_torsion_free(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("the face echelon certifies this grid")
+
+    monkeypatch.setattr(exact, "smith_normal_form", refuse)
+    holes = (0, 7, 100, 251, 449)
+    info = hn.summary(triangulated_grid(16, holes))
+    assert info.torsion == [[], [], []]
+    assert info.betti == [1, len(holes), 0]
+    assert len(info.generators[1]) == len(holes)
 
 
 def test_summary(disc):
