@@ -1,31 +1,7 @@
-"""Elimination kernel backend selection.
+"""The elimination kernel: the fraction-free Bareiss echelon in ``pure``.
 
-The compiled Cython kernel is preferred when it was built; the pure-Python
-twin is used otherwise, or when HOMNET_PURE=1 is set.  The compiled kernel
-works in 64-bit integers and raises OverflowError when entries outgrow its
-guard bound, in which case the caller retries with the pure kernel, whose
-integers are unbounded.
+``_speedups.c`` beside this file is not part of the package; it is the
+input of the benchmark's kernel replay (``perfbench/replay.py``).
 """
 
-import importlib
-import os
-
-from . import pure
-
-_speedups = None
-if os.environ.get("HOMNET_PURE") != "1":
-    try:
-        _speedups = importlib.import_module("._speedups", __name__)
-    except ImportError:
-        _speedups = None
-
-BACKEND = _speedups.BACKEND if _speedups is not None else pure.BACKEND
-
-
-def echelon(rows, ncols):
-    if _speedups is not None:
-        try:
-            return _speedups.echelon(rows, ncols)
-        except OverflowError:
-            pass
-    return pure.echelon(rows, ncols)
+from .pure import BACKEND, echelon

@@ -1,8 +1,8 @@
 """Pure-Python fraction-free row echelon (Bareiss) over arbitrary integers.
 
-This is the fallback twin of the compiled kernel in ``_speedups``; both must
-produce identical output.  Pivoting is deterministic: the first row at or
-below the pivot row with a nonzero entry in the pivot column is chosen.
+This is the package's one elimination kernel.  Pivoting is deterministic:
+the first row at or below the pivot row with a nonzero entry in the pivot
+column is chosen.
 
 Bareiss step t with pivot p_t updates each row below the pivot row to
 (p_t * x - lead * y) / p_{t-1}.  A row whose lead is zero is only scaled by

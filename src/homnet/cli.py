@@ -17,13 +17,11 @@ from . import documents, electrical, homology
 from . import dynamics as dyn
 from . import statics as st
 from .chains import Chain, boundary
-from .coeffs import Bivector, covector
+from .coeffs import DEFAULT_TOL, Bivector, covector
 from .errors import HomnetError, MissingData, UnknownCommand
 from .geometry import maxwell_dof
 from .kinematics import KinematicalComplex
 from .reports import AnalysisReport, emit, provenance_for
-
-DEFAULT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +39,6 @@ def _node_forces_static(doc):
     for lab, value in doc.node_attr("force").items():
         forces[lab] = _static_vector(value, "nodes[*].force")
     return forces
-
-
-def _node_forces_series(doc, samples):
-    out = {}
-    for lab, value in doc.node_attr("force").items():
-        i = doc.complex.node_index(lab)
-        if documents.is_sample_list(value):
-            out[i] = np.array([[float(c) for c in row] for row in value])
-        else:
-            out[i] = np.tile([float(c) for c in value], (samples, 1))
-    return out
 
 
 def _branch_internal_series(doc, samples):
@@ -307,7 +294,7 @@ def _run_mass(doc, options):
 def _run_momentum(doc, options):
     d = _dynamics_state(doc)
     tol = options.get("tolerance", DEFAULT_TOL)
-    f_ext = _node_forces_series(doc, d.samples)
+    f_ext = doc.node_series("force")
     f_int = _branch_internal_series(doc, d.samples)
     rep = dyn.momentum_balance_check(d, f_ext=f_ext, f_int=f_int, tol=tol)
     numbers = {
@@ -334,7 +321,7 @@ def _run_angular(doc, options):
     origin = options.get("origin")
     if origin is not None:
         origin = doc.static_positions()[origin]
-    forces = _node_forces_series(doc, d.samples)
+    forces = doc.node_series("force")
     rep = dyn.angular_momentum_balance(d, forces=forces, origin=origin, tol=tol)
     return AnalysisReport(
         command="angular",
@@ -354,7 +341,7 @@ def _run_energy(doc, options):
         base=doc.complex,
         positions=np.stack([d.trajectory(i) for i in range(doc.complex.r[0])], axis=1),
     )
-    series = _node_forces_series(doc, d.samples)
+    series = doc.node_series("force")
     if not series:
         raise MissingData("nodes[*].force")
     forces = {i: f[: k.steps] for i, f in series.items()}
@@ -392,13 +379,13 @@ def _run_virtual_work(doc, options):
 def _run_dalembert(doc, options):
     d = _dynamics_state(doc)
     tol = options.get("tolerance", 1e-6)
-    f_ext = _node_forces_series(doc, d.samples)
+    f_ext = doc.node_series("force")
     f_int = _branch_internal_series(doc, d.samples)
     worst = 0.0
     for i in range(doc.complex.r[0]):
         for c in range(doc.dimension):
             unit = tuple(1.0 if k == c else 0.0 for k in range(doc.dimension))
-            worst = max(
+            worst = dyn.nan_max(
                 worst,
                 dyn.dalembert_residual(d, {i: unit}, f_ext=f_ext, f_int=f_int),
             )

@@ -19,6 +19,9 @@ from .errors import DimensionMismatch, KindMismatch, PairingUndefined
 # Magnitude below which float-kind coefficients are pruned from sparse chains.
 DEFAULT_PRUNE_TOL = 1e-12
 
+# Default absolute tolerance of every float-valued check.
+DEFAULT_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # vector helpers (components are plain Python numbers, so exactness of

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +59,8 @@ class NetworkDocument:
     analyses: list
     complex: Complex
     source_text: str = ""
+    _series: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     # -- attribute collectors ------------------------------------------------
 
@@ -99,30 +100,37 @@ class NetworkDocument:
         return realize(self.complex, self.dimension, self.static_positions())
 
     def trajectories(self):
-        """Node trajectories as float arrays of shape (samples, n); static
-        positions broadcast to a constant trajectory.  The samples are
-        converted once per document, and every call shares the same
-        read-only arrays."""
-        return dict(self._trajectory_arrays)
+        """Node trajectories as float arrays of shape (samples, n), keyed by
+        node index; static positions broadcast to a constant trajectory.
+        Every node needs a position."""
+        series = self.node_series("pos")
+        if len(series) < len(self.nodes):
+            raise MissingData("nodes[*].pos")
+        return series
 
-    @cached_property
-    def _trajectory_arrays(self):
-        if self.signal is None:
-            raise MissingData("signal", "trajectories need a signal block")
-        out = {}
-        for spec in self.nodes:
-            if "pos" not in spec:
-                raise MissingData("nodes[*].pos")
-            p = spec["pos"]
-            i = self.complex.node_index(spec["id"])
-            if is_sample_list(p):
-                out[i] = np.array(
-                    [[float(c) for c in row] for row in p], dtype=float
-                )
-            else:
-                out[i] = np.tile([float(c) for c in p], (self.samples, 1))
-            out[i].setflags(write=False)
-        return out
+    def node_series(self, name):
+        """A vector node attribute as float arrays of shape (samples, n),
+        keyed by the index of each node that has it; a static vector
+        broadcasts to a constant series.  Each attribute is converted once
+        per document, and every call shares the same read-only arrays."""
+        if name not in self._series:
+            if self.signal is None:
+                raise MissingData("signal", "sampled series need a signal block")
+            out = {}
+            for spec in self.nodes:
+                if name not in spec:
+                    continue
+                value = spec[name]
+                i = self.complex.node_index(spec["id"])
+                if is_sample_list(value):
+                    out[i] = np.array(
+                        [[float(c) for c in row] for row in value], dtype=float
+                    )
+                else:
+                    out[i] = np.tile([float(c) for c in value], (self.samples, 1))
+                out[i].setflags(write=False)
+            self._series[name] = out
+        return dict(self._series[name])
 
 
 def is_sample_list(value):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Cochain, evaluate
-from .coeffs import REAL64, series_derivative
+from .coeffs import DEFAULT_TOL, REAL64, series_derivative
 from .errors import (
     HypothesesUnmet,
     KindMismatch,
@@ -26,8 +26,6 @@ from .errors import (
 )
 from .homology import cycle_basis, integrate
 from .kinematics import spatial_trace
-
-DEFAULT_TOL = 1e-9
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -95,6 +93,12 @@ class DynamicsState:
                 )
 
 
+def nan_max(a, b):
+    """The larger of two floats, NaN when either is NaN; the builtin ``max``
+    drops a NaN second argument, so a NaN residual would pass its check."""
+    return float(np.maximum(a, b))
+
+
 def _node_range(complex):
     return range(complex.r[0])
 
@@ -134,7 +138,7 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
         mdot = series_derivative(m, d.dt) if d.dt is not None else np.zeros(N)
         res = mdot - incident[i]
         residual[i] = res
-        worst = max(worst, float(np.max(np.abs(res), initial=0.0)))
+        worst = nan_max(worst, np.max(np.abs(res), initial=0.0))
 
     total = sum(d.mass_series(i) for i in _node_range(cx))
     total = np.asarray(total, dtype=float)
@@ -232,8 +236,8 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
             ext = np.broadcast_to(ext, (N, d.n))
         res = pdot - ext - boundary_forces[i]
         residual[i] = res
-        worst = max(worst, float(np.max(np.abs(res[trim]), initial=0.0)))
-        worst_full = max(worst_full, float(np.max(np.abs(res), initial=0.0)))
+        worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
+        worst_full = nan_max(worst_full, np.max(np.abs(res), initial=0.0))
         total_pdot += pdot
         total_fext += ext
     collective = total_pdot - total_fext
@@ -270,7 +274,7 @@ def impulse_momentum_gap(d, forces, t0, t1):
     for i, value in imp.items():
         p = d.momentum(i)
         gap = value - (p[t1] - p[t0])
-        worst = max(worst, float(np.max(np.abs(gap), initial=0.0)))
+        worst = nan_max(worst, np.max(np.abs(gap), initial=0.0))
     return worst
 
 
@@ -326,13 +330,13 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
         p = d.momentum(i)
         L = _wedge_series(r, p)
         ls[i] = L
-        drift = max(drift, float(np.max(np.abs(L - L[0]), initial=0.0)))
+        drift = nan_max(drift, np.max(np.abs(L - L[0]), initial=0.0))
         ldot = series_derivative(L, d.dt)
         f = np.asarray((forces or {}).get(i, np.zeros((N, d.n))), dtype=float)
         res = ldot - _wedge_series(r, f)
         residual[i] = res
-        worst = max(worst, float(np.max(np.abs(res[trim]), initial=0.0)))
-        worst_full = max(worst_full, float(np.max(np.abs(res), initial=0.0)))
+        worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
+        worst_full = nan_max(worst_full, np.max(np.abs(res), initial=0.0))
     return AngularMomentumReport(
         angular_momentum=ls,
         residual=residual,
@@ -358,7 +362,7 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
         integral = _trapz(m_series[t0 : t1 + 1], dx=d.dt, axis=0)
         L = _wedge_series(r, d.momentum(i))
         gap = integral - (L[t1] - L[t0])
-        worst = max(worst, float(np.max(np.abs(gap), initial=0.0)))
+        worst = nan_max(worst, np.max(np.abs(gap), initial=0.0))
     return worst
 
 
@@ -522,10 +526,10 @@ def work_energy_check(d, k, forces, tol=1e-6):
             continue
         w_path = float(np.sum(works[i]))
         delta_ke = float(ke[i][-1] - ke[i][0])
-        worst_gap = max(worst_gap, abs(w_path - delta_ke))
-        scale = max(scale, abs(delta_ke))
+        worst_gap = nan_max(worst_gap, abs(w_path - delta_ke))
+        scale = nan_max(scale, abs(delta_ke))
         e_tot = ke[i] + report.potential[i]
-        worst_drift = max(worst_drift, float(np.max(e_tot) - np.min(e_tot)))
+        worst_drift = nan_max(worst_drift, np.max(e_tot) - np.min(e_tot))
     passed = worst_gap <= tol * scale and worst_drift <= tol * scale
     return WorkEnergyReport(
         passed=passed,

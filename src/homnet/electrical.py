@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import Chain, Cochain, boundary, coboundary
-from .coeffs import RATIONAL, REAL64, TimeSeriesModule
+from .coeffs import DEFAULT_TOL, RATIONAL, REAL64, TimeSeriesModule
 from .complexes import cone, fresh_label
 from .errors import KindMismatch
 from .homology import is_coboundary
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals and integers.
 
 Rank, linear solves and nullspaces are reduced to one primitive: the
-fraction-free integer row echelon provided by the kernel backend (compiled
-when available, pure Python otherwise).  Rational input rows are scaled to
+fraction-free integer row echelon of the elimination kernel (``_kernel``,
+pure Python over unbounded integers).  Rational input rows are scaled to
 integers first, and floats are taken as the exact dyadic rationals they are;
 neither changes ranks, nullspaces or solution sets.  Rows of plain ints
 (incidence and integer-position statics) pass to the kernel as they are.

@@ -35,10 +35,8 @@ import numpy as np
 from . import exact
 from .chains import Chain, Cochain, boundary, evaluate
 from .complexes import path_components
-from .coeffs import INTEGER, RATIONAL
+from .coeffs import DEFAULT_TOL, INTEGER, RATIONAL
 from .errors import InternalMismatch, KindMismatch, NotACycle
-
-DEFAULT_TOL = 1e-9
 
 _EXACT_SCALARS = {"integer", "rational"}
 

@@ -3,13 +3,15 @@
 Identical inputs must produce identical output bytes, so serialization never
 relies on dict insertion order or platform float repr: keys are sorted,
 floats are printed with 17 significant digits, exact values are printed as
-integer or fraction strings.
+integer or fraction strings.  JSON output writes non-finite floats as the
+strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,7 +86,8 @@ def _render(value, out):
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
-        out.append(format_number(value))
+        text = format_number(value)
+        out.append(text if math.isfinite(value) else f'"{text}"')
     elif isinstance(value, Fraction):
         out.append(f'"{value}"')
     elif isinstance(value, str):

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from . import exact
 from .chains import Chain, Cochain, boundary, evaluate
-from .coeffs import INTEGER, Bivector, covector, vector, vnorm, vscale
+from .coeffs import (
+    DEFAULT_TOL, INTEGER, Bivector, covector, vector, vnorm, vscale,
+)
 from .complexes import Complex, cone, fresh_label
 from .errors import (
     DegenerateBranch,
@@ -24,8 +26,6 @@ from .errors import (
     InvalidPartition,
 )
 from .geometry import GeometricComplex, moment
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass

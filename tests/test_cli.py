@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,33 @@ def test_emitted_json_is_parseable_and_sorted():
     homology = payload[0]
     assert homology["numbers"]["betti"] == [1, 1]
     assert homology["numbers"]["euler"] == 0
+
+
+def trajectory_text(dt, pos):
+    return json.dumps({
+        "dimension": len(pos[0]),
+        "signal": {"dt": dt, "samples": len(pos)},
+        "nodes": [{"id": "P", "mass": 1.0, "pos": pos}],
+        "branches": [],
+    })
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_fails_its_analysis():
+    # r wedge F overflows to inf - inf: every residual sample is NaN
+    pos = [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]
+    report = cli.run(documents.parse(trajectory_text(0.001, pos)), "angular")
+    assert report.verdict == "fail"
+    assert math.isnan(report.numbers["max_residual"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_emitted_json_writes_non_finite_floats_as_strings():
+    pos = [[1e307 * (-1) ** a] for a in range(6)]
+    report = cli.run(documents.parse(trajectory_text(0.1, pos)), "momentum")
+    payload = json.loads(reports.emit(report, "json"))
+    assert payload["numbers"]["max_collective_residual"] == "inf"
+    assert b"max_collective_residual = inf\n" in reports.emit(report, "text")
 
 
 def test_fail_report_includes_witness_labels():

@@ -119,8 +119,9 @@ def test_position_trajectories():
         doc_text(
             signal={"dt": 0.5, "samples": 3},
             nodes=[
-                {"id": "A", "pos": [[0, 0], [1, 0], [2, 0]]},
-                {"id": "B", "pos": [5, 5]},
+                {"id": "A", "pos": [[0, 0], [1, 0], [2, 0]],
+                 "force": [[1, 2], [3, 4], ["1/4", 6]]},
+                {"id": "B", "pos": [5, 5], "force": [0, -1]},
                 {"id": "C", "pos": [0, 1]},
             ],
         )
@@ -129,6 +130,16 @@ def test_position_trajectories():
     assert traj[0].shape == (3, 2)
     assert np.allclose(traj[1], [[5, 5]] * 3)
     assert doc.static_positions()["A"] == (0, 0)
+    forces = doc.node_series("force")
+    assert forces.keys() == {0, 1}
+    assert forces[0].tolist() == [[1, 2], [3, 4], [0.25, 6]]
+    assert forces[1].tolist() == [[0, -1]] * 3
+    # converted once: every call shares the same read-only arrays
+    for series in (doc.trajectories(), doc.node_series("force")):
+        for i, arr in series.items():
+            assert not arr.flags.writeable
+    assert doc.node_series("force")[0] is forces[0]
+    assert doc.trajectories()[0] is traj[0]
 
 
 def test_unknown_analysis_command():

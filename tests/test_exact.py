@@ -106,18 +106,6 @@ def test_rank_matches_oracle():
         assert exact.rank(mat) == len(pivots)
 
 
-def test_echelon_pure_matches_compiled_when_present():
-    rng = random.Random(11)
-    from homnet._kernel import pure
-
-    for _ in range(300):
-        mat = random_matrix(rng)
-        n = len(mat[0])
-        assert _kernel.echelon([r[:] for r in mat], n) == pure.echelon(
-            [r[:] for r in mat], n
-        )
-
-
 def test_solve_produces_solutions_and_detects_inconsistency():
     rng = random.Random(99)
     hits = misses = 0
