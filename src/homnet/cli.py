@@ -413,14 +413,19 @@ _RUNNERS = {
 
 
 def run(doc, command, options=None):
-    """Dispatch one analysis over a parsed document and return its report."""
+    """Dispatch one analysis over a parsed document and return its report.
+
+    Floating-point overflow and invalid operations are not warned about:
+    they leave an infinite or NaN residual, which fails its verdict and is
+    printed in the report."""
     options = dict(options or {})
     if command == "report-all":
         raise UnknownCommand("report-all expands to the document's analyses")
     if command not in _RUNNERS:
         raise UnknownCommand(f"unknown command {command!r}")
     try:
-        report = _RUNNERS[command](doc, options)
+        with np.errstate(all="ignore"):
+            report = _RUNNERS[command](doc, options)
     except MissingData as exc:
         report = AnalysisReport(
             command=command,

@@ -5,11 +5,14 @@ Exact rationals may be written as strings "p/q" anywhere a number is
 expected, which lets the statics and Kirchhoff verdicts run fully exactly.
 Sampled signals are lists whose length must match the declared signal block;
 node positions may be either a single coordinate list or one list per sample
-when a signal is declared.
+when a signal is declared.  A sample list of finite floats is parsed into one
+read-only float array; any other sample list is validated sample by sample,
+so an error names its sample and int or "p/q" samples stay exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -93,7 +96,9 @@ class NetworkDocument:
             if "pos" not in spec:
                 raise MissingData("nodes[*].pos")
             p = spec["pos"]
-            pos[spec["id"]] = tuple(p[0]) if is_sample_list(p) else tuple(p)
+            if is_sample_list(p):
+                p = p[0]
+            pos[spec["id"]] = tuple(p.tolist() if isinstance(p, np.ndarray) else p)
         return pos
 
     def geometric_complex(self):
@@ -111,8 +116,9 @@ class NetworkDocument:
     def node_series(self, name):
         """A vector node attribute as float arrays of shape (samples, n),
         keyed by the index of each node that has it; a static vector
-        broadcasts to a constant series.  Each attribute is converted once
-        per document, and every call shares the same read-only arrays."""
+        broadcasts to a constant series.  A sample list parsed as a float
+        array is shared as it is; any other is converted once per document.
+        Every call shares the same read-only arrays."""
         if name not in self._series:
             if self.signal is None:
                 raise MissingData("signal", "sampled series need a signal block")
@@ -122,6 +128,9 @@ class NetworkDocument:
                     continue
                 value = spec[name]
                 i = self.complex.node_index(spec["id"])
+                if isinstance(value, np.ndarray):
+                    out[i] = value
+                    continue
                 if is_sample_list(value):
                     out[i] = np.array(
                         [[float(c) for c in row] for row in value], dtype=float
@@ -134,6 +143,8 @@ class NetworkDocument:
 
 
 def is_sample_list(value):
+    if isinstance(value, np.ndarray):
+        return value.ndim == 2
     return bool(value) and isinstance(value[0], (list, tuple))
 
 
@@ -377,9 +388,13 @@ def _parse_quantity(value, signal, path):
                 f"series of length {len(value)} does not match "
                 f"declared {signal['samples']} samples",
             )
-        return np.array(
-            [float(parse_scalar(v, f"{path}[{k}]")) for k, v in enumerate(value)]
-        )
+        series = _float_samples(value)
+        if series is None:
+            series = np.array(
+                [float(parse_scalar(v, f"{path}[{k}]")) for k, v in enumerate(value)]
+            )
+            series.setflags(write=False)
+        return series
     return parse_scalar(value, path)
 
 
@@ -403,11 +418,37 @@ def _parse_vectors(value, dimension, signal, path, noun):
                 f"{len(value)} {noun} samples do not match "
                 f"declared {signal['samples']}",
             )
+        samples = _float_samples(value, dimension)
+        if samples is not None:
+            return samples
         return [
             _parse_fixed_list(row, dimension, f"{path}[{k}]")
             for k, row in enumerate(value)
         ]
     return _parse_fixed_list(value, dimension, path)
+
+
+def _float_samples(value, width=None):
+    """A sample list as one read-only float array, or None.
+
+    The list qualifies when every sample is a float (``width`` None) or a
+    list of ``width`` floats, and every one is finite: one type scan, one
+    conversion and one finiteness check.  On None the caller validates
+    sample by sample, which names the first bad sample and keeps exact
+    samples exact.  A JSON float is never out of range, because the decoder
+    reads an overflowing literal as infinity."""
+    flat = value
+    if width is not None:
+        if set(map(type, value)) != {list} or set(map(len, value)) != {width}:
+            return None
+        flat = itertools.chain.from_iterable(value)
+    if set(map(type, flat)) != {float}:
+        return None
+    samples = np.array(value, dtype=float)
+    if not np.isfinite(samples).all():
+        return None
+    samples.setflags(write=False)
+    return samples
 
 
 def _parse_scalar_or_vector(value, path):

@@ -24,7 +24,7 @@ from .errors import (
     TooFewSamples,
     ZeroTotalMass,
 )
-from .homology import cycle_basis, integrate
+from .homology import cycle_basis
 from .kinematics import spatial_trace
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -453,31 +453,38 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
     """A force system is conservative when its work vanishes on every cycle
     of the spatial trace of the motion.
 
-    The check pairs the trace work cochain with an integer basis of the
-    trace cycles; on success a potential is recovered by integrating the
-    work over a spanning tree of each trace component.  Each traversal of a
-    segment is its own trace branch, so revisits in either direction close
-    cycles and a time-varying or direction-dependent force is caught."""
+    Each traversal of a segment is its own trace branch, so revisits in
+    either direction close cycles and a time-varying or direction-dependent
+    force is caught.  When the trace has chords, the trace work cochain is
+    paired with the integer basis of its cycles (one per chord).  On success
+    a potential is recovered by integrating the work over the spanning
+    forest of the trace, which is read off each node's walk: the forest
+    branch into a newly visited vertex starts at the walk's previous
+    vertex, so that vertex's potential is already known.  A trace without
+    chords is a forest, and its complex is never built."""
     trace = spatial_trace(k)
     w = work_values(k, forces)
-    values = {}
-    for (i, a), edge in trace.step_edges.items():
-        values[edge] = float(w[i][a])
-    work = Cochain(trace.complex, 1, values, REAL64, prune=False)
+    if trace.chords:
+        values = {
+            edge: float(w[i][a]) for (i, a), edge in trace.step_edges.items()
+        }
+        work = Cochain(trace.complex, 1, values, REAL64, prune=False)
+        for z in cycle_basis(trace.complex, 1):
+            total = evaluate(work, z)
+            if abs(float(total)) > tol:
+                return ConservativeReport(
+                    conservative=False, witness_cycle=z,
+                    cycle_work=float(total), work=w,
+                )
 
-    for z in cycle_basis(trace.complex, 1):
-        total = evaluate(work, z)
-        if abs(float(total)) > tol:
-            return ConservativeReport(
-                conservative=False, witness_cycle=z, cycle_work=float(total),
-                work=w,
-            )
-
-    # U = -integrate(W) has U(root) = 0 and U(head) = U(tail) - w(edge)
+    # U = -integrate(W) has U(root) = 0 and U(head) = U(tail) - w(step)
     # along the forest; negating a float sum is exact
-    integrated = integrate(work)
     potential = {}
     for i, per_time in enumerate(trace.node_vertices):
+        integrated = {per_time[0]: 0.0}
+        for tail, head, step in zip(per_time, per_time[1:], w[i].tolist()):
+            if head not in integrated:
+                integrated[head] = integrated[tail] + step
         potential[i] = -np.array([integrated[v] for v in per_time])
     return ConservativeReport(conservative=True, potential=potential, work=w)
 

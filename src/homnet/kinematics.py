@@ -3,8 +3,10 @@
 A motion is one array of node positions per snapshot.  The kinematical
 complex, built only when asked for, joins every node of each snapshot to its
 successor by a motion link carrying the step displacement.  The spatial trace
-projects a node's motion links onto space, where revisited positions close
-into loops; work and conservativity checks live on that projection.
+projects a node's motion links onto space: each node's motion becomes a walk
+over its distinct positions, where revisits close loops.  Work and
+conservativity checks live on that projection; they read the walks directly
+and build the trace as a complex only when some walk closes a loop.
 """
 
 from __future__ import annotations
@@ -137,41 +139,70 @@ def verify_deformation_homology(k, loop_chain, a):
 
 @dataclass
 class SpatialTrace:
-    """Projection of the motion onto space, one path per node; revisited
-    positions are identified so closed trajectories become loops."""
+    """Projection of the motion onto space, one walk per node; revisited
+    positions are identified, so closed trajectories become loops.
 
-    complex: Complex
-    node_vertices: list  # node_vertices[i][a] = trace vertex of node i at time a
-    step_edges: dict  # (i, a) -> trace branch index, absent for zero steps
+    ``node_vertices[i][a]`` is the trace vertex of node i at time a.  Each
+    node's vertices are numbered in the order the walk first visits them,
+    after those of the nodes before it, so the walks share no vertex.  A
+    nonzero step is a trace branch, numbered in (node, time) order by
+    ``step_edges``; a step whose head is first visited at that step is a
+    branch of the spanning forest, and any other nonzero step is a chord
+    that closes a loop.  ``chords`` is their number, the first Betti number
+    of the trace.  ``complex`` is built on first use; a trace without chords
+    is a forest, and the work checks never ask for it.
+    """
+
+    base_labels: list
+    node_vertices: list
+    chords: int
+
+    @cached_property
+    def step_edges(self):
+        """(i, a) -> trace branch index of each nonzero step."""
+        edges = {}
+        for i, per_time in enumerate(self.node_vertices):
+            for a in range(len(per_time) - 1):
+                if per_time[a] != per_time[a + 1]:
+                    edges[(i, a)] = len(edges)
+        return edges
+
+    @cached_property
+    def complex(self):
+        """Vertices ``lab@pj`` (node lab's j-th distinct position), then one
+        branch ``lab@a->a+1`` per nonzero step, indexed by ``step_edges``."""
+        labels = [
+            f"{lab}@p{j}"
+            for lab, per_time in zip(self.base_labels, self.node_vertices)
+            for j in range(max(per_time) - per_time[0] + 1)
+        ]
+        endpoints = []
+        branch_labels = []
+        for i, a in self.step_edges:
+            per_time = self.node_vertices[i]
+            endpoints.append((per_time[a], per_time[a + 1]))
+            branch_labels.append(f"{self.base_labels[i]}@{a}->{a + 1}")
+        return Complex(labels, endpoints, branch_labels=branch_labels)
 
 
 def spatial_trace(k):
-    base = k.base
-    labels = []
+    """Read each node's column of ``k.positions`` as a walk: positions are
+    identified by their coordinate tuples, so a revisit is an exact match."""
     vertex_of = []
-    for i in range(base.r[0]):
+    chords = 0
+    top = 0  # vertices numbered so far
+    for i in range(k.base.r[0]):
         seen = {}
-        per_time = []
-        for pos in map(tuple, k.positions[:, i].tolist()):
-            if pos not in seen:
-                seen[pos] = len(labels)
-                labels.append(f"{base.node_labels[i]}@p{len(seen) - 1}")
-            per_time.append(seen[pos])
+        per_time = [
+            seen.setdefault(pos, top + len(seen))
+            for pos in map(tuple, k.positions[:, i].tolist())
+        ]
+        top += len(seen)
+        steps = sum(map(int.__ne__, per_time, per_time[1:]))
+        # every vertex after the first is reached by exactly one forest step
+        chords += steps - (len(seen) - 1)
         vertex_of.append(per_time)
-
-    endpoints = []
-    branch_labels = []
-    step_edges = {}
-    for i in range(base.r[0]):
-        for a in range(k.steps):
-            va, vb = vertex_of[i][a], vertex_of[i][a + 1]
-            if va == vb:
-                continue  # zero displacement: nothing swept, no edge
-            step_edges[(i, a)] = len(endpoints)
-            endpoints.append((va, vb))
-            branch_labels.append(f"{base.node_labels[i]}@{a}->{a + 1}")
-    trace = Complex(labels, endpoints, branch_labels=branch_labels)
-    return SpatialTrace(complex=trace, node_vertices=vertex_of, step_edges=step_edges)
+    return SpatialTrace(list(k.base.node_labels), vertex_of, chords)
 
 
 # ---------------------------------------------------------------------------

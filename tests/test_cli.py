@@ -120,7 +120,6 @@ def trajectory_text(dt, pos):
     })
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_residual_fails_its_analysis():
     # r wedge F overflows to inf - inf: every residual sample is NaN
     pos = [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]
@@ -129,13 +128,32 @@ def test_nan_residual_fails_its_analysis():
     assert math.isnan(report.numbers["max_residual"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_emitted_json_writes_non_finite_floats_as_strings():
     pos = [[1e307 * (-1) ** a] for a in range(6)]
     report = cli.run(documents.parse(trajectory_text(0.1, pos)), "momentum")
     payload = json.loads(reports.emit(report, "json"))
     assert payload["numbers"]["max_collective_residual"] == "inf"
     assert b"max_collective_residual = inf\n" in reports.emit(report, "text")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, dt, pos",
+    [
+        ("angular", 0.001, [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]),
+        ("momentum", 0.1, [[1e307 * (-1) ** a] for a in range(6)]),
+    ],
+    ids=["wedge-overflow", "derivative-overflow"],
+)
+def test_overflowing_analysis_fails_without_a_warning(tmp_path, capsys, command, dt, pos):
+    # any numpy RuntimeWarning raises under the "error" filter; the
+    # non-finite residual is reported and fails the verdict instead
+    source = tmp_path / "overflow.json"
+    source.write_text(trajectory_text(dt, pos))
+    assert cli.main([command, "--input", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"== {command}: FAIL ==")
 
 
 def test_fail_report_includes_witness_labels():
@@ -348,8 +366,19 @@ def test_energy_on_one_sample_needs_two_snapshots(tmp_path, capsys):
 
 def test_energy_builds_only_the_spatial_trace(monkeypatch):
     # the motion is read from the trajectory arrays: no snapshot complexes
-    # and no motion-link complex, only the trace the work is checked on
-    doc = load("freefall.json")
+    # and no motion-link complex.  Each fall is a walk that never revisits a
+    # position, so its trace is a forest and the potential is integrated
+    # along the walks without building the trace either
+    fall = load("freefall.json")
+    # back and forth along one segment: the trace has chords, so its cycles
+    # are checked on the trace complex, built once
+    pos = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    shuttle = documents.parse(json.dumps({
+        "dimension": 2,
+        "signal": {"dt": 0.1, "samples": len(pos)},
+        "nodes": [{"id": "P", "mass": 1.0, "pos": pos, "force": [0.0, -1.0]}],
+        "branches": [],
+    }))
     built = []
     init = Complex.__init__
 
@@ -358,9 +387,11 @@ def test_energy_builds_only_the_spatial_trace(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Complex, "__init__", counted)
-    assert cli.run(doc, "energy", {"tolerance": 1e-6}).verdict == "pass"
-    assert len(built) == 1
-    assert all(label.startswith("P@p") for label in built[0])
+    assert cli.run(fall, "energy", {"tolerance": 1e-6}).verdict == "pass"
+    assert built == []
+    # the weight does no work across the segment, but the speed changes
+    assert cli.run(shuttle, "energy", {"tolerance": 1e-6}).verdict == "fail"
+    assert built == [["P@p0", "P@p1"]]
 
 
 @pytest.mark.parametrize(

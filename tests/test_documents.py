@@ -142,6 +142,81 @@ def test_position_trajectories():
     assert doc.trajectories()[0] is traj[0]
 
 
+def track_text(pos=None, force=None, mass=1.0):
+    """A one-node trajectory document of six samples, floats by default."""
+    samples = 6
+    default = [[0.5 * a, 1.0 - 0.25 * a] for a in range(samples)]
+    return json.dumps({
+        "dimension": 2,
+        "signal": {"dt": 0.1, "samples": samples},
+        "nodes": [{"id": "A", "pos": pos or default, "force": force or default,
+                   "mass": mass}],
+        "branches": [],
+    })
+
+
+@pytest.mark.parametrize("field", ["pos", "force"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([True, 0.0], "booleans are not quantities"),
+        ([float("nan"), 0.0], "not a finite number"),
+        ([0.0, float("-inf")], "not a finite number"),
+        (["x", 0.0], "not a number or fraction"),
+        ([10**400, 0.0], "too large for a float"),
+        ([0.0], "expected a list of 2 numbers"),
+        ([0.0, 1.0, 2.0], "expected a list of 2 numbers"),
+        (0.5, "expected a list of 2 numbers"),
+    ],
+    ids=["bool", "nan", "-inf", "str", "10**400", "short", "long", "scalar"],
+)
+def test_bad_sample_in_a_float_sample_list_is_named(field, row, message):
+    samples = [[0.5 * a, 1.0 - 0.25 * a] for a in range(6)]
+    samples[3] = row
+    with pytest.raises(ValidationError) as err:
+        documents.parse(track_text(**{field: samples}))
+    assert str(err.value).startswith(f"nodes[0].{field}[3]: {message}")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "booleans are not quantities"), (float("nan"), "not a finite number"),
+     ("x", "not a number or fraction"), (10**400, "too large for a float")],
+    ids=["bool", "nan", "str", "10**400"],
+)
+def test_bad_sample_in_a_float_scalar_series_is_named(value, message):
+    masses = [1.0] * 6
+    masses[3] = value
+    with pytest.raises(ValidationError) as err:
+        documents.parse(track_text(mass=masses))
+    assert str(err.value).startswith(f"nodes[0].mass[3]: {message}")
+
+
+def test_exact_samples_keep_exact_static_positions():
+    pos = [[1, "1/3"], [0.5, 0.0], [0.5, 0.0], [1, 1], [1, 1], [2, 2]]
+    doc = documents.parse(track_text(pos=pos))
+    first = doc.static_positions()["A"]
+    assert first == (1, Fraction(1, 3))
+    assert [type(c) for c in first] == [int, Fraction]
+    assert doc.trajectories()[0].tolist()[0] == [1.0, 1 / 3]
+
+
+def test_float_samples_parse_into_one_shared_read_only_array():
+    doc = documents.parse(track_text())
+    pos = doc.nodes[0]["pos"]
+    assert isinstance(pos, np.ndarray) and pos.dtype == float and pos.shape == (6, 2)
+    assert not pos.flags.writeable
+    assert doc.static_positions()["A"] == (0.0, 1.0)
+    assert [type(c) for c in doc.static_positions()["A"]] == [float, float]
+    # node_series shares the parsed array itself, converting nothing again
+    assert doc.trajectories()[0] is pos
+    assert doc.node_series("force")[0] is doc.nodes[0]["force"]
+    with pytest.raises(ValueError):
+        doc.trajectories()[0][0, 0] = 1.0
+    masses = documents.parse(track_text(mass=[2.0] * 6)).node_attr("mass")["A"]
+    assert masses.tolist() == [2.0] * 6 and not masses.flags.writeable
+
+
 def test_unknown_analysis_command():
     with pytest.raises(ValidationError):
         documents.parse(doc_text(analyses=[{"command": "frobnicate"}]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ import homnet as hn
 from homnet import dynamics as dyn
 from homnet import errors
 from homnet import geometry as geo
+from homnet import homology
 from homnet import kinematics as kin
 from conftest import motions
 
@@ -395,6 +398,106 @@ def test_back_and_forth_under_time_varying_force_detected(single_node):
     forces = {0: np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]])}
     report = dyn.conservative_check(k, {0: forces[0]})
     assert not report.conservative
+
+
+def trace_complex_oracle(k, forces, tol):
+    """The conservative check on a full trace Complex: a vertex per distinct
+    position of each node, a branch per nonzero step, the work paired with
+    the cycle basis, and the potential integrated over the complex's own
+    spanning forest.  Returns (conservative, witness coefficients, cycle
+    work, potential)."""
+    labels, walks = [], []
+    for i in range(k.base.r[0]):
+        seen = {}
+        walk = []
+        for pos in map(tuple, k.positions[:, i].tolist()):
+            if pos not in seen:
+                seen[pos] = len(labels)
+                labels.append(f"{i}@p{len(seen) - 1}")
+            walk.append(seen[pos])
+        walks.append(walk)
+    w = dyn.work_values(k, forces)
+    endpoints, steps, values = [], [], {}
+    for i, walk in enumerate(walks):
+        for a in range(k.steps):
+            if walk[a] != walk[a + 1]:
+                values[len(endpoints)] = float(w[i][a])
+                endpoints.append((walk[a], walk[a + 1]))
+                steps.append(f"{i}@{a}")
+    trace = hn.Complex(labels, endpoints, branch_labels=steps)
+    work = hn.Cochain(trace, 1, values, hn.REAL64, prune=False)
+    for z in hn.cycle_basis(trace, 1):
+        total = hn.evaluate(work, z)
+        if abs(float(total)) > tol:
+            return False, z.coeffs, float(total), None
+    integrated = homology.integrate(work)
+    potential = {
+        i: -np.array([integrated[v] for v in walk]) for i, walk in enumerate(walks)
+    }
+    return True, None, None, potential
+
+
+def assert_matches_trace_complex_oracle(k, forces, tol):
+    report = dyn.conservative_check(k, forces, tol)
+    conservative, witness, cycle_work, potential = trace_complex_oracle(k, forces, tol)
+    assert report.conservative == conservative
+    if conservative:
+        assert report.witness_cycle is None and report.cycle_work is None
+        assert report.potential.keys() == potential.keys()
+        for i, u in potential.items():
+            assert report.potential[i].tobytes() == u.tobytes()
+    else:
+        assert report.potential is None
+        assert report.witness_cycle.coeffs == witness
+        assert np.float64(report.cycle_work).tobytes() == np.float64(cycle_work).tobytes()
+
+
+@settings(deadline=None)
+@given(motions(), st.data())
+def test_conservative_check_matches_the_trace_complex(k, data):
+    # zero, constant-field and arbitrary forces; an infinite tolerance
+    # passes every cycle, so the potential is integrated on looping traces
+    r0, n = k.base.r[0], k.n
+    kind = data.draw(st.sampled_from(("zero", "field", "free")))
+    if kind == "free":
+        coords = st.floats(-1e3, 1e3, allow_nan=False)
+        rows = st.lists(st.tuples(*[coords] * n), min_size=k.steps, max_size=k.steps)
+        forces = {i: np.array(data.draw(rows)).reshape(k.steps, n) for i in range(r0)}
+    else:
+        field = st.tuples(*[st.integers(-3, 3)] * n) if kind == "field" else st.just((0,) * n)
+        forces = {i: np.tile(np.array(data.draw(field), dtype=float), (k.steps, 1))
+                  for i in range(r0)}
+    tol = data.draw(st.sampled_from((dyn.DEFAULT_TOL, math.inf)))
+    assert_matches_trace_complex_oracle(k, forces, tol)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+def friction(path, mu=0.3):
+    disp = np.diff(np.asarray(path, dtype=float), axis=0)
+    return -mu * disp / np.linalg.norm(disp, axis=1)[:, None]
+
+
+@pytest.mark.parametrize(
+    "path, forces",
+    [
+        (SQUARE, np.tile([2.0, -1.0], (4, 1))),
+        (SQUARE, friction(SQUARE)),
+        (SQUARE, np.zeros((4, 2))),
+        ([[0, 0], [1, 0], [0, 0], [1, 0]], [[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]]),
+        ([[0, 0], [1, 0], [1, 0], [0, 0], [2, 0]], np.tile([0.5, 0.0], (4, 1))),
+    ],
+    ids=["square-field", "square-friction", "square-zero", "back-and-forth",
+         "pause-and-return"],
+)
+def test_conservative_check_matches_the_trace_complex_on_loops(path, forces):
+    k = kin.KinematicalComplex(
+        base=hn.build_complex(["P"], []),
+        positions=np.asarray(path, dtype=float)[:, None, :],
+    )
+    assert kin.spatial_trace(k).chords >= 1
+    assert_matches_trace_complex_oracle(k, {0: np.asarray(forces)}, dyn.DEFAULT_TOL)
 
 
 @settings(deadline=None)
