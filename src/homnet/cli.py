@@ -152,10 +152,9 @@ def _run_kcl(doc, options):
         state = electrical.circuit_state(doc.complex, currents, charges=charges)
     tol = options.get("tolerance", DEFAULT_TOL)
     rep = electrical.kcl_check(state, tol)
-    balanced = rep.residual.is_zero(0 if state.module.exact else tol)
     return AnalysisReport(
         command="kcl",
-        verdict="pass" if balanced else "fail",
+        verdict="pass" if rep.balanced else "fail",
         numbers={
             "conserved": rep.conserved,
             "extended_cycle": rep.extended_cycle,
@@ -174,12 +173,7 @@ def _run_kvl(doc, options):
         return AnalysisReport(command="kvl", verdict="pass")
     has_series = any(isinstance(v, np.ndarray) for v in voltages.values())
     kwargs = {"dt": doc.dt, "samples": doc.samples} if has_series else {}
-    state = electrical.circuit_state(
-        doc.complex,
-        {lab: 0 for lab in doc.complex.branch_labels} or {},
-        voltages=voltages,
-        **kwargs,
-    )
+    state = electrical.circuit_state(doc.complex, {}, voltages=voltages, **kwargs)
     dv = electrical.voltage_drop(state)
     tol = options.get("tolerance", DEFAULT_TOL)
     rep = electrical.kvl_check(dv, tol)
@@ -432,7 +426,7 @@ def run(doc, command, options=None):
             verdict="error",
             details={"error": str(exc), "missing": exc.attribute},
         )
-    report.provenance = provenance_for(doc.source_text)
+    report.provenance = provenance_for(doc.source_sha256)
     return report
 
 

@@ -12,6 +12,7 @@ so an error names its sample and int or "p/q" samples stay exact.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -62,6 +63,7 @@ class NetworkDocument:
     analyses: list
     complex: Complex
     source_text: str = ""
+    source_sha256: str = ""  # hex digest of source_text, hashed once in parse
     _series: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -220,6 +222,7 @@ def parse(text):
         analyses=analyses,
         complex=complex,
         source_text=text,
+        source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
 

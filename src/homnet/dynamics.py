@@ -27,8 +27,6 @@ from .errors import (
 from .homology import cycle_basis
 from .kinematics import spatial_trace
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass
 class DynamicsState:
@@ -263,7 +261,7 @@ def impulse(forces, dt, t0, t1):
         if not (0 <= t0 < t1 < series.shape[0]):
             raise RangeError(f"window [{t0}, {t1}] outside 0..{series.shape[0] - 1}")
         window = series[t0 : t1 + 1]
-        out[i] = _trapz(window, dx=dt, axis=0)
+        out[i] = np.trapezoid(window, dx=dt, axis=0)
     return out
 
 
@@ -359,7 +357,7 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
         m_series = _wedge_series(r, f)
         if not (0 <= t0 < t1 < m_series.shape[0]):
             raise RangeError(f"window [{t0}, {t1}] out of range")
-        integral = _trapz(m_series[t0 : t1 + 1], dx=d.dt, axis=0)
+        integral = np.trapezoid(m_series[t0 : t1 + 1], dx=d.dt, axis=0)
         L = _wedge_series(r, d.momentum(i))
         gap = integral - (L[t1] - L[t0])
         worst = nan_max(worst, np.max(np.abs(gap), initial=0.0))

@@ -3,9 +3,11 @@
 Current conservation is the statement that the current 1-chain is a cycle;
 charge storage turns it into a balance whose residual lives on the nodes.
 Joining every node to an apex carrying its charging rate extends the current
-chain so that total-charge conservation is again a plain cycle test.  On the
-voltage side, a drop distribution is consistent exactly when it is the
-coboundary of a node potential.
+chain so that total-charge conservation is again a plain cycle test, read
+from the residual and the augmented boundary of the rates without building
+the cone.  On the voltage side, a drop distribution is consistent exactly
+when it is the coboundary of a node potential; exact drops are checked
+against the potential integrated along the spanning forest.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, Cochain, boundary, coboundary
+from .chains import Chain, Cochain, augmented_boundary, boundary, coboundary
 from .coeffs import DEFAULT_TOL, RATIONAL, REAL64, TimeSeriesModule
 from .complexes import cone, fresh_label
 from .errors import KindMismatch
@@ -111,6 +113,7 @@ def circuit_state(complex, currents, charges=None, voltages=None, dt=None,
 class KclReport:
     residual: Chain  # boundary(I) - dQ/dt
     per_node: dict  # label -> residual value
+    balanced: bool  # is the residual zero (exactly, for exact kinds)
     conserved: bool  # is the current chain a cycle
     extended_cycle: bool  # is the extended current chain a cycle
     max_residual: float
@@ -122,16 +125,21 @@ def kcl_check(state, tol=DEFAULT_TOL):
     mod = state.module
     eff_tol = 0 if mod.exact else tol
     flow = boundary(state.current)
-    residual = flow - state.charging_rate()
-    _, extended = extended_current_chain(state)
+    rate = state.charging_rate()
+    residual = flow - rate
+    balanced = residual.is_zero(eff_tol)
+    apex = augmented_boundary(rate)
     return KclReport(
         residual=residual,
         per_node={
             state.complex.node_labels[i]: residual[i]
             for i in range(state.complex.r[0])
         },
+        balanced=balanced,
         conserved=flow.is_zero(eff_tol),
-        extended_cycle=boundary(extended).is_zero(eff_tol),
+        # zero the way a chain entry is: pruned, or within the tolerance
+        extended_cycle=balanced
+        and (mod.is_zero(apex) or mod.is_zero(apex, eff_tol)),
         max_residual=max(
             (mod.norm(v) for v in residual.coeffs.values()), default=0.0
         ),
@@ -140,8 +148,8 @@ def kcl_check(state, tol=DEFAULT_TOL):
 
 def extended_current_chain(state):
     """Current chain on the cone extension, each new branch carrying its
-    node's charging rate; its boundary is the total charging rate at the
-    apex, so it is a cycle exactly when total charge is constant."""
+    node's charging rate; its boundary is the residual at the old nodes and
+    the total charging rate at the apex, which ``kcl_check`` reads."""
     ext = cone(state.complex, fresh_label(state.complex, "@apex"))
     mod = state.module
     rate = state.charging_rate()

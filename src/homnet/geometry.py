@@ -80,11 +80,6 @@ def displacement_cochain(g):
     return Cochain(g.complex, 1, values, vector(g.n), prune=False)
 
 
-def position_cochain(g):
-    values = {i: g.positions[i] for i in range(g.complex.r[0])}
-    return Cochain(g.complex, 0, values, vector(g.n), prune=False)
-
-
 def shift_origin(g, a):
     """Move the reference origin by a: positions drop by a, displacements
     are untouched."""

@@ -9,8 +9,9 @@ In dimension one every question goes through the complex's spanning forest
 the boundary map on branches is the number of tree branches, the cycle
 basis is the chords' fundamental cycles, and a 1-cochain is a coboundary
 exactly when it sums to zero around each of them (within the tolerance, for
-float kinds).  Its potential is then found by integrating along the trees,
-and a 0-chain bounds exactly when it sums to zero on each tree.
+float kinds), that is, when each chord's value is the difference of the
+potential integrated along the trees.  A 0-chain bounds exactly when it
+sums to zero on each tree.
 
 In dimension two every question reads one cached echelon of the boundary
 map on faces stacked with the fundamental cycles (``Complex.face_echelon``):
@@ -294,21 +295,27 @@ def is_coboundary(cochain, tol=None):
 
     It is one exactly when it sums to zero around the fundamental cycle of
     every chord of the spanning forest; float kinds pass when every such sum
-    is within the tolerance.  On failure the result carries the first chord's
-    cycle, in index order, with a nonzero sum, and that sum.  On success the
-    potential is integrated along the forest and shifted to be zero at each
-    component's highest-index node; it is unique up to a constant per path
-    component.
+    is within the tolerance.  An exact chord whose value is the difference
+    of the potential integrated along the forest passes without its cycle;
+    other chords are summed around it, keeping float rounding per cycle.
+    On failure the result carries the first chord's cycle, in index order,
+    with a nonzero sum, and that sum.  On success the potential is shifted
+    to be zero at each component's highest-index node; it is unique up to a
+    constant per path component.
     """
     if cochain.dim != 1:
         raise KindMismatch("coboundary test is for 1-cochains")
     cx, mod = cochain.complex, cochain.module
-    for z in cycle_basis(cx, 1):
+    forest, potential = cx.forest, integrate(cochain)
+    for a in forest.chords:
+        tail, head = cx.branches[a]
+        if mod.exact and cochain[a] == potential[head] - potential[tail]:
+            continue
+        z = Chain(cx, 1, forest.cycle(a), INTEGER)
         val = evaluate(cochain, z)
         if not _value_is_zero(mod, val, tol):
             return CoboundaryTest(False, witness=z, pairing=val)
 
-    potential = integrate(cochain)
     values = {}
     for comp in path_components(cx):
         top = mod.neg(potential[comp[-1]])

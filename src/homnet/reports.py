@@ -9,7 +9,6 @@ strings "inf", "-inf" and "nan".
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,8 +33,8 @@ class AnalysisReport:
         return self.verdict in ("pass", "value")
 
 
-def provenance_for(text):
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+def provenance_for(digest):
+    """Engine and SHA-256 digest of the analysed document's source."""
     return {"engine": f"homnet {__version__}", "input_sha256": digest}
 
 

@@ -5,9 +5,11 @@ External forces are a covector-valued 0-chain, internal forces a 1-chain;
 equilibrium says the external chain is minus the boundary of the internal
 one and the resultant vanishes.  Joining every node to a point at infinity
 carrying its external force turns both conditions into a single 1-cycle
-test.  Internal forces act along their branches, so the solver's unknowns
-are per-branch tension coefficients q(a) with F(a) = q(a) * s(a); working
-with q instead of force-per-unit-length keeps every quantity rational.
+test, read from the residual and the resultant (the augmented boundary of
+the external forces) without building the extension.  Internal forces act
+along their branches, so the solver's unknowns are per-branch tension
+coefficients q(a) with F(a) = q(a) * s(a); working with q instead of
+force-per-unit-length keeps every quantity rational.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact
-from .chains import Chain, Cochain, boundary, evaluate
+from .chains import Chain, Cochain, augmented_boundary, boundary, evaluate
 from .coeffs import (
     DEFAULT_TOL, INTEGER, Bivector, covector, vector, vnorm, vscale,
 )
@@ -47,7 +49,7 @@ class ForceComplex:
                 direction = unit_covector(self.g, a)
                 expected = vscale(magnitude, direction)
                 diff = vnorm(tuple(x - y for x, y in zip(self.f_int[a], expected)))
-                if diff > 1e-9:
+                if diff > DEFAULT_TOL:
                     raise DimensionMismatch(
                         f"declared axial force on branch {a} is not collinear "
                         f"with the branch"
@@ -118,7 +120,6 @@ class EquilibriumReport:
     resultant: tuple
     nodal_residual: Chain
     in_equilibrium: bool
-    extended_cycle: bool
     max_residual: float
 
 
@@ -148,20 +149,13 @@ def extended_force_chain(fc):
 def equilibrium_check(fc, tol=DEFAULT_TOL):
     residual = nodal_residual(fc)
     mod = fc.f_ext.module
-    resultant = mod.zero()
-    for v in fc.f_ext.coeffs.values():
-        resultant = mod.add(resultant, v)
-    exact_input = _forces_exact(fc)
-    eff_tol = 0 if exact_input else tol
-    resultant_zero = mod.is_zero(resultant, eff_tol)
-    residual_zero = residual.is_zero(eff_tol)
-    _, extended = extended_force_chain(fc)
-    extended_cycle = boundary(extended).is_zero(eff_tol)
+    resultant = augmented_boundary(fc.f_ext)
+    eff_tol = 0 if _forces_exact(fc) else tol
     return EquilibriumReport(
         resultant=resultant,
         nodal_residual=residual,
-        in_equilibrium=resultant_zero and residual_zero,
-        extended_cycle=extended_cycle,
+        in_equilibrium=mod.is_zero(resultant, eff_tol)
+        and residual.is_zero(eff_tol),
         max_residual=max(
             (mod.norm(v) for v in residual.coeffs.values()), default=0.0
         ),
@@ -312,11 +306,12 @@ def equilibrium_via_virtual_work(fc, tol=None):
     cx = fc.g.complex
     if tol is None:
         tol = 0 if _forces_exact(fc) else DEFAULT_TOL
+    residual = nodal_residual(fc)
     for i in range(cx.r[0]):
         for c in range(fc.n):
             unit = tuple(1 if k == c else 0 for k in range(fc.n))
             dx = Cochain(cx, 0, {i: unit}, vector(fc.n))
-            w = virtual_work(fc, dx)
+            w = evaluate(dx, residual)
             if (w != 0) if tol == 0 else (abs(float(w)) > tol):
                 return False
     return True

@@ -394,6 +394,67 @@ def test_energy_builds_only_the_spatial_trace(monkeypatch):
     assert built == [["P@p0", "P@p1"]]
 
 
+def grid_document(k):
+    """A k x k triangulated grid truss at integer positions, with integer
+    voltages, branch currents and node loads: every analysis of the
+    Kirchhoff and equilibrium checks has its data."""
+    node = "n{}_{}".format
+    nodes = [
+        {"id": node(i, j), "pos": [10 * i, 10 * j], "voltage": i * j,
+         "force": [j - i, i + j - k]}
+        for i in range(k) for j in range(k)
+    ]
+    branches = []
+    for i in range(k):
+        for j in range(k):
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                if i + di < k and j + dj < k:
+                    branches.append({
+                        "id": f"b{len(branches)}", "tail": node(i, j),
+                        "head": node(i + di, j + dj), "current": i - j,
+                    })
+    return documents.parse(json.dumps(
+        {"dimension": 2, "nodes": nodes, "branches": branches}
+    ))
+
+
+def test_balance_checks_build_no_complex(monkeypatch):
+    # the Kirchhoff and equilibrium checks read the residual and the forest
+    # of the parsed complex: no cone, and no other complex, is built
+    docs = [load(p.name) for p in sorted(FIXTURES.glob("*.json"))]
+    docs.append(grid_document(5))
+    built = []
+    init = Complex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "__init__", counted)
+    verdicts = []
+    for doc in docs:
+        for command in ("kcl", "kvl", "statics", "virtual-work"):
+            verdicts.append(cli.run(doc, command).verdict)
+    assert built == []
+    assert {"pass", "fail", "value"} <= set(verdicts)
+
+
+def test_report_all_hashes_the_document_once(monkeypatch):
+    calls = []
+    sha256 = documents.hashlib.sha256
+
+    def counted(*args):
+        calls.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(documents.hashlib, "sha256", counted)
+    doc = load("freefall.json")
+    out = cli.run_all(doc)
+    assert len(out) == len(doc.analyses) == 3
+    assert len(calls) == 1
+    assert reports.emit(out) == (GOLDENS / "freefall.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homnet as hn
 from homnet import electrical as el
 from homnet import errors
-from conftest import random_complex, random_cochain
+from homnet.coeffs import DEFAULT_TOL
+from conftest import complexes, random_complex, random_cochain
 
 
 @pytest.fixture
@@ -88,6 +90,66 @@ def test_extended_chain_boundary_is_total_charging_rate():
     apex_rate = b[ext.apex]
     assert np.allclose(apex_rate, 2.0)
     assert not b.is_zero(1e-9)
+
+
+def extended_is_cycle(state, tol):
+    """The paper's test: the current chain on the cone extension is a
+    1-cycle."""
+    _, chain = el.extended_current_chain(state)
+    return hn.boundary(chain).is_zero(0 if state.module.exact else tol)
+
+
+@settings(deadline=None)
+@given(complexes(max_nodes=5, with_faces=False), st.data())
+def test_extended_cycle_matches_the_cone(cx, data):
+    # rational currents, or sampled currents and charges with integer
+    # samples at a dyadic dt, so that every float sum is exact and the two
+    # computations cannot round differently; charges are drawn to balance
+    # steady currents, perturbed, or anyhow
+    shape = data.draw(st.sampled_from(["balanced", "perturbed", "any"]))
+    ints = st.integers(-4, 4)
+    if not data.draw(st.booleans()):
+        currents = data.draw(st.lists(
+            st.fractions(-4, 4, max_denominator=5), min_size=cx.r[1],
+            max_size=cx.r[1],
+        ))
+        state = el.circuit_state(
+            cx, {cx.branch_labels[a]: v for a, v in enumerate(currents)}
+        )
+    else:
+        dt = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        samples = data.draw(st.integers(3, 6))
+        series = st.lists(ints, min_size=samples, max_size=samples).map(
+            lambda xs: np.array(xs, dtype=float)
+        )
+        steady = ints.map(lambda x: np.full(samples, float(x)))
+        currents = {
+            lab: data.draw(series if shape == "any" else steady)
+            for lab in cx.branch_labels
+        }
+        inflow = np.zeros((cx.r[0], samples))
+        for lab, current in currents.items():
+            tail, head = cx.branches[cx.branch_index(lab)]
+            inflow[head] += current
+            inflow[tail] -= current
+        charges = {}
+        for i, lab in enumerate(cx.node_labels):
+            if shape == "any":
+                charges[lab] = data.draw(series)
+            else:
+                # charge growing at the steady net inflow
+                charges[lab] = data.draw(ints) + inflow[i] * dt * np.arange(samples)
+        if shape == "perturbed":
+            lab = data.draw(st.sampled_from(cx.node_labels))
+            charges[lab][data.draw(st.integers(0, samples - 1))] += data.draw(ints)
+        state = el.circuit_state(
+            cx, currents, charges=charges, dt=dt, samples=samples
+        )
+    report = el.kcl_check(state)
+    assert report.extended_cycle == extended_is_cycle(state, DEFAULT_TOL)
+    assert report.balanced == report.residual.is_zero(
+        0 if state.module.exact else DEFAULT_TOL
+    )
 
 
 def test_kind_mismatch_rejected(circle):

@@ -432,6 +432,66 @@ def test_float_coboundary_fails_on_loop_sum_above_tol(circle):
     assert dict(result.witness.coeffs) == {0: 1, 1: -1, 2: 1}
 
 
+def cycle_sum_coboundary(cochain, tol=None):
+    """The per-cycle algorithm, kept as the oracle: sum the cochain around
+    every chord's fundamental cycle in chord order, and integrate the
+    potential only once every sum vanishes."""
+    cx, mod = cochain.complex, cochain.module
+    for z in hn.cycle_basis(cx, 1):
+        val = hn.evaluate(cochain, z)
+        if not homology._value_is_zero(mod, val, tol):
+            return homology.CoboundaryTest(False, witness=z, pairing=val)
+    potential = homology.integrate(cochain)
+    values = {}
+    for comp in hn.path_components(cx):
+        top = mod.neg(potential[comp[-1]])
+        for v in comp:
+            values[v] = mod.add(potential[v], top)
+    return homology.CoboundaryTest(
+        True, potential=hn.Cochain(cx, 0, values, mod, prune=False)
+    )
+
+
+COCHAIN_KINDS = {
+    "integer": (hn.INTEGER, st.integers(-9, 9)),
+    "rational": (hn.RATIONAL, st.fractions(-9, 9, max_denominator=7)),
+    "real64": (hn.REAL64, st.floats(-9, 9, allow_nan=False)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COCHAIN_KINDS))
+@settings(deadline=None)
+@given(complexes(), st.data())
+def test_is_coboundary_matches_the_cycle_sums(kind, cx, data):
+    # a coboundary, or one with some drops perturbed, or any cochain; the
+    # verdict, witness, pairing and potential match value for value (repr
+    # tells 0 from Fraction(0) and 0.0 from -0.0)
+    module, values = COCHAIN_KINDS[kind]
+    shape = data.draw(st.sampled_from(["coboundary", "perturbed", "any"]))
+    if shape == "any":
+        drops = data.draw(st.lists(values, min_size=cx.r[1], max_size=cx.r[1]))
+    else:
+        v = data.draw(st.lists(values, min_size=cx.r[0], max_size=cx.r[0]))
+        drops = [v[head] - v[tail] for tail, head in cx.branches]
+        if shape == "perturbed" and drops:
+            bumps = data.draw(st.lists(
+                st.tuples(st.integers(0, len(drops) - 1), values), max_size=3
+            ))
+            for a, bump in bumps:
+                drops[a] += bump
+    cochain = hn.Cochain(cx, 1, dict(enumerate(drops)), module)
+    got, want = hn.is_coboundary(cochain), cycle_sum_coboundary(cochain)
+    assert got.is_coboundary == want.is_coboundary
+    assert repr(got.pairing) == repr(want.pairing)
+    if want.is_coboundary:
+        assert got.witness is None
+        assert repr(got.potential.coeffs) == repr(want.potential.coeffs)
+    else:
+        assert got.potential is None
+        assert got.witness == want.witness
+        assert got.witness.coeffs == want.witness.coeffs
+
+
 @settings(deadline=None)
 @given(complexes())
 def test_cycle_basis_matches_betti(cx):

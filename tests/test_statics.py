@@ -7,6 +7,7 @@ import homnet as hn
 from homnet import errors, exact
 from homnet import geometry as geo
 from homnet import statics as st
+from homnet.coeffs import vneg
 from conftest import complexes, frameworks, random_complex
 
 
@@ -14,6 +15,13 @@ def equilibrated_complex(g, coefficients):
     f_int = st.tension_force_chain(g, coefficients)
     f_ext = -hn.boundary(f_int)
     return st.ForceComplex(g=g, f_ext=f_ext, f_int=f_int)
+
+
+def extended_is_cycle(fc, tol=0):
+    """The paper's test: the force chain on the one-point extension is a
+    1-cycle."""
+    _, chain = st.extended_force_chain(fc)
+    return hn.boundary(chain).is_zero(tol)
 
 
 # -- equilibrium ----------------------------------------------------------------
@@ -28,7 +36,7 @@ def test_two_node_axial_equilibrium():
     )
     report = st.equilibrium_check(fc)
     assert report.in_equilibrium
-    assert report.extended_cycle
+    assert extended_is_cycle(fc)
     assert report.resultant == (0, 0)
 
 
@@ -42,7 +50,7 @@ def test_halved_end_force_breaks_equilibrium():
     )
     report = st.equilibrium_check(fc)
     assert not report.in_equilibrium
-    assert not report.extended_cycle
+    assert not extended_is_cycle(fc)
     assert report.nodal_residual[0] == (Fraction(-3, 2), Fraction(-2))
     assert report.nodal_residual[1] == (0, 0)
 
@@ -60,14 +68,51 @@ def test_extended_chain_cycle_iff_equilibrium(triangle_geo, rng):
         }
         fc = equilibrated_complex(triangle_geo, coeffs)
         report = st.equilibrium_check(fc)
-        assert report.in_equilibrium and report.extended_cycle
+        assert report.in_equilibrium and extended_is_cycle(fc)
         # perturb one external force
         bump = hn.Chain(
             triangle_geo.complex, 0, {0: (Fraction(1), Fraction(0))}, fc.f_ext.module
         )
         broken = st.ForceComplex(g=fc.g, f_ext=fc.f_ext + bump, f_int=fc.f_int)
         report = st.equilibrium_check(broken)
-        assert not report.in_equilibrium and not report.extended_cycle
+        assert not report.in_equilibrium and not extended_is_cycle(broken)
+
+
+@settings(deadline=None)
+@given(
+    frameworks(hst.one_of(
+        hst.integers(-6, 6), hst.fractions(-6, 6, max_denominator=5)
+    )),
+    hst.data(),
+)
+def test_in_equilibrium_iff_the_extension_is_a_cycle(g, data):
+    # loads balancing tension coefficients, perturbed, or drawn anyhow;
+    # exact throughout, so the verdicts compare at tolerance 0
+    cx = g.complex
+    shape = data.draw(hst.sampled_from(["balanced", "perturbed", "any"]))
+    ints = hst.integers(-3, 3)
+    if shape == "any":
+        loads = hst.tuples(*[ints] * g.n)
+        f_ext = hn.Chain(cx, 0, dict(enumerate(data.draw(
+            hst.lists(loads, min_size=cx.r[0], max_size=cx.r[0])
+        ))), hn.covector(g.n))
+        f_int = st.tension_force_chain(g, {})
+    else:
+        q = data.draw(hst.lists(ints, min_size=cx.r[1], max_size=cx.r[1]))
+        f_int = st.tension_force_chain(g, dict(enumerate(q)))
+        f_ext = -hn.boundary(f_int)
+        if shape == "perturbed":
+            # one load bumped, or two by opposite amounts, which leaves the
+            # resultant zero but not the residual
+            nodes = hst.integers(0, cx.r[0] - 1)
+            node, other = data.draw(nodes), data.draw(nodes)
+            bump = data.draw(hst.tuples(*[ints] * g.n))
+            bumps = {node: bump}
+            if other != node and data.draw(hst.booleans()):
+                bumps[other] = vneg(bump)
+            f_ext = f_ext + hn.Chain(cx, 0, bumps, f_ext.module)
+    fc = st.ForceComplex(g=g, f_ext=f_ext, f_int=f_int)
+    assert st.equilibrium_check(fc).in_equilibrium == extended_is_cycle(fc)
 
 
 def test_axial_declaration_validated(triangle_geo):
