@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DimensionMismatch, KindMismatch, PairingUndefined
+from .errors import (
+    DimensionMismatch,
+    KindMismatch,
+    PairingUndefined,
+    ToleranceBelowPruneFloor,
+)
 
 # Magnitude below which float-kind coefficients are pruned from sparse chains.
 DEFAULT_PRUNE_TOL = 1e-12
@@ -117,6 +120,13 @@ class Module:
     def prune_tol(self):
         return 0 if self.exact else DEFAULT_PRUNE_TOL
 
+    def check_tol(self, tol):
+        """Raise when a nonzero tolerance lies below the pruning floor: a
+        test at that tolerance would pass the pruned entries silently.
+        Callers check only float data; exact values ignore the tolerance."""
+        if tol and tol < self.prune_tol:
+            raise ToleranceBelowPruneFloor(tol, self.prune_tol)
+
     def zero(self):
         raise NotImplementedError
 
@@ -211,7 +221,9 @@ class Real64Module(_ScalarModule):
 
 
 class TimeSeriesModule(Module):
-    """Uniformly sampled real signal: every element shares dt and length."""
+    """Uniformly sampled real signal: every element shares dt and length.
+    Elements are numpy arrays; numpy is imported by the methods, so it is
+    loaded only once some document or caller has a sampled signal."""
 
     kind = "timeseries"
     exact = False
@@ -224,6 +236,8 @@ class TimeSeriesModule(Module):
         return (self.dt, self.length)
 
     def coerce(self, x):
+        import numpy as np
+
         arr = np.asarray(x, dtype=float)
         if arr.shape == ():
             arr = np.full(self.length, float(arr))
@@ -234,6 +248,8 @@ class TimeSeriesModule(Module):
         return arr
 
     def zero(self):
+        import numpy as np
+
         return np.zeros(self.length)
 
     def add(self, x, y):
@@ -246,15 +262,21 @@ class TimeSeriesModule(Module):
         return k * x
 
     def norm(self, x):
+        import numpy as np
+
         return float(np.max(np.abs(x))) if len(x) else 0.0
 
     def _exact_zero(self, x):
+        import numpy as np
+
         return not np.any(x)
 
     def to_components(self, x):
         return [float(v) for v in x]
 
     def from_components(self, comps):
+        import numpy as np
+
         return np.asarray(comps, dtype=float)
 
     def derivative(self, x):
@@ -396,6 +418,8 @@ def pair(mod_c, value_c, mod_x, value_x):
 def series_derivative(x, dt):
     """Sampled derivative: central differences inside, one-sided second-order
     at the ends.  Exact on affine and quadratic samples."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if n < 3:

@@ -8,6 +8,9 @@ node positions may be either a single coordinate list or one list per sample
 when a signal is declared.  A sample list of finite floats is parsed into one
 read-only float array; any other sample list is validated sample by sample,
 so an error names its sample and int or "p/q" samples stay exact.
+numpy is imported only to build float arrays, so a document without sample
+lists parses without it; ``NetworkDocument.floats`` records whether any
+value came out as a float.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .complexes import Complex
 from .errors import (
@@ -64,6 +66,7 @@ class NetworkDocument:
     complex: Complex
     source_text: str = ""
     source_sha256: str = ""  # hex digest of source_text, hashed once in parse
+    floats: bool = False  # some node or branch value is a float or float array
     _series: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -100,7 +103,7 @@ class NetworkDocument:
             p = spec["pos"]
             if is_sample_list(p):
                 p = p[0]
-            pos[spec["id"]] = tuple(p.tolist() if isinstance(p, np.ndarray) else p)
+            pos[spec["id"]] = tuple(p.tolist() if is_array(p) else p)
         return pos
 
     def geometric_complex(self):
@@ -121,6 +124,8 @@ class NetworkDocument:
         broadcasts to a constant series.  A sample list parsed as a float
         array is shared as it is; any other is converted once per document.
         Every call shares the same read-only arrays."""
+        import numpy as np
+
         if name not in self._series:
             if self.signal is None:
                 raise MissingData("signal", "sampled series need a signal block")
@@ -130,7 +135,7 @@ class NetworkDocument:
                     continue
                 value = spec[name]
                 i = self.complex.node_index(spec["id"])
-                if isinstance(value, np.ndarray):
+                if is_array(value):
                     out[i] = value
                     continue
                 if is_sample_list(value):
@@ -145,9 +150,35 @@ class NetworkDocument:
 
 
 def is_sample_list(value):
-    if isinstance(value, np.ndarray):
-        return value.ndim == 2
-    return bool(value) and isinstance(value[0], (list, tuple))
+    if isinstance(value, (list, tuple)):
+        return bool(value) and isinstance(value[0], (list, tuple))
+    return is_array(value) and value.ndim == 2
+
+
+def is_array(value):
+    """True for a numpy array.  Never imports numpy: until something has,
+    no value can be an array."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
+def _holds_floats(specs):
+    """Some parsed node or branch value is a float, a vector or sample list
+    holding one, or a float array (the only other type a value can have)."""
+    for spec in specs:
+        for value in spec.values():
+            kind = type(value)
+            if kind is str or kind is int or kind is Fraction:
+                continue
+            if kind is tuple:
+                if float in map(type, value):
+                    return True
+            elif kind is list:
+                if any(float in map(type, row) for row in value):
+                    return True
+            else:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +254,7 @@ def parse(text):
         complex=complex,
         source_text=text,
         source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        floats=_holds_floats(itertools.chain(nodes, branches)),
     )
 
 
@@ -393,6 +425,8 @@ def _parse_quantity(value, signal, path):
             )
         series = _float_samples(value)
         if series is None:
+            import numpy as np
+
             series = np.array(
                 [float(parse_scalar(v, f"{path}[{k}]")) for k, v in enumerate(value)]
             )
@@ -447,6 +481,8 @@ def _float_samples(value, width=None):
         flat = itertools.chain.from_iterable(value)
     if set(map(type, flat)) != {float}:
         return None
+    import numpy as np
+
     samples = np.array(value, dtype=float)
     if not np.isfinite(samples).all():
         return None

@@ -5,14 +5,14 @@ law states that a time derivative equals a boundary (or a resultant), and
 each conservation corollary states that the relevant chain is a cycle.
 Trajectory data is handled as numpy arrays keyed by node or branch index;
 derivatives use the central/one-sided sampling rule shared with time-series
-chains, which is exact on quadratic samples.
+chains, which is exact on quadratic samples.  Each function imports numpy
+itself: ``homnet.cli`` loads this module, and an exact document must not
+pay for numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .chains import Cochain, evaluate
 from .coeffs import DEFAULT_TOL, REAL64, series_derivative
@@ -31,7 +31,11 @@ from .kinematics import spatial_trace
 @dataclass
 class DynamicsState:
     """Sampled dynamical data of a network: trajectories, masses, flows and
-    (optionally) an explicit momentum history."""
+    (optionally) an explicit momentum history.
+
+    Each node's velocity, convective momentum and momentum rate are
+    computed once, on first use, and shared as read-only arrays; the data
+    fields are not meant to change after that."""
 
     complex: object
     n: int
@@ -40,9 +44,21 @@ class DynamicsState:
     masses: dict = field(default_factory=dict)  # node -> scalar or (N,) array
     flows: dict = field(default_factory=dict)  # branch -> (N,) array
     momenta: dict | None = None  # node -> (N, n) array, convective if omitted
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)  # (quantity, node) -> array
+
+    def _cached(self, quantity, i, compute):
+        key = (quantity, i)
+        if key not in self._derived:
+            value = compute()
+            value.setflags(write=False)
+            self._derived[key] = value
+        return self._derived[key]
 
     @property
     def samples(self):
+        import numpy as np
+
         for arr in self.trajectories.values():
             return np.asarray(arr).shape[0]
         for arr in self.flows.values():
@@ -54,9 +70,13 @@ class DynamicsState:
         return 1
 
     def trajectory(self, i):
+        import numpy as np
+
         return np.asarray(self.trajectories[i], dtype=float)
 
     def mass_series(self, i):
+        import numpy as np
+
         m = np.asarray(self.masses.get(i, 0.0), dtype=float)
         if m.ndim == 0:
             return np.full(self.samples, float(m))
@@ -67,19 +87,33 @@ class DynamicsState:
             raise KindMismatch("velocities need a sampling interval dt")
         if self.samples < 3:
             raise TooFewSamples("derivatives need at least 3 samples")
-        return series_derivative(self.trajectory(i), self.dt)
+        return self._cached(
+            "velocity", i, lambda: series_derivative(self.trajectory(i), self.dt)
+        )
 
     def momentum(self, i):
+        import numpy as np
+
         if self.momenta is not None and i in self.momenta:
             return np.asarray(self.momenta[i], dtype=float)
         if i not in self.trajectories:
             # a node with no trajectory data is stationary
             return np.zeros((self.samples, self.n))
-        return self.mass_series(i)[:, None] * self.velocity(i)
+        return self._cached(
+            "momentum", i, lambda: self.mass_series(i)[:, None] * self.velocity(i)
+        )
+
+    def momentum_rate(self, i):
+        """dp/dt at node i, by the same sampling rule as the velocity."""
+        return self._cached(
+            "momentum_rate", i, lambda: series_derivative(self.momentum(i), self.dt)
+        )
 
     def check_convective(self, tol=1e-6):
         """Momentum must be mass times velocity wherever it was given
         explicitly; angular-momentum balance assumes that form."""
+        import numpy as np
+
         if self.momenta is None:
             return
         for i in self.momenta:
@@ -94,6 +128,8 @@ class DynamicsState:
 def nan_max(a, b):
     """The larger of two floats, NaN when either is NaN; the builtin ``max``
     drops a NaN second argument, so a NaN residual would pass its check."""
+    import numpy as np
+
     return float(np.maximum(a, b))
 
 
@@ -109,7 +145,7 @@ def _node_range(complex):
 class MassBalanceReport:
     residual: dict  # node -> (N,) array of dm/dt minus incident flows
     max_residual: float
-    total_mass: np.ndarray
+    total_mass: object  # (N,) array of the total mass per sample
     flow_is_cycle: bool
     total_mass_constant: bool
 
@@ -118,6 +154,8 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
     """Per node and sample: the mass rate must equal the signed sum of the
     incident flow rates; total mass is constant exactly when the flow chain
     is a 1-cycle."""
+    import numpy as np
+
     cx = d.complex
     N = d.samples
     if d.flows and d.dt is None:
@@ -193,11 +231,13 @@ class MomentumBalanceReport:
     residual: dict  # node -> (N, n) array of dp/dt - F_ext - boundary(F_int)
     max_residual: float  # over samples with full central stencils
     max_residual_full: float  # over every sample, end stencils included
-    collective_residual: np.ndarray  # sum_i dp/dt - sum_i F_ext per sample
+    collective_residual: object  # (N, n) array: sum_i dp/dt - sum_i F_ext
     max_collective: float
 
 
 def _internal_force_at_nodes(complex, f_int, N, n):
+    import numpy as np
+
     out = {i: np.zeros((N, n)) for i in _node_range(complex)}
     for a, series in (f_int or {}).items():
         series = np.asarray(series, dtype=float)
@@ -214,6 +254,8 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     As with the angular balance, the residual verdict is taken over the
     samples whose difference stencils are fully central; the endpoint
     samples are reported separately."""
+    import numpy as np
+
     if d.dt is None:
         raise KindMismatch("momentum balance needs a sampling interval dt")
     cx = d.complex
@@ -226,7 +268,7 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     total_pdot = np.zeros((N, d.n))
     total_fext = np.zeros((N, d.n))
     for i in _node_range(cx):
-        pdot = series_derivative(d.momentum(i), d.dt)
+        pdot = d.momentum_rate(i)
         ext = np.asarray(
             (f_ext or {}).get(i, np.zeros((N, d.n))), dtype=float
         )
@@ -255,6 +297,8 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
 def impulse(forces, dt, t0, t1):
     """Trapezoid integral of each node force over the sample window
     [t0, t1]; exact on piecewise-linear force data."""
+    import numpy as np
+
     out = {}
     for i, series in forces.items():
         series = np.asarray(series, dtype=float)
@@ -267,6 +311,8 @@ def impulse(forces, dt, t0, t1):
 
 def impulse_momentum_gap(d, forces, t0, t1):
     """Max norm of trapezoid-impulse minus momentum change over the window."""
+    import numpy as np
+
     imp = impulse(forces, d.dt, t0, t1)
     worst = 0.0
     for i, value in imp.items():
@@ -290,6 +336,8 @@ class AngularMomentumReport:
 
 
 def _wedge_series(r, f):
+    import numpy as np
+
     n = r.shape[1]
     cols = []
     for i in range(n):
@@ -308,6 +356,8 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
     residual maximum is taken over the samples whose stencils are fully
     central; the first and last two samples inherit the one-sided endpoint
     estimators and are reported separately."""
+    import numpy as np
+
     d.check_convective(convective_tol)
     for i in _node_range(d.complex):
         m = d.mass_series(i)
@@ -347,6 +397,8 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
 def moment_impulse_gap(d, forces, origin, t0, t1):
     """Max norm of the integrated force moment minus the angular-momentum
     change over the window (the moment-impulse theorem)."""
+    import numpy as np
+
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
     worst = 0.0
     for i in _node_range(d.complex):
@@ -373,6 +425,8 @@ def kinetic_energy(d, t_index=None):
 
     With ``t_index`` given, returns (per-node dict of floats, total float);
     otherwise per-node (N,) arrays and an (N,) total."""
+    import numpy as np
+
     per_node = {}
     total = None
     for i in _node_range(d.complex):
@@ -401,6 +455,8 @@ def work_values(k, forces):
     """Work of per-step node forces along their motion links:
     w(i)(A) = <F(i)(A), x_{A+1}(i) - x_A(i)>.  Forces are per node arrays of
     shape (steps, n) and must be constant along each link."""
+    import numpy as np
+
     out = {}
     for i in range(k.base.r[0]):
         f = np.asarray(forces[i], dtype=float)
@@ -425,12 +481,16 @@ def work_cochain(k, forces):
 
 def path_work(k, forces, i):
     """Total work along node i's motion path."""
+    import numpy as np
+
     return float(np.sum(work_values(k, forces)[i]))
 
 
 def constant_field_potential(k, field):
     """Potential U(i)(A) = -<F(i), x(i)(A)> of a constant force field,
     satisfying W = -coboundary(U) along every motion link."""
+    import numpy as np
+
     out = {}
     for i in range(k.base.r[0]):
         f = np.asarray(field[i], dtype=float)
@@ -460,6 +520,8 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
     branch into a newly visited vertex starts at the walk's previous
     vertex, so that vertex's potential is already known.  A trace without
     chords is a forest, and its complex is never built."""
+    import numpy as np
+
     trace = spatial_trace(k)
     w = work_values(k, forces)
     if trace.chords:
@@ -506,6 +568,8 @@ def work_energy_check(d, k, forces, tol=1e-6):
     Hypotheses (conservative forces, convective momentum, constant masses)
     are checked and violations raise rather than producing a meaningless
     verdict."""
+    import numpy as np
+
     report = conservative_check(k, forces, tol)
     if not report.conservative:
         raise HypothesesUnmet(
@@ -552,6 +616,8 @@ def dalembert_residual(d, delta_x, f_ext=None, f_int=None):
     """Largest virtual work of applied-minus-inertial forces over the samples:
     max_t |sum_i <F_res(i)(t) - dp(i)/dt, delta_x(i)>|; zero along a natural
     motion for every virtual displacement."""
+    import numpy as np
+
     cx = d.complex
     N = d.samples
     boundary_forces = _internal_force_at_nodes(cx, f_int, N, d.n)
@@ -563,6 +629,6 @@ def dalembert_residual(d, delta_x, f_ext=None, f_int=None):
         ext = np.asarray((f_ext or {}).get(i, np.zeros((N, d.n))), dtype=float)
         if ext.ndim == 1:
             ext = np.broadcast_to(ext, (N, d.n))
-        pdot = series_derivative(d.momentum(i), d.dt)
+        pdot = d.momentum_rate(i)
         total += (ext + boundary_forces[i] - pdot) @ dx
     return float(np.max(np.abs(total), initial=0.0))

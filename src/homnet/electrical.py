@@ -121,8 +121,12 @@ class KclReport:
 
 def kcl_check(state, tol=DEFAULT_TOL):
     """Charge balance at every node: the signed sum of incident currents
-    must equal the charging rate; with zero rates this is the cycle test."""
+    must equal the charging rate; with zero rates this is the cycle test.
+    Exact kinds ignore ``tol``; a float one below the pruning floor raises
+    ``ToleranceBelowPruneFloor``."""
     mod = state.module
+    if not mod.exact:
+        mod.check_tol(tol)
     eff_tol = 0 if mod.exact else tol
     flow = boundary(state.current)
     rate = state.charging_rate()

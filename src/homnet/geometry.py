@@ -11,8 +11,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .chains import Cochain
 from .coeffs import Bivector, vector, vnorm, vsub, wedge_components
 from .errors import (
@@ -146,6 +144,8 @@ def is_rigid_motion(g0, g1, tol=1e-9, link_lengths_only=False):
 # ---------------------------------------------------------------------------
 
 def _check_antisymmetric(omega, tol=1e-12):
+    import numpy as np
+
     w = np.asarray(omega, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise NotAntisymmetric("rotation generator must be a square matrix")
@@ -156,6 +156,8 @@ def _check_antisymmetric(omega, tol=1e-12):
 
 def rotation_matrix(omega, t=1.0, tol=1e-14):
     """exp(omega * t) by scaling-and-squaring of the truncated power series."""
+    import numpy as np
+
     w = _check_antisymmetric(omega) * float(t)
     scale = max(1.0, float(np.max(np.abs(w))))
     squarings = max(0, int(math.ceil(math.log2(scale))) + 1)
@@ -177,6 +179,8 @@ def rotation_matrix(omega, t=1.0, tol=1e-14):
 def rotation_velocity_field(omega, g, center=None):
     """Velocity 0-cochain of the rigid rotation generated by omega about
     center: v(i) = omega @ (x(i) - center)."""
+    import numpy as np
+
     w = _check_antisymmetric(omega)
     if w.shape[0] != g.n:
         raise DimensionMismatch("generator dimension differs from the ambient space")
@@ -191,6 +195,8 @@ def rotation_velocity_field(omega, g, center=None):
 def best_fit_orthogonal_map(g0, g1):
     """Least-squares orthogonal map between centered position clouds; the
     sign of its determinant distinguishes proper from improper motions."""
+    import numpy as np
+
     a = np.asarray(g0.positions, dtype=float)
     b = np.asarray(g1.positions, dtype=float)
     a = a - a.mean(axis=0)

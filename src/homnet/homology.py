@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact
 from .chains import Chain, Cochain, boundary, evaluate
 from .complexes import path_components
@@ -53,13 +51,17 @@ def _rank_boundary(complex, k):
 
 def is_cycle(chain, tol=None):
     """True when the boundary vanishes: exactly for exact coefficient kinds,
-    within the max-norm tolerance otherwise."""
+    within the max-norm tolerance otherwise.  A float tolerance below the
+    pruning floor raises ``ToleranceBelowPruneFloor``."""
     if chain.dim == 0:
         return True
     b = boundary(chain)
-    if chain.module.exact:
+    mod = chain.module
+    if mod.exact:
         return b.is_zero(0)
-    return b.is_zero(DEFAULT_TOL if tol is None else tol)
+    tol = DEFAULT_TOL if tol is None else tol
+    mod.check_tol(tol)
+    return b.is_zero(tol)
 
 
 @dataclass
@@ -94,6 +96,8 @@ def is_boundary(chain, tol=None):
         return _tree_flow(chain, tol)
     if kind in _EXACT_SCALARS:
         return _face_solve(chain)
+    import numpy as np
+
     mat = [list(col) for col in zip(*cx.incidence_2)]
     tol = DEFAULT_TOL if tol is None else tol
     a = np.array(mat, dtype=float)
@@ -327,6 +331,8 @@ def is_coboundary(cochain, tol=None):
 def _value_is_zero(mod, val, tol):
     if mod.exact:
         return mod.is_zero(val, 0)
+    import numpy as np
+
     t = DEFAULT_TOL if tol is None else tol
     arr = np.asarray(val, dtype=float)
     return float(np.max(np.abs(arr), initial=0.0)) <= t

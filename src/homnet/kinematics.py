@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .chains import Chain, Cochain
 from .coeffs import INTEGER, series_derivative, vector, vsub
 from .complexes import Complex
@@ -34,7 +32,7 @@ class KinematicalComplex:
     """
 
     base: Complex
-    positions: np.ndarray
+    positions: object  # numpy array of shape (steps + 1, r0, n)
 
     def __post_init__(self):
         if len(self.positions) < 2:
@@ -110,6 +108,8 @@ class KinematicalComplex:
 
 def build_kinematical_complex(snapshots):
     """Join two or more equally shaped snapshots into a kinematical complex."""
+    import numpy as np
+
     snapshots = list(snapshots)
     base = snapshots[0].complex if snapshots else None
     for g in snapshots[1:]:
@@ -230,6 +230,8 @@ def kinematical_state(complex, trajectories, dt, t_index):
     relative state is the coboundary of the absolute one, so differentiation
     and coboundary commute by construction.
     """
+    import numpy as np
+
     r0 = complex.r[0]
     arrays = [np.asarray(trajectories[i], dtype=float) for i in range(r0)]
     samples = arrays[0].shape[0]

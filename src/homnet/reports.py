@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 
@@ -48,13 +47,19 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (bool, int, float, str, Fraction)) or value is None:
+    if isinstance(value, (bool, int, str, Fraction)) or value is None:
+        return value
+    # numpy values before the float test, since np.float64 subclasses
+    # float; until numpy is imported no value can be one
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return [jsonable(v) for v in value.tolist()]
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.integer):
+            return int(value)
+    if isinstance(value, float):
         return value
     if hasattr(value, "comps"):  # bivectors serialize by components
         return [jsonable(v) for v in value.comps]

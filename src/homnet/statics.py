@@ -147,10 +147,16 @@ def extended_force_chain(fc):
 
 
 def equilibrium_check(fc, tol=DEFAULT_TOL):
+    """Zero resultant and zero nodal residual: exactly when every force is
+    exact, within ``tol`` otherwise (a float ``tol`` below the pruning
+    floor raises ``ToleranceBelowPruneFloor``)."""
     residual = nodal_residual(fc)
     mod = fc.f_ext.module
     resultant = augmented_boundary(fc.f_ext)
-    eff_tol = 0 if _forces_exact(fc) else tol
+    exact_forces = _forces_exact(fc)
+    if not exact_forces:
+        mod.check_tol(tol)
+    eff_tol = 0 if exact_forces else tol
     return EquilibriumReport(
         resultant=resultant,
         nodal_residual=residual,

@@ -493,3 +493,90 @@ def test_per_analysis_options_respected():
     doc = load("orbit.json")
     report = cli.run(doc, "angular", dict(doc.analyses[0].options))
     assert report.verdict == "pass"
+
+
+# -- exit status ------------------------------------------------------------------
+
+def kcl_and_kvl_failing_text():
+    # branch AB carries an unbalanced current, and the drops of the float
+    # voltages 1e17 and 3 round, so the loop sums to -3 instead of zero
+    return json.dumps({
+        "dimension": 2,
+        "nodes": [
+            {"id": "A", "pos": [0, 0], "voltage": 1e17},
+            {"id": "B", "pos": [1, 0], "voltage": 3.0},
+            {"id": "C", "pos": [0, 1], "voltage": 0.0},
+        ],
+        "branches": [
+            {"id": "AB", "tail": "A", "head": "B", "current": "1"},
+            {"id": "AC", "tail": "A", "head": "C", "current": "0"},
+            {"id": "BC", "tail": "B", "head": "C", "current": "0"},
+        ],
+        "analyses": ["kcl", "kvl"],
+    })
+
+
+def test_two_failing_analyses_exit_1(tmp_path, capsys):
+    source = tmp_path / "both.json"
+    source.write_text(kcl_and_kvl_failing_text())
+    assert cli.main(["report-all", "--input", str(source)]) == 1
+    out = capsys.readouterr().out
+    assert "== kcl: FAIL ==" in out and "== kvl: FAIL ==" in out
+
+
+def test_failing_batch_exits_1(tmp_path, capsys):
+    (tmp_path / "a.json").write_text(kcl_and_kvl_failing_text())
+    (tmp_path / "b.json").write_text((FIXTURES / "circuit_unbalanced.json").read_text())
+    (tmp_path / "c.json").write_text((FIXTURES / "circle.json").read_text())
+    assert cli.main(["report-all", "--input-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert all(f"# {name}.json\n" in out for name in "abc")
+
+
+# -- tolerances below the pruning floor -------------------------------------------
+
+def test_zero_tolerance_on_exact_document():
+    # exact values ignore the tolerance: the exact verdicts stand
+    doc = load("circuit_unbalanced.json")
+    assert cli.run(doc, "kcl", {"tolerance": 0}).verdict == "fail"
+    assert cli.run(doc, "kcl", {"tolerance": 1e-15}).verdict == "fail"
+    assert cli.run(load("circle.json"), "kcl", {"tolerance": 0}).verdict == "pass"
+
+
+def test_float_tolerance_below_prune_floor_is_an_error(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "circuit_charging.json").read_text())
+    source = tmp_path / "charging.json"
+    source.write_text(json.dumps(doc))
+    args = ["kcl", "--input", str(source), "--tolerance"]
+    assert cli.main(args + ["1e-15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance 1e-15 is below the pruning floor 1e-12")
+    assert cli.main(args + ["1e-12"]) == 0
+
+
+# -- derivatives computed once per node -------------------------------------------
+
+def test_dalembert_differentiates_each_node_once(monkeypatch):
+    from homnet import dynamics
+
+    calls = []
+    derivative = dynamics.series_derivative
+
+    def counted(x, dt):
+        calls.append(x.shape)
+        return derivative(x, dt)
+
+    monkeypatch.setattr(dynamics, "series_derivative", counted)
+    doc = load("freefall.json")
+    nodes = doc.complex.r[0]
+    assert doc.dimension > 1  # one residual per node and coordinate
+    report = cli.run(doc, "dalembert", dict(doc.analyses[2].options))
+    assert report.verdict == "pass"
+    # one velocity and one momentum derivative per node
+    assert len(calls) <= 2 * nodes
+
+    state = cli._dynamics_state(doc)
+    assert state.velocity(0) is state.velocity(0)
+    assert state.momentum_rate(0) is state.momentum_rate(0)
+    for array in (state.velocity(0), state.momentum(0), state.momentum_rate(0)):
+        assert not array.flags.writeable

@@ -217,6 +217,29 @@ def test_float_samples_parse_into_one_shared_read_only_array():
     assert masses.tolist() == [2.0] * 6 and not masses.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "text, floats",
+    [
+        (doc_text(), False),
+        (doc_text(nodes=[{"id": "A", "pos": [0, "1/2"], "voltage": "3"}],
+                  branches=[]), False),
+        (doc_text(nodes=[{"id": "A", "pos": [0, 0.5]}], branches=[]), True),
+        (doc_text(nodes=[{"id": "A", "pos": [0, 0], "charge": 1.5}],
+                  branches=[]), True),
+        (track_text(pos=[[1, 1]] * 6, force=[[0, "1/2"]] * 6, mass=2), False),
+        (track_text(pos=[[1, 1]] * 5 + [[1, 1.5]], force=[[0, 0]] * 6, mass=2),
+         True),
+        (track_text(pos=[[1, 1]] * 6, force=[[0, 0]] * 6, mass=[2] * 6), True),
+        (track_text(), True),
+    ],
+    ids=["plain", "exact", "float-pos", "float-charge", "exact-samples",
+         "one-float-sample", "int-mass-series", "float-samples"],
+)
+def test_floats_records_any_float_value(text, floats):
+    # an int mass series is parsed into a float array
+    assert documents.parse(text).floats is floats
+
+
 def test_unknown_analysis_command():
     with pytest.raises(ValidationError):
         documents.parse(doc_text(analyses=[{"command": "frobnicate"}]))

@@ -261,3 +261,15 @@ def test_power_flagged_when_kvl_fails(circle):
     report = el.power_cochain(dv)
     assert report.kvl_warning
     assert not report.is_coboundary
+
+
+def test_float_tolerance_below_prune_floor_raises():
+    # 5e-13 is pruned from the current chain before any test, so a check at
+    # tol=1e-15 would report balanced with residual 0
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    state = el.circuit_state(cx, {"AB": 5e-13})
+    with pytest.raises(errors.ToleranceBelowPruneFloor) as caught:
+        el.kcl_check(state, tol=1e-15)
+    assert "1e-15" in str(caught.value) and "1e-12" in str(caught.value)
+    assert (caught.value.tol, caught.value.floor) == (1e-15, 1e-12)
+    assert el.kcl_check(state, tol=1e-12).balanced

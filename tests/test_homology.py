@@ -34,6 +34,16 @@ def test_zero_chain_is_cycle(circle):
     assert hn.is_cycle(hn.Chain.zero(circle, 1, hn.INTEGER))
 
 
+def test_float_tolerance_below_prune_floor_raises(circle):
+    c = hn.Chain(circle, 1, {0: 5e-13}, hn.REAL64)
+    with pytest.raises(errors.ToleranceBelowPruneFloor):
+        hn.is_cycle(c, 1e-15)
+    assert hn.is_cycle(c, 1e-12)
+    # exact kinds ignore the tolerance
+    tiny = hn.Chain(circle, 1, {0: Fraction(1, 10**13)}, hn.RATIONAL)
+    assert not hn.is_cycle(tiny, 1e-15)
+
+
 def test_rim_cycle_bounds_in_disc(disc):
     rim = hn.Chain(disc, 1, {0: 1, 3: 1, 1: -1}, hn.INTEGER)
     result = hn.is_boundary(rim)

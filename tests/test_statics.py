@@ -429,3 +429,22 @@ def test_branch_with_two_external_ends_rejected(propped_triangle):
     fc = st.force_complex(propped_triangle)
     with pytest.raises(errors.InvalidPartition):
         st.close_open_system(fc, external_nodes=["PA", "A"])
+
+
+def test_float_tolerance_below_prune_floor_raises():
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, 2, {"A": (0, 0), "B": (3, 4)})
+    fc = st.force_complex(
+        g,
+        external={"A": (3.0, 4.0), "B": (-3.0, -4.0 + 1e-12)},
+        internal={"AB": (3.0, 4.0)},
+    )
+    with pytest.raises(errors.ToleranceBelowPruneFloor):
+        st.equilibrium_check(fc, 1e-15)
+    # exact forces ignore the tolerance
+    exact_fc = st.force_complex(
+        g,
+        external={"A": (3, 4), "B": (-3, -4)},
+        internal={"AB": (3, 4)},
+    )
+    assert st.equilibrium_check(exact_fc, 1e-15).in_equilibrium
