@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import documents, electrical, homology
 from . import dynamics as dyn
 from . import statics as st
-from .chains import Chain, boundary
+from .chains import Chain
 from .coeffs import DEFAULT_TOL, Bivector, covector
 from .errors import HomnetError, MissingData, UnknownCommand
 from .geometry import maxwell_dof
@@ -106,7 +107,12 @@ def _force_complex(doc):
 
 
 def _residual_map(chain):
+    """Circuit values by label.  Exact scalars, integral or not, are
+    written as rationals, so a report reads the same over either exact
+    kind."""
     labels = chain.complex.labels(chain.dim)
+    if chain.module.exact:
+        return {labels[i]: Fraction(v) for i, v in chain.coeffs.items()}
     out = {}
     for i, v in chain.coeffs.items():
         comps = chain.module.to_components(v)
@@ -193,7 +199,9 @@ def _run_kvl(doc, options):
         report.details["potential"] = _residual_map(rep.potential)
     else:
         report.details["witness_cycle"] = _chain_labels(rep.witness_cycle)
-        report.numbers["cycle_sum"] = rep.cycle_sum
+        report.numbers["cycle_sum"] = (
+            Fraction(rep.cycle_sum) if dv.module.exact else rep.cycle_sum
+        )
     return report
 
 
@@ -226,8 +234,7 @@ def _run_statics(doc, options):
         details["axial_forces"] = {
             labels[a]: f for a, f in enumerate(sol.axial_forces)
         }
-        reconstruction = f_ext + boundary(sol.internal_force_chain())
-        numbers["reconstruction_exact"] = reconstruction.is_zero(0)
+        numbers["reconstruction_exact"] = sol.reconstruction_exact(f_ext)
     return AnalysisReport(
         command="statics", verdict=verdict, numbers=numbers, details=details
     )

@@ -158,12 +158,6 @@ class Complex:
         except KeyError:
             raise UnknownLabel(f"unknown branch {label!r}") from None
 
-    def tail(self, a):
-        return self.branches[a][0]
-
-    def head(self, a):
-        return self.branches[a][1]
-
     def labels(self, dim):
         return (self.node_labels, self.branch_labels, self.face_labels)[dim]
 

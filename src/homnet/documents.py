@@ -7,7 +7,10 @@ Sampled signals are lists whose length must match the declared signal block;
 node positions may be either a single coordinate list or one list per sample
 when a signal is declared.  A sample list of finite floats is parsed into one
 read-only float array; any other sample list is validated sample by sample,
-so an error names its sample and int or "p/q" samples stay exact.
+so an error names its sample.  A sampled scalar (mass, charge, voltage,
+current, mass flow) is a real signal, so its int and "p/q" samples become
+floats of one read-only array too; only sampled positions and forces keep
+them exact.
 numpy is imported only to build float arrays, so a document without sample
 lists parses without it; ``NetworkDocument.floats`` records whether any
 value came out as a float.

@@ -8,6 +8,10 @@ from the residual and the augmented boundary of the rates without building
 the cone.  On the voltage side, a drop distribution is consistent exactly
 when it is the coboundary of a node potential; exact drops are checked
 against the potential integrated along the spanning forest.
+
+Integral data (ints, or fractions with denominator 1) is a chain over the
+integers: both laws then add and negate plain ints, and a potential
+integrated from integer drops is integral.  Other exact data is rational.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import Chain, Cochain, augmented_boundary, boundary, coboundary
-from .coeffs import DEFAULT_TOL, RATIONAL, REAL64, TimeSeriesModule
+from .coeffs import DEFAULT_TOL, INTEGER, RATIONAL, REAL64, TimeSeriesModule
 from .complexes import cone, fresh_label
 from .errors import KindMismatch
 from .homology import is_coboundary
@@ -57,8 +61,11 @@ def circuit_state(complex, currents, charges=None, voltages=None, dt=None,
                   samples=None):
     """Build a CircuitState from per-label values.
 
-    With dt and samples the coefficient kind is a sampled signal; otherwise
-    exact rationals when every value is int/Fraction, 64-bit reals else."""
+    With dt and samples the coefficient kind is a sampled signal.  Otherwise
+    it is exact when every value is an int or a Fraction: the integers
+    (``INTEGER``, values as ints) when every one is integral, the
+    rationals (``RATIONAL``) else; with any other value it is 64-bit
+    reals."""
     if dt is not None:
         if samples is None:
             raise KindMismatch("sampled signals need both dt and samples")
@@ -71,12 +78,15 @@ def circuit_state(complex, currents, charges=None, voltages=None, dt=None,
         flat = list(currents.values()) + list((charges or {}).values()) + list(
             (voltages or {}).values()
         )
-        if all(isinstance(v, (int, Fraction)) for v in flat):
-            mod = RATIONAL
-            conv = Fraction
-        else:
+        if not all(isinstance(v, (int, Fraction)) for v in flat):
             mod = REAL64
             conv = float
+        elif all(v.denominator == 1 for v in flat):
+            mod = INTEGER
+            conv = int
+        else:
+            mod = RATIONAL
+            conv = Fraction
 
     current = Chain(
         complex,

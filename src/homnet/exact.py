@@ -32,12 +32,15 @@ from fractions import Fraction
 from . import _kernel
 
 
-def _scaled_int_row(row):
+def scaled_to_integers(row):
+    """The row times the common denominator of its entries, as plain ints,
+    and that denominator; a float counts as the exact dyadic rational it
+    is.  A row of plain ints is returned as it is, over 1."""
     if all(type(x) is int for x in row):
-        return row
-    row = [Fraction(x) if isinstance(x, float) else x for x in row]
-    m = math.lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
-    return [int(x * m) if isinstance(x, Fraction) else int(x) * m for x in row]
+        return row, 1
+    row = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
+    m = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (m // x.denominator) for x in row], m
 
 
 def echelon(matrix, extra=None):
@@ -46,7 +49,7 @@ def echelon(matrix, extra=None):
     rows = []
     for i, row in enumerate(matrix):
         full = list(row) + ([extra[i]] if extra is not None else [])
-        rows.append(_scaled_int_row(full))
+        rows.append(scaled_to_integers(full)[0])
     ncols = len(rows[0]) if rows else 0
     return _kernel.echelon(rows, ncols)
 

@@ -39,9 +39,6 @@ class GeometricComplex:
         tail, head = self.complex.branches[a]
         return vsub(self.positions[head], self.positions[tail])
 
-    def branch_length(self, a):
-        return vnorm(self.branch_vector(a))
-
 
 def realize(complex, n, positions):
     """Attach pairwise-distinct positions (one per node, by label or index)

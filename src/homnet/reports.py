@@ -167,19 +167,20 @@ def _fmt_scalar(v):
 
 
 def _text_lines(report):
+    """The report's text block, formatted straight from its values:
+    ``_fmt_scalar`` normalizes what it cannot print itself."""
     lines = [f"== {report.command}: {report.verdict.upper()} =="]
     for section_name, section in (
         ("numbers", report.numbers),
         ("residuals", report.residuals),
         ("details", report.details),
     ):
-        section = jsonable(section)
         if not section:
             continue
         lines.append(f"  {section_name}:")
         for key in sorted(section, key=str):
             lines.append(f"    {key} = {_fmt_scalar(section[key])}")
-    prov = jsonable(report.provenance)
+    prov = report.provenance
     if prov:
         lines.append(
             "  provenance: "

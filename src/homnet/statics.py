@@ -9,7 +9,10 @@ test, read from the residual and the resultant (the augmented boundary of
 the external forces) without building the extension.  Internal forces act
 along their branches, so the solver's unknowns are per-branch tension
 coefficients q(a) with F(a) = q(a) * s(a); working with q instead of
-force-per-unit-length keeps every quantity rational.
+force-per-unit-length keeps every quantity rational.  A solution is
+certified in plain integers, row by row of the equilibrium matrix: over
+one denominator for the tensions and loads and one for the branch vectors,
+the loads plus the boundary of the tension chain must vanish.
 """
 
 from __future__ import annotations
@@ -185,6 +188,7 @@ class StaticsSolution:
     axial_forces: list | None  # f(a) = q(a)*|s(a)|, floats for reporting
     self_stress_basis: list  # list of integer-coefficient axial 1-chains
     g: GeometricComplex
+    branch_vectors: list  # s(a) per branch: the columns that were solved
 
     def internal_force_chain(self):
         if self.tension_coefficients is None:
@@ -196,23 +200,73 @@ class StaticsSolution:
     def basis_force_chain(self, k):
         return tension_force_chain(self.g, dict(self.self_stress_basis[k].coeffs))
 
+    def reconstruction_exact(self, f_ext):
+        """Whether the tensions balance the loads exactly, F_ext +
+        boundary(F_int) = 0, decided in plain integers; None when there
+        are no tensions (infeasible loads).
 
-def equilibrium_matrix(g):
+        With L the common denominator of the tensions and the loads and P
+        that of the branch vectors, branch a adds +-(L q(a)) (P s(a)) at its
+        head's and tail's rows, the nonzeros of ``equilibrium_matrix``, and
+        L P F_ext must cancel every row: O(r1 n) integer operations.
+        Floats count as the exact dyadic rationals the solver eliminated,
+        so this certifies the system that was solved."""
+        q = self.tension_coefficients
+        if q is None:
+            return None
+        n, cx = self.g.n, self.g.complex
+        nodes = list(f_ext.coeffs)
+        scaled, _ = exact.scaled_to_integers(
+            [*q, *(f_ext.coeffs[i][c] for i in nodes for c in range(n))]
+        )
+        s, P = exact.scaled_to_integers(
+            [x for v in self.branch_vectors for x in v]
+        )
+        rows = [0] * (cx.r[0] * n)
+        loads = iter(scaled[len(q):])
+        for i in nodes:
+            for c in range(n):
+                rows[i * n + c] = P * next(loads)
+        for a, (tail, head) in enumerate(cx.branches):
+            qa = scaled[a]
+            if qa:
+                for c in range(n):
+                    t = qa * s[a * n + c]
+                    rows[head * n + c] += t
+                    rows[tail * n + c] -= t
+        return not any(rows)
+
+
+def branch_vectors(g):
+    """Each branch's vector s(a), head position minus tail position; a
+    branch to the point at infinity or of zero length raises
+    ``DegenerateBranch``."""
+    cx = g.complex
+    vectors = []
+    for a, (tail, head) in enumerate(cx.branches):
+        if g.positions[tail] is None or g.positions[head] is None:
+            raise DegenerateBranch("branch to the point at infinity has no direction")
+        s = g.branch_vector(a)
+        if all(c == 0 for c in s):
+            raise DegenerateBranch(f"branch {a} has zero length")
+        vectors.append(s)
+    return vectors
+
+
+def equilibrium_matrix(g, vectors=None):
     """Matrix of the axial equilibrium system: one row per node component,
     one column per branch, entries incidence * branch vector component.
     Each branch has 2n nonzeros, minus the vector at its tail's rows and
-    plus the vector at its head's."""
+    plus the vector at its head's.  ``vectors`` are the branch vectors
+    when already computed (``branch_vectors``)."""
+    if vectors is None:
+        vectors = branch_vectors(g)
     cx = g.complex
     r0, r1, _ = cx.r
-    for a in range(r1):
-        if any(p is None for p in (g.positions[cx.tail(a)], g.positions[cx.head(a)])):
-            raise DegenerateBranch("branch to the point at infinity has no direction")
-        if all(c == 0 for c in g.branch_vector(a)):
-            raise DegenerateBranch(f"branch {a} has zero length")
     n = g.n
     rows = [[0] * r1 for _ in range(r0 * n)]
     for a, (tail, head) in enumerate(cx.branches):
-        for c, x in enumerate(g.branch_vector(a)):
+        for c, x in enumerate(vectors[a]):
             rows[tail * n + c][a] = -x
             rows[head * n + c][a] = x
     return rows
@@ -223,10 +277,13 @@ def solve_statics(g, f_ext):
 
     Feasibility and the self-stress space are decided exactly over the
     rationals; the self-stress basis vectors are primitive integer axial
-    chains whose vector-valued chains have exactly zero boundary.
+    chains whose vector-valued chains have exactly zero boundary.  Each
+    branch vector is computed once and shared by the matrix, the lengths
+    and the solution's certificate (``reconstruction_exact``).
     """
     cx = g.complex
-    mat = equilibrium_matrix(g)
+    vectors = branch_vectors(g)
+    mat = equilibrium_matrix(g, vectors)
     rhs = [-f_ext[i][c] for i in range(cx.r[0]) for c in range(g.n)]
     solution, null_vecs = exact.solve(mat, rhs)
     basis = [
@@ -241,15 +298,16 @@ def solve_statics(g, f_ext):
             axial_forces=None,
             self_stress_basis=basis,
             g=g,
+            branch_vectors=vectors,
         )
-    lengths = [g.branch_length(a) for a in range(cx.r[1])]
     return StaticsSolution(
         classification="indeterminate" if null_vecs else "determinate",
         self_stress_dim=len(null_vecs),
         tension_coefficients=solution,
-        axial_forces=[float(q) * L for q, L in zip(solution, lengths)],
+        axial_forces=[float(q) * vnorm(s) for q, s in zip(solution, vectors)],
         self_stress_basis=basis,
         g=g,
+        branch_vectors=vectors,
     )
 
 

@@ -1,15 +1,17 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from homnet import cli, documents, reports
+from homnet import chains, cli, documents, reports
 from homnet.complexes import Complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDENS = FIXTURES.parent / "perfbench" / "goldens"
+JSON_GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def load(name):
@@ -481,6 +483,33 @@ def test_main_rejects_bad_signal_block(tmp_path, capsys, key, value):
 def test_report_all_matches_golden_bytes(path, capsysbinary):
     cli.main(["report-all", "--input", str(path)])
     assert capsysbinary.readouterr().out == (GOLDENS / f"{path.stem}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_report_all_json_matches_golden_bytes(path, capsysbinary):
+    # JSON tells an int (bare) from a Fraction (quoted) where text does not
+    cli.main(["report-all", "--input", str(path), "--format", "json"])
+    assert capsysbinary.readouterr().out == (JSON_GOLDENS / f"{path.stem}.json").read_bytes()
+
+
+def test_statics_builds_no_boundary_chain(monkeypatch):
+    # the statics certificate is an integer check of the matrix rows, so no
+    # chain boundary is taken; every binding of the function is counted
+    calls = []
+    original = chains.boundary
+
+    def counted(chain):
+        calls.append(chain)
+        return original(chain)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homnet") and getattr(module, "boundary", None) is original:
+            monkeypatch.setattr(module, "boundary", counted)
+    for name in ("triangle_truss.json", "tetra_projected.json"):
+        report = cli.run(load(name), "statics")
+        assert report.verdict == "value"
+    assert report.numbers["reconstruction_exact"] is True
+    assert calls == []
 
 
 def test_main_requires_exactly_one_input(capsys):

@@ -114,6 +114,27 @@ def test_rational_strings_stay_exact():
     assert doc.node_attr("mass")["A"] == Fraction(1, 3)
 
 
+def test_sampled_scalars_are_float_signals():
+    # a sampled scalar is a real signal: "p/q" samples parse to floats, and
+    # the document counts as holding floats
+    doc = documents.parse(
+        doc_text(
+            signal={"dt": 0.5, "samples": 3},
+            nodes=[
+                {"id": "A", "pos": [0, 0], "mass": ["1/3", "1/3", "1/3"]},
+                {"id": "B", "pos": [1, 0], "mass": [1, 2, 3]},
+                {"id": "C", "pos": [0, 1]},
+            ],
+        )
+    )
+    masses = doc.node_attr("mass")
+    for value, want in ((masses["A"], [1 / 3] * 3), (masses["B"], [1.0, 2.0, 3.0])):
+        assert isinstance(value, np.ndarray) and value.dtype == float
+        assert value.tolist() == want
+        assert not value.flags.writeable
+    assert doc.floats
+
+
 def test_position_trajectories():
     doc = documents.parse(
         doc_text(

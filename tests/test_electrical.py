@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import homnet as hn
+from homnet import cli, documents, reports
 from homnet import electrical as el
 from homnet import errors
 from homnet.coeffs import DEFAULT_TOL
@@ -236,6 +239,120 @@ def test_kvl_passes_for_a_thousand_random_potentials(rng):
             for comp in hn.path_components(cx):
                 assert len({diff[i] for i in comp}) == 1
             checked += 1
+
+
+# -- integral circuits --------------------------------------------------------------
+
+def test_integral_values_make_an_integer_circuit(circle):
+    state = el.circuit_state(
+        circle, {"AB": 2, "AC": Fraction(4, 2), "BC": 0},
+        voltages={"A": 3, "B": Fraction(-6, 3), "C": 0},
+    )
+    assert state.module is hn.INTEGER
+    assert all(type(v) is int for v in state.current.coeffs.values())
+    report = el.kcl_check(state)
+    assert report.per_node == {"A": -4, "B": 2, "C": 2}
+    assert all(type(v) is int for v in report.per_node.values())
+    rational = el.circuit_state(circle, {"AB": Fraction(1, 2)}, voltages={"A": 3})
+    assert rational.module is hn.RATIONAL
+
+
+def test_integer_drops_fail_with_an_integer_cycle_sum(circle):
+    report = el.kvl_check(hn.Cochain(circle, 1, {0: 3}, hn.INTEGER))
+    assert not report.passed
+    assert type(report.cycle_sum) is int and report.cycle_sum == 3
+    assert hn.is_cycle(report.witness_cycle)
+
+
+def circuit_document(cx, currents, charges, voltages):
+    """A kcl + kvl document on the complex's labels."""
+    labels = cx.node_labels
+    nodes = [{"id": lab, "voltage": voltages[lab]} for lab in labels]
+    for node in nodes:
+        if node["id"] in charges:
+            node["charge"] = charges[node["id"]]
+    branches = [
+        {"id": lab, "tail": labels[t], "head": labels[h], "current": currents[lab]}
+        for lab, (t, h) in zip(cx.branch_labels, cx.branches)
+    ]
+    return documents.parse(json.dumps({
+        "dimension": 1, "nodes": nodes, "branches": branches,
+        "analyses": ["kcl", "kvl"],
+    }))
+
+
+def forced_rational(circuit_state):
+    """``circuit_state`` with every chain moved to the rationals: the
+    oracle that integral circuits must report like."""
+    def build(*args, **kwargs):
+        state = circuit_state(*args, **kwargs)
+
+        def rational(chain):
+            return None if chain is None else chain.as_module(hn.RATIONAL)
+
+        return el.CircuitState(
+            complex=state.complex, current=rational(state.current),
+            charge=rational(state.charge), voltage=rational(state.voltage),
+        )
+    return build
+
+
+def bumped(voltage_drop, branch, amount):
+    """``voltage_drop`` with ``amount`` added on one branch: a document's
+    node voltages always give consistent drops, so this is how a report
+    comes to fail the voltage law."""
+    def drop(state):
+        dv = voltage_drop(state)
+        bump = hn.Cochain(dv.complex, 1, {branch: amount}, hn.INTEGER)
+        return dv + bump.as_module(dv.module)
+    return drop
+
+
+@settings(deadline=None)
+@given(complexes(max_nodes=5, with_faces=False).filter(lambda cx: cx.r[1]), st.data())
+def test_integral_circuits_report_as_rational_ones(cx, data):
+    # currents on a cycle (KCL passes) or anyhow (it mostly fails), static
+    # charges on some nodes, and drops that pass KVL or are bumped on one
+    # branch; each value an int or an integral "p/q" string
+    ints = st.integers(-9, 9)
+    denominators = st.integers(1, 3)
+
+    def written(v):
+        k = data.draw(denominators)
+        return v if k == 1 else f"{v * k}/{k}"
+
+    if data.draw(st.booleans()):
+        current = {a: 0 for a in range(cx.r[1])}
+        for z in hn.cycle_basis(cx, 1):
+            weight = data.draw(ints)
+            for a, v in z.coeffs.items():
+                current[a] += weight * v
+    else:
+        current = {a: data.draw(ints) for a in range(cx.r[1])}
+    currents = {cx.branch_labels[a]: written(v) for a, v in current.items()}
+    charges = {
+        lab: written(data.draw(ints)) for lab in cx.node_labels
+        if data.draw(st.booleans())
+    }
+    voltages = {lab: written(data.draw(ints)) for lab in cx.node_labels}
+    doc = circuit_document(cx, currents, charges, voltages)
+    state = el.circuit_state(
+        doc.complex, doc.branch_attr("current"),
+        charges=doc.node_attr("charge") or None,
+        voltages=doc.node_attr("voltage"),
+    )
+    assert state.module is hn.INTEGER
+    drop = el.voltage_drop
+    if data.draw(st.booleans()):
+        branch = data.draw(st.integers(0, cx.r[1] - 1))
+        drop = bumped(drop, branch, data.draw(ints.filter(bool)))
+    commands = ("kcl", "kvl")
+    with mock.patch.object(el, "voltage_drop", drop):
+        got = [cli.run(doc, c) for c in commands]
+        with mock.patch.object(el, "circuit_state", forced_rational(el.circuit_state)):
+            want = [cli.run(doc, c) for c in commands]
+    for fmt in ("text", "json"):
+        assert reports.emit(got, fmt) == reports.emit(want, fmt)
 
 
 # -- power -----------------------------------------------------------------------

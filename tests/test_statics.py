@@ -222,6 +222,90 @@ def test_self_stress_basis_has_zero_boundary(cx, data):
         assert (f_ext + hn.boundary(sol.internal_force_chain())).is_zero(0)
 
 
+# -- the reconstruction certificate --------------------------------------------------
+
+def chain_reconstruction(sol, f_ext):
+    """The certificate's oracle: the load chain plus the boundary of the
+    tension force chain is the zero chain."""
+    return (f_ext + hn.boundary(sol.internal_force_chain())).is_zero(0)
+
+
+exact_values = hst.one_of(
+    hst.integers(-6, 6), hst.fractions(-6, 6, max_denominator=5)
+)
+
+
+@settings(deadline=None)
+@given(frameworks(exact_values), hst.data())
+def test_reconstruction_certificate_matches_the_chain_form(g, data):
+    # int and rational positions and loads: loads balancing tensions, or
+    # drawn anyhow (often infeasible); then one tension or one load is
+    # perturbed, which both forms must reject
+    cx = g.complex
+    if data.draw(hst.booleans()):
+        q = data.draw(hst.lists(exact_values, min_size=cx.r[1], max_size=cx.r[1]))
+        f_ext = -hn.boundary(st.tension_force_chain(g, dict(enumerate(q))))
+    else:
+        loads = hst.lists(
+            hst.tuples(*[exact_values] * g.n), min_size=cx.r[0], max_size=cx.r[0]
+        )
+        f_ext = hn.Chain(cx, 0, dict(enumerate(data.draw(loads))), hn.covector(g.n))
+    sol = st.solve_statics(g, f_ext)
+    if sol.tension_coefficients is None:
+        assert sol.reconstruction_exact(f_ext) is None
+        return
+    assert sol.reconstruction_exact(f_ext) is chain_reconstruction(sol, f_ext) is True
+    delta = data.draw(exact_values.filter(bool))
+    if cx.r[1] and data.draw(hst.booleans()):
+        sol.tension_coefficients[data.draw(hst.integers(0, cx.r[1] - 1))] += delta
+    else:
+        node = data.draw(hst.integers(0, cx.r[0] - 1))
+        c = data.draw(hst.integers(0, g.n - 1))
+        bump = tuple(delta if k == c else 0 for k in range(g.n))
+        f_ext = f_ext + hn.Chain(cx, 0, {node: bump}, f_ext.module)
+    assert sol.reconstruction_exact(f_ext) is chain_reconstruction(sol, f_ext) is False
+
+
+def test_perturbed_tension_fails_the_certificate(triangle_geo):
+    fc = equilibrated_complex(triangle_geo, {0: 2, 1: -1, 2: Fraction(3, 2)})
+    sol = st.solve_statics(triangle_geo, fc.f_ext)
+    assert sol.reconstruction_exact(fc.f_ext) is True
+    solved = sol.tension_coefficients
+    for a in range(3):
+        sol.tension_coefficients = list(solved)
+        sol.tension_coefficients[a] += Fraction(1, 7)
+        assert sol.reconstruction_exact(fc.f_ext) is False
+
+
+def test_certificate_reads_floats_as_the_dyadic_system_solved():
+    # a bar of float length 0.22 under float end loads of 7.55e6: the exact
+    # tension is the dyadic load over the dyadic length, which balances
+    # exactly; the chain form rounds q * s to a residual near 1e-9
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, 1, {"A": (0.0,), "B": (0.22,)})
+    y = 7.55e6
+    f_ext = hn.Chain(cx, 0, {0: (-y,), 1: (y,)}, hn.covector(1))
+    sol = st.solve_statics(g, f_ext)
+    (q,) = sol.tension_coefficients
+    assert Fraction(y) + q * Fraction(0.22) == 0
+    assert sol.reconstruction_exact(f_ext) is True
+    assert chain_reconstruction(sol, f_ext) is False
+
+
+def test_each_branch_vector_is_computed_once(tetra_geo, monkeypatch):
+    calls = []
+    vector = geo.GeometricComplex.branch_vector
+    monkeypatch.setattr(
+        geo.GeometricComplex, "branch_vector",
+        lambda g, a: calls.append(a) or vector(g, a),
+    )
+    fc = equilibrated_complex(tetra_geo, {0: 1, 3: 2})
+    calls.clear()
+    sol = st.solve_statics(tetra_geo, fc.f_ext)
+    assert sol.reconstruction_exact(fc.f_ext) is True
+    assert sorted(calls) == list(range(tetra_geo.complex.r[1]))
+
+
 def test_degenerate_branch_rejected(circle):
     g = geo.GeometricComplex(
         complex=circle, n=2, positions=[(0, 0), (1, 0), None]
