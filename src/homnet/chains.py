@@ -263,7 +263,7 @@ def classify_path(chain):
         return PathClass("not_a_path")
 
     b = boundary(chain)
-    if b.is_zero(0 if chain.module.exact else None):
+    if b.is_zero():
         if all(d == 2 for d in degree.values()):
             return PathClass("loop")
         return PathClass("not_a_path")

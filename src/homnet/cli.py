@@ -21,7 +21,7 @@ from . import dynamics as dyn
 from . import statics as st
 from .chains import Chain
 from .coeffs import DEFAULT_TOL, Bivector, covector
-from .errors import HomnetError, MissingData, UnknownCommand
+from .errors import HomnetError, MissingData, UnknownCommand, UnreadableInput
 from .geometry import maxwell_dof
 from .kinematics import KinematicalComplex
 from .reports import AnalysisReport, emit, provenance_for
@@ -327,6 +327,7 @@ def _run_angular(doc, options):
     tol = options.get("tolerance", DEFAULT_TOL)
     origin = options.get("origin")
     if origin is not None:
+        doc.complex.node_index(origin)  # an unknown node raises UnknownLabel
         origin = doc.static_positions()[origin]
     forces = doc.node_series("force")
     rep = dyn.angular_momentum_balance(d, forces=forces, origin=origin, tol=tol)
@@ -369,11 +370,9 @@ def _run_energy(doc, options):
 
 def _run_virtual_work(doc, options):
     fc = _force_complex(doc)
-    tol = options.get("tolerance")
+    tol = options.get("tolerance", DEFAULT_TOL)
     by_sweep = st.equilibrium_via_virtual_work(fc, tol)
-    direct = st.equilibrium_check(
-        fc, tol if tol is not None else DEFAULT_TOL
-    ).in_equilibrium
+    direct = st.equilibrium_check(fc, tol).in_equilibrium
     return AnalysisReport(
         command="virtual-work",
         verdict="pass" if by_sweep else "fail",
@@ -513,8 +512,22 @@ def _cli_options(args):
     return options
 
 
+def _read_document(path):
+    """The parsed document at PATH; a file that cannot be read or is not
+    UTF-8 raises ``UnreadableInput``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(
+            f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
+    return documents.parse(text)
+
+
 def _reports_for_path(path, args):
-    doc = documents.parse(path.read_text())
+    doc = _read_document(path)
     options = _cli_options(args)
     if args.command == "report-all":
         return run_all(doc, options)
@@ -537,6 +550,8 @@ def main(argv=None):
             reports = _reports_for_path(args.input, args)
             sys.stdout.buffer.write(emit(reports, args.format))
         else:
+            if not args.input_dir.is_dir():
+                raise UnreadableInput(f"cannot read {args.input_dir}: not a directory")
             failed = False
             for path in sorted(args.input_dir.glob("*.json")):
                 reports = _reports_for_path(path, args)

@@ -5,6 +5,13 @@ ring (exact integers/rationals, 64-bit reals, uniformly sampled time series)
 or a vector-like space over it (vectors, covectors, bivector 2-forms).  The
 module descriptor owns the element arithmetic so that chain operations never
 need to know what kind of value they are combining.
+
+``Module.is_zero`` is the one zero rule of every check.  A value whose
+components are all ints or Fractions is exact and is zero only when it
+equals zero, whatever the tolerance; exact data is compared exactly by every
+analysis.  Any other value is zero when its norm is within the tolerance,
+so the tolerance applies only to float data.  A sampled signal is never
+exact.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ DEFAULT_PRUNE_TOL = 1e-12
 
 # Default absolute tolerance of every float-valued check.
 DEFAULT_TOL = 1e-9
+
+# Component types of an exact value.
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +132,8 @@ class Module:
 
     def check_tol(self, tol):
         """Raise when a nonzero tolerance lies below the pruning floor: a
-        test at that tolerance would pass the pruned entries silently.
-        Callers check only float data; exact values ignore the tolerance."""
+        test at that tolerance would pass the pruned entries silently.  The
+        floor of an exact module is 0, so it never raises there."""
         if tol and tol < self.prune_tol:
             raise ToleranceBelowPruneFloor(tol, self.prune_tol)
 
@@ -145,18 +155,18 @@ class Module:
         raise NotImplementedError
 
     def is_zero(self, x, tol=None):
-        """Within tol (default: the pruning tolerance) of zero; an exact
-        value is zero at tol 0 or None only when it is exactly zero."""
-        if not tol and self.holds_exact(x):
-            return self._exact_zero(x)
+        """An exact value equals zero; any other is within tol (default:
+        the pruning floor) of zero."""
+        if self.holds_exact(x):
+            return not any(self.to_components(x))
         return self.norm(x) <= (self.prune_tol if tol is None else tol)
 
     def holds_exact(self, x):
-        """True when the value is exact, not a float approximation."""
-        return self.exact
-
-    def _exact_zero(self, x):
-        return x == self.zero()
+        """True when every component is an int or a Fraction, not a float
+        approximation.  A plain scalar, the common case, is tested first."""
+        return type(x) in _EXACT_TYPES or _EXACT_TYPES.issuperset(
+            map(type, self.to_components(x))
+        )
 
     def to_components(self, x):
         """Flatten a value to a list of ring scalars (length is fixed per module)."""
@@ -266,10 +276,8 @@ class TimeSeriesModule(Module):
 
         return float(np.max(np.abs(x))) if len(x) else 0.0
 
-    def _exact_zero(self, x):
-        import numpy as np
-
-        return not np.any(x)
+    def holds_exact(self, x):
+        return False  # samples are floats
 
     def to_components(self, x):
         return [float(v) for v in x]
@@ -304,12 +312,6 @@ class _VectorLikeModule(Module):
 
     def norm(self, x):
         return vnorm(x)
-
-    def holds_exact(self, x):
-        return all(isinstance(a, (int, Fraction)) for a in x)
-
-    def _exact_zero(self, x):
-        return all(a == 0 for a in x)
 
     def to_components(self, x):
         return list(x)
@@ -349,9 +351,6 @@ class BivectorModule(Module):
 
     def norm(self, x):
         return x.norm()
-
-    def _exact_zero(self, x):
-        return all(a == 0 for a in x.comps)
 
     def to_components(self, x):
         return list(x.comps)

@@ -362,8 +362,31 @@ def _parse_analyses(raw):
         if command not in _COMMANDS:
             raise ValidationError(f"{path}.command", f"unknown command {command!r}")
         options = {k2: v for k2, v in spec.items() if k2 != "command"}
+        for name, value in options.items():
+            if name in _OPTION_TYPES and not _OPTION_TYPES[name][0](value):
+                expected = _OPTION_TYPES[name][1]
+                raise ValidationError(
+                    f"{path}.{name}", f"expected {expected}, got {value!r}"
+                )
         out.append(AnalysisRequest(command=command, options=options))
     return out
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_tolerance(value):
+    return (_is_int(value) or isinstance(value, float)) and 0 <= value < math.inf
+
+
+# option -> (test of its value, what the test expects)
+_OPTION_TYPES = {
+    "tolerance": (_is_tolerance, "a finite number >= 0"),
+    "t0": (_is_int, "an integer sample index"),
+    "t1": (_is_int, "an integer sample index"),
+    "origin": (lambda v: isinstance(v, str), "a node id"),
+}
 
 
 # -- value parsing -----------------------------------------------------------

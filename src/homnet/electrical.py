@@ -123,7 +123,7 @@ def circuit_state(complex, currents, charges=None, voltages=None, dt=None,
 class KclReport:
     residual: Chain  # boundary(I) - dQ/dt
     per_node: dict  # label -> residual value
-    balanced: bool  # is the residual zero (exactly, for exact kinds)
+    balanced: bool  # is the residual zero
     conserved: bool  # is the current chain a cycle
     extended_cycle: bool  # is the extended current chain a cycle
     max_residual: float
@@ -132,16 +132,14 @@ class KclReport:
 def kcl_check(state, tol=DEFAULT_TOL):
     """Charge balance at every node: the signed sum of incident currents
     must equal the charging rate; with zero rates this is the cycle test.
-    Exact kinds ignore ``tol``; a float one below the pruning floor raises
+    A float ``tol`` below the pruning floor raises
     ``ToleranceBelowPruneFloor``."""
     mod = state.module
-    if not mod.exact:
-        mod.check_tol(tol)
-    eff_tol = 0 if mod.exact else tol
+    mod.check_tol(tol)
     flow = boundary(state.current)
     rate = state.charging_rate()
     residual = flow - rate
-    balanced = residual.is_zero(eff_tol)
+    balanced = residual.is_zero(tol)
     apex = augmented_boundary(rate)
     return KclReport(
         residual=residual,
@@ -150,10 +148,10 @@ def kcl_check(state, tol=DEFAULT_TOL):
             for i in range(state.complex.r[0])
         },
         balanced=balanced,
-        conserved=flow.is_zero(eff_tol),
+        conserved=flow.is_zero(tol),
         # zero the way a chain entry is: pruned, or within the tolerance
         extended_cycle=balanced
-        and (mod.is_zero(apex) or mod.is_zero(apex, eff_tol)),
+        and (mod.is_zero(apex) or mod.is_zero(apex, tol)),
         max_residual=max(
             (mod.norm(v) for v in residual.coeffs.values()), default=0.0
         ),

@@ -124,6 +124,11 @@ class UnknownCommand(HomnetError):
     pass
 
 
+class UnreadableInput(HomnetError):
+    """An input path that cannot be read, or a document whose bytes are not
+    UTF-8."""
+
+
 class DocumentSyntaxError(HomnetError):
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")

@@ -8,10 +8,9 @@ In dimension one every question goes through the complex's spanning forest
 (``Complex.forest``), Kirchhoff's tree-and-chords construction: the rank of
 the boundary map on branches is the number of tree branches, the cycle
 basis is the chords' fundamental cycles, and a 1-cochain is a coboundary
-exactly when it sums to zero around each of them (within the tolerance, for
-float kinds), that is, when each chord's value is the difference of the
-potential integrated along the trees.  A 0-chain bounds exactly when it
-sums to zero on each tree.
+exactly when it sums to zero around each of them, that is, when each
+chord's value is the difference of the potential integrated along the
+trees.  A 0-chain bounds exactly when it sums to zero on each tree.
 
 In dimension two every question reads one cached echelon of the boundary
 map on faces stacked with the fundamental cycles (``Complex.face_echelon``):
@@ -37,8 +36,6 @@ from .complexes import path_components
 from .coeffs import DEFAULT_TOL, INTEGER, RATIONAL
 from .errors import InternalMismatch, KindMismatch, NotACycle
 
-_EXACT_SCALARS = {"integer", "rational"}
-
 
 def _rank_boundary(complex, k):
     if k <= 0 or k > complex.dim:
@@ -50,18 +47,13 @@ def _rank_boundary(complex, k):
 
 
 def is_cycle(chain, tol=None):
-    """True when the boundary vanishes: exactly for exact coefficient kinds,
-    within the max-norm tolerance otherwise.  A float tolerance below the
-    pruning floor raises ``ToleranceBelowPruneFloor``."""
+    """True when the boundary is zero.  A float tolerance below the pruning
+    floor raises ``ToleranceBelowPruneFloor``."""
     if chain.dim == 0:
         return True
-    b = boundary(chain)
-    mod = chain.module
-    if mod.exact:
-        return b.is_zero(0)
     tol = DEFAULT_TOL if tol is None else tol
-    mod.check_tol(tol)
-    return b.is_zero(tol)
+    chain.module.check_tol(tol)
+    return boundary(chain).is_zero(tol)
 
 
 @dataclass
@@ -74,27 +66,25 @@ def is_boundary(chain, tol=None):
     """Decide whether a cycle bounds, producing a witness chain when it does.
 
     A 0-chain bounds when its coefficients sum to zero on every path
-    component, or to within the tolerance for real64 chains; the witness is
-    the tree flow of the spanning forest (see ``_tree_flow``).  A 1-chain
-    of an exact kind is solved exactly on the face echelon (``_face_solve``);
-    real64 1-chains use a least-squares solve with a residual tolerance.
+    component; the witness is the tree flow of the spanning forest (see
+    ``_tree_flow``).  A 1-chain of an exact kind is solved exactly on the
+    face echelon (``_face_solve``); real64 1-chains use a least-squares
+    solve with a residual tolerance.
     """
     if not is_cycle(chain, tol):
         raise NotACycle("only cycles can bound")
-    cx = chain.complex
-    k = chain.dim
+    cx, k, mod = chain.complex, chain.dim, chain.module
     if k >= cx.dim or cx.r[k + 1] == 0:
-        if chain.is_zero(0 if chain.module.exact else tol):
-            module = RATIONAL if chain.module.kind in _EXACT_SCALARS else chain.module
+        if chain.is_zero(tol):
+            module = RATIONAL if mod.exact else mod
             return BoundaryTest(True, Chain.zero(cx, min(k + 1, 2), module))
         return BoundaryTest(False)
 
-    kind = chain.module.kind
-    if kind not in _EXACT_SCALARS and kind != "real64":
-        raise KindMismatch(f"boundary test is not defined for {kind} chains")
+    if not mod.exact and mod.kind != "real64":
+        raise KindMismatch(f"boundary test is not defined for {mod.kind} chains")
     if k == 0:
         return _tree_flow(chain, tol)
-    if kind in _EXACT_SCALARS:
+    if mod.exact:
         return _face_solve(chain)
     import numpy as np
 
@@ -146,10 +136,9 @@ def _tree_flow(chain, tol):
     chains are summed as rationals; the flow is then the exact solution that
     is zero on every chord.
     """
-    if chain.module.kind in _EXACT_SCALARS:
-        chain, limit = chain.as_module(RATIONAL), 0
-    else:
-        limit = DEFAULT_TOL if tol is None else tol
+    if chain.module.exact:
+        chain = chain.as_module(RATIONAL)
+    tol = DEFAULT_TOL if tol is None else tol
     forest = chain.complex.forest
     total = [chain[v] for v in range(chain.complex.r[0])]
     flow = {}
@@ -159,7 +148,7 @@ def _tree_flow(chain, tol):
             flow[a] = forest.sign[v] * total[v]
             total[forest.parent[v]] += total[v]
     roots = set(forest.component)
-    if not all(abs(total[root]) <= limit for root in roots):
+    if not all(chain.module.is_zero(total[root], tol) for root in roots):
         return BoundaryTest(False)
     return BoundaryTest(True, Chain(chain.complex, 1, flow, chain.module))
 
@@ -298,10 +287,10 @@ def is_coboundary(cochain, tol=None):
     """Decide whether a 1-cochain is the coboundary of a 0-cochain.
 
     It is one exactly when it sums to zero around the fundamental cycle of
-    every chord of the spanning forest; float kinds pass when every such sum
-    is within the tolerance.  An exact chord whose value is the difference
-    of the potential integrated along the forest passes without its cycle;
-    other chords are summed around it, keeping float rounding per cycle.
+    every chord of the spanning forest.  An exact chord whose value is the
+    difference of the potential integrated along the forest passes without
+    its cycle; other chords are summed around it, keeping float rounding
+    per cycle.
     On failure the result carries the first chord's cycle, in index order,
     with a nonzero sum, and that sum.  On success the potential is shifted
     to be zero at each component's highest-index node; it is unique up to a
@@ -329,10 +318,5 @@ def is_coboundary(cochain, tol=None):
 
 
 def _value_is_zero(mod, val, tol):
-    if mod.exact:
-        return mod.is_zero(val, 0)
-    import numpy as np
-
-    t = DEFAULT_TOL if tol is None else tol
-    arr = np.asarray(val, dtype=float)
-    return float(np.max(np.abs(arr), initial=0.0)) <= t
+    """``Module.is_zero`` at the tolerance of the cochain tests."""
+    return mod.is_zero(val, DEFAULT_TOL if tol is None else tol)

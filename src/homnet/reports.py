@@ -152,6 +152,8 @@ def emit(reports, format="text"):
 
 
 def _fmt_scalar(v):
+    if v is None:
+        return "null"
     if isinstance(v, (bool, int, float, Fraction)):
         return format_number(v)
     if isinstance(v, str):

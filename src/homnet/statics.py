@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from . import exact
 from .chains import Chain, Cochain, augmented_boundary, boundary, evaluate
 from .coeffs import (
-    DEFAULT_TOL, INTEGER, Bivector, covector, vector, vnorm, vscale,
+    DEFAULT_TOL, INTEGER, REAL64, Bivector, bivector, covector, vector, vnorm,
+    vscale,
 )
 from .complexes import Complex, cone, fresh_label
 from .errors import (
@@ -150,21 +151,17 @@ def extended_force_chain(fc):
 
 
 def equilibrium_check(fc, tol=DEFAULT_TOL):
-    """Zero resultant and zero nodal residual: exactly when every force is
-    exact, within ``tol`` otherwise (a float ``tol`` below the pruning
-    floor raises ``ToleranceBelowPruneFloor``)."""
+    """Zero resultant and zero nodal residual.  With a float force, a
+    ``tol`` below the pruning floor raises ``ToleranceBelowPruneFloor``."""
     residual = nodal_residual(fc)
     mod = fc.f_ext.module
     resultant = augmented_boundary(fc.f_ext)
-    exact_forces = _forces_exact(fc)
-    if not exact_forces:
+    if not _forces_exact(fc):
         mod.check_tol(tol)
-    eff_tol = 0 if exact_forces else tol
     return EquilibriumReport(
         resultant=resultant,
         nodal_residual=residual,
-        in_equilibrium=mod.is_zero(resultant, eff_tol)
-        and residual.is_zero(eff_tol),
+        in_equilibrium=mod.is_zero(resultant, tol) and residual.is_zero(tol),
         max_residual=max(
             (mod.norm(v) for v in residual.coeffs.values()), default=0.0
         ),
@@ -344,7 +341,7 @@ def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
         total = total + moment(r, f)
     for m in (applied_moments or {}).values():
         total = total + m
-    passed = total.norm() <= tol
+    passed = bivector(fc.n).is_zero(total, tol)
     return MomentReport(passed=passed, residual=total, origin=x0)
 
 
@@ -364,19 +361,17 @@ def virtual_work(fc, delta_x):
     return evaluate(delta_x, nodal_residual(fc))
 
 
-def equilibrium_via_virtual_work(fc, tol=None):
+def equilibrium_via_virtual_work(fc, tol=DEFAULT_TOL):
     """Equilibrium verdict obtained by sweeping the full basis of unit
     virtual displacements (n per node) and requiring all works to vanish."""
     cx = fc.g.complex
-    if tol is None:
-        tol = 0 if _forces_exact(fc) else DEFAULT_TOL
     residual = nodal_residual(fc)
     for i in range(cx.r[0]):
         for c in range(fc.n):
             unit = tuple(1 if k == c else 0 for k in range(fc.n))
             dx = Cochain(cx, 0, {i: unit}, vector(fc.n))
             w = evaluate(dx, residual)
-            if (w != 0) if tol == 0 else (abs(float(w)) > tol):
+            if not REAL64.is_zero(w, tol):
                 return False
     return True
 
@@ -424,7 +419,7 @@ def close_open_system(fc, external_nodes):
             inf_total = mod.add(inf_total, v)
         else:
             ext_values[new_index[i]] = v
-    if not mod.is_zero(inf_total, 0 if _forces_exact(fc) else None):
+    if not mod.is_zero(inf_total):
         ext_values[inf_index] = inf_total
     positions = [fc.g.positions[i] for i in kept] + [None]
     g = GeometricComplex(complex=closed, n=fc.g.n, positions=positions)

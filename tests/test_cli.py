@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -609,3 +610,74 @@ def test_dalembert_differentiates_each_node_once(monkeypatch):
     assert state.momentum_rate(0) is state.momentum_rate(0)
     for array in (state.velocity(0), state.momentum(0), state.momentum_rate(0)):
         assert not array.flags.writeable
+
+
+# -- reports of a missing value -------------------------------------------------
+
+def test_none_is_written_as_null_in_both_formats():
+    report = reports.AnalysisReport(
+        "statics", "value", numbers={"reconstruction_exact": None}
+    )
+    assert "    reconstruction_exact = null\n" in reports.emit(report, "text").decode()
+    payload = json.loads(reports.emit(report, "json"))
+    assert payload["numbers"] == {"reconstruction_exact": None}
+
+
+# -- input and option errors exit 2 -----------------------------------------------
+
+def test_angular_unknown_origin_is_an_error(capsys):
+    args = ["angular", "--input", str(FIXTURES / "orbit.json"), "--origin"]
+    assert cli.main(args + ["NOPE"]) == 2
+    assert capsys.readouterr().err == "error: unknown node 'NOPE'\n"
+    # the orbiting particle's first position is a valid origin
+    assert cli.main(args + ["P"]) == 0
+    assert capsys.readouterr().out.startswith("== angular: PASS ==")
+
+
+def test_missing_input_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["report-all", "--input", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    assert cli.main(["report-all", "--input-dir", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing}: not a directory\n"
+
+
+def test_input_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    source = tmp_path / "latin1.json"
+    source.write_bytes('{"dimension": 2, "nodes": [{"id": "Ä"}]}'.encode("latin-1"))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source} is not UTF-8: ")
+
+
+def test_batch_stops_at_an_unreadable_document(tmp_path, capsys):
+    (tmp_path / "a.json").write_text((FIXTURES / "circle.json").read_text())
+    (tmp_path / "b.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "c.json").write_text((FIXTURES / "circle.json").read_text())
+    assert cli.main(["report-all", "--input-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "# a.json\n" in captured.out and "# c.json" not in captured.out
+    assert captured.err.startswith(f"error: {tmp_path / 'b.json'} is not UTF-8: ")
+
+
+def test_document_option_of_another_type_is_an_error(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "freefall.json").read_text())
+    doc["analyses"] = [{"command": "momentum", "t0": "x", "t1": 3}]
+    source = tmp_path / "freefall.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    assert capsys.readouterr().err.startswith("error: analyses[0].t0: expected ")
+
+
+# -- one command list --------------------------------------------------------------
+
+def test_every_command_list_names_the_same_commands():
+    runners = [*cli._RUNNERS, "report-all"]
+    action = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    readme = (FIXTURES.parent / "README.md").read_text()
+    listed = readme.split("\nCommands: ", 1)[1].split("Flags:", 1)[0]
+    in_readme = re.findall(r"`([a-z-]+)`", re.sub(r"\([^)]*\)", "", listed))
+    for names in (documents._COMMANDS, action.choices, in_readme):
+        assert len(set(names)) == len(names)
+        assert set(names) == set(runners)

@@ -303,3 +303,31 @@ def test_parse_scalar_keeps_exact_numbers_within_float_range(value):
     assert documents.parse_scalar(value, "x") == (
         value if isinstance(value, int) else Fraction(value)
     )
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tolerance", "1e-9"), ("tolerance", -1e-9), ("tolerance", True),
+        ("t0", "x"), ("t0", 2.5), ("t1", False), ("origin", 3),
+    ],
+)
+def test_analysis_options_of_another_type_are_rejected(name, value):
+    text = doc_text(analyses=[{"command": "momentum", "t0": 0, "t1": 3, name: value}])
+    with pytest.raises(ValidationError) as err:
+        documents.parse(text)
+    assert err.value.path == f"analyses[0].{name}"
+
+
+def test_non_finite_tolerance_is_rejected():
+    # json.dumps writes Infinity and NaN, which the parser reads back
+    for value in (float("inf"), float("nan")):
+        text = doc_text(analyses=[{"command": "kcl", "tolerance": value}])
+        with pytest.raises(ValidationError, match=r"analyses\[0\]\.tolerance"):
+            documents.parse(text)
+
+
+def test_analysis_options_of_their_type_are_kept():
+    options = {"tolerance": 0, "t0": 0, "t1": 3, "origin": "A", "note": [1]}
+    doc = documents.parse(doc_text(analyses=[{"command": "momentum", **options}]))
+    assert doc.analyses[0].options == options
