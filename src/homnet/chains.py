@@ -102,12 +102,11 @@ class _Valued:
             and other.complex is self.complex
             and other.dim == self.dim
             and self.module.compatible(other.module)
-            and set(self.coeffs) == set(other.coeffs)
             and all(
                 self.module.is_zero(
                     self.module.add(self[i], self.module.neg(other[i])), 0
                 )
-                for i in self.coeffs
+                for i in self.coeffs.keys() | other.coeffs.keys()
             )
         )
 

@@ -20,7 +20,7 @@ from . import documents, electrical, homology
 from . import dynamics as dyn
 from . import statics as st
 from .chains import Chain
-from .coeffs import DEFAULT_TOL, Bivector, covector
+from .coeffs import Bivector, covector
 from .errors import HomnetError, MissingData, UnknownCommand, UnreadableInput
 from .geometry import maxwell_dof
 from .kinematics import KinematicalComplex
@@ -31,31 +31,25 @@ from .reports import AnalysisReport, emit, provenance_for
 # attribute assembly helpers
 # ---------------------------------------------------------------------------
 
-def _static_vector(value, path):
-    if documents.is_sample_list(value):
-        raise MissingData(path, f"{path}: expected one vector, got samples")
-    return tuple(value)
-
-
 def _node_forces_static(doc):
-    forces = {}
-    for lab, value in doc.node_attr("force").items():
-        forces[lab] = _static_vector(value, "nodes[*].force")
+    forces = doc.node_attr("force")
+    if any(map(documents.is_sample_list, forces.values())):
+        path = "nodes[*].force"
+        raise MissingData(path, f"{path}: expected one vector, got samples")
     return forces
 
 
-def _branch_internal_series(doc, samples):
-    import numpy as np
-
+def _branch_internal_vectors(doc):
+    """Internal forces by branch index; a static vector stands for every
+    sample."""
     out = {}
     for lab, value in doc.branch_attr("internal_force").items():
-        a = doc.complex.branch_index(lab)
         if not isinstance(value, tuple):
             raise MissingData(
                 "branches[*].internal_force",
                 "trajectory analyses need vector internal forces",
             )
-        out[a] = np.tile([float(c) for c in value], (samples, 1))
+        out[doc.complex.branch_index(lab)] = value
     return out
 
 
@@ -125,6 +119,12 @@ def _chain_labels(chain):
     return {labels[i]: v for i, v in sorted(chain.coeffs.items())}
 
 
+def _tol(options):
+    """The tolerance option as keyword arguments of a check: none when the
+    option is unset, so the check's own default applies."""
+    return {"tol": options["tolerance"]} if "tolerance" in options else {}
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -156,14 +156,9 @@ def _run_kcl(doc, options):
     has_series = any(
         map(documents.is_array, [*currents.values(), *(charges or {}).values()])
     )
-    if has_series:
-        state = electrical.circuit_state(
-            doc.complex, currents, charges=charges, dt=doc.dt, samples=doc.samples
-        )
-    else:
-        state = electrical.circuit_state(doc.complex, currents, charges=charges)
-    tol = options.get("tolerance", DEFAULT_TOL)
-    rep = electrical.kcl_check(state, tol)
+    kwargs = {"dt": doc.dt, "samples": doc.samples} if has_series else {}
+    state = electrical.circuit_state(doc.complex, currents, charges=charges, **kwargs)
+    rep = electrical.kcl_check(state, **_tol(options))
     return AnalysisReport(
         command="kcl",
         verdict="pass" if rep.balanced else "fail",
@@ -187,8 +182,7 @@ def _run_kvl(doc, options):
     kwargs = {"dt": doc.dt, "samples": doc.samples} if has_series else {}
     state = electrical.circuit_state(doc.complex, {}, voltages=voltages, **kwargs)
     dv = electrical.voltage_drop(state)
-    tol = options.get("tolerance", DEFAULT_TOL)
-    rep = electrical.kvl_check(dv, tol)
+    rep = electrical.kvl_check(dv, **_tol(options))
     report = AnalysisReport(
         command="kvl",
         verdict="pass" if rep.passed else "fail",
@@ -210,13 +204,8 @@ def _run_statics(doc, options):
     forces = _node_forces_static(doc)
     if not forces:
         raise MissingData("nodes[*].force")
-    mod = covector(doc.dimension)
-    f_ext = Chain(
-        doc.complex,
-        0,
-        {doc.complex.node_index(k): tuple(v) for k, v in forces.items()},
-        mod,
-    )
+    by_index = {doc.complex.node_index(k): v for k, v in forces.items()}
+    f_ext = Chain(doc.complex, 0, by_index, covector(doc.dimension))
     sol = st.solve_statics(g, f_ext)
     labels = doc.complex.branch_labels
     numbers = {
@@ -245,13 +234,13 @@ def _run_moments(doc, options):
     if origin is None:
         raise MissingData("origin", "moment balance needs --origin NODE_ID")
     fc = _force_complex(doc)
-    applied = {}
-    for lab, comps in doc.node_attr("moment").items():
-        applied[doc.complex.node_index(lab)] = Bivector(
-            doc.dimension, tuple(comps)
-        )
-    tol = options.get("tolerance", DEFAULT_TOL)
-    rep = st.moment_equilibrium_check(fc, origin, applied_moments=applied, tol=tol)
+    applied = {
+        doc.complex.node_index(lab): Bivector(doc.dimension, comps)
+        for lab, comps in doc.node_attr("moment").items()
+    }
+    rep = st.moment_equilibrium_check(
+        fc, origin, applied_moments=applied, **_tol(options)
+    )
     return AnalysisReport(
         command="moments",
         verdict="pass" if rep.passed else "fail",
@@ -277,7 +266,6 @@ def _run_mass(doc, options):
     if not masses:
         raise MissingData("nodes[*].mass")
     flows = doc.branch_attr("mass_flow")
-    tol = options.get("tolerance", DEFAULT_TOL)
     samples = doc.samples or 1
     state = dyn.DynamicsState(
         complex=doc.complex,
@@ -286,10 +274,10 @@ def _run_mass(doc, options):
         masses=_sampled(masses, doc.complex.node_index, samples),
         flows=_sampled(flows, doc.complex.branch_index, samples),
     )
-    rep = dyn.mass_balance_check(state, tol)
+    rep = dyn.mass_balance_check(state, **_tol(options))
     return AnalysisReport(
         command="mass",
-        verdict="pass" if rep.max_residual <= tol else "fail",
+        verdict="pass" if rep.passed else "fail",
         numbers={
             "max_residual": rep.max_residual,
             "flow_is_cycle": rep.flow_is_cycle,
@@ -300,10 +288,9 @@ def _run_mass(doc, options):
 
 def _run_momentum(doc, options):
     d = _dynamics_state(doc)
-    tol = options.get("tolerance", DEFAULT_TOL)
     f_ext = doc.node_series("force")
-    f_int = _branch_internal_series(doc, d.samples)
-    rep = dyn.momentum_balance_check(d, f_ext=f_ext, f_int=f_int, tol=tol)
+    f_int = _branch_internal_vectors(doc)
+    rep = dyn.momentum_balance_check(d, f_ext=f_ext, f_int=f_int, **_tol(options))
     numbers = {
         "max_residual": rep.max_residual,
         "max_residual_with_ends": rep.max_residual_full,
@@ -311,29 +298,27 @@ def _run_momentum(doc, options):
     }
     t0, t1 = options.get("t0"), options.get("t1")
     if t0 is not None and t1 is not None and f_ext:
-        numbers["impulse_momentum_gap"] = dyn.impulse_momentum_gap(
-            d, f_ext, int(t0), int(t1)
-        )
-    passed = rep.max_residual <= tol and rep.max_collective <= tol
+        numbers["impulse_momentum_gap"] = dyn.impulse_momentum_gap(d, f_ext, t0, t1)
     return AnalysisReport(
         command="momentum",
-        verdict="pass" if passed else "fail",
+        verdict="pass" if rep.passed else "fail",
         numbers=numbers,
     )
 
 
 def _run_angular(doc, options):
     d = _dynamics_state(doc)
-    tol = options.get("tolerance", DEFAULT_TOL)
     origin = options.get("origin")
     if origin is not None:
         doc.complex.node_index(origin)  # an unknown node raises UnknownLabel
         origin = doc.static_positions()[origin]
     forces = doc.node_series("force")
-    rep = dyn.angular_momentum_balance(d, forces=forces, origin=origin, tol=tol)
+    rep = dyn.angular_momentum_balance(
+        d, forces=forces, origin=origin, **_tol(options)
+    )
     return AnalysisReport(
         command="angular",
-        verdict="pass" if rep.max_residual <= tol else "fail",
+        verdict="pass" if rep.passed else "fail",
         numbers={
             "max_residual": rep.max_residual,
             "max_residual_with_ends": rep.max_residual_full,
@@ -346,7 +331,6 @@ def _run_energy(doc, options):
     import numpy as np
 
     d = _dynamics_state(doc)
-    tol = options.get("tolerance", 1e-6)
     k = KinematicalComplex(
         base=doc.complex,
         positions=np.stack([d.trajectory(i) for i in range(doc.complex.r[0])], axis=1),
@@ -357,7 +341,7 @@ def _run_energy(doc, options):
     forces = {i: f[: k.steps] for i, f in series.items()}
     for i in range(doc.complex.r[0]):
         forces.setdefault(i, np.zeros((k.steps, doc.dimension)))
-    rep = dyn.work_energy_check(d, k, forces, tol)
+    rep = dyn.work_energy_check(d, k, forces, **_tol(options))
     return AnalysisReport(
         command="energy",
         verdict="pass" if rep.passed else "fail",
@@ -370,9 +354,8 @@ def _run_energy(doc, options):
 
 def _run_virtual_work(doc, options):
     fc = _force_complex(doc)
-    tol = options.get("tolerance", DEFAULT_TOL)
-    by_sweep = st.equilibrium_via_virtual_work(fc, tol)
-    direct = st.equilibrium_check(fc, tol).in_equilibrium
+    by_sweep = st.equilibrium_via_virtual_work(fc, **_tol(options))
+    direct = st.equilibrium_check(fc, **_tol(options)).in_equilibrium
     return AnalysisReport(
         command="virtual-work",
         verdict="pass" if by_sweep else "fail",
@@ -386,21 +369,13 @@ def _run_virtual_work(doc, options):
 
 def _run_dalembert(doc, options):
     d = _dynamics_state(doc)
-    tol = options.get("tolerance", 1e-6)
     f_ext = doc.node_series("force")
-    f_int = _branch_internal_series(doc, d.samples)
-    worst = 0.0
-    for i in range(doc.complex.r[0]):
-        for c in range(doc.dimension):
-            unit = tuple(1.0 if k == c else 0.0 for k in range(doc.dimension))
-            worst = dyn.nan_max(
-                worst,
-                dyn.dalembert_residual(d, {i: unit}, f_ext=f_ext, f_int=f_int),
-            )
+    f_int = _branch_internal_vectors(doc)
+    rep = dyn.dalembert_check(d, f_ext=f_ext, f_int=f_int, **_tol(options))
     return AnalysisReport(
         command="dalembert",
-        verdict="pass" if worst <= tol else "fail",
-        numbers={"max_residual": worst},
+        verdict="pass" if rep.passed else "fail",
+        numbers={"max_residual": rep.max_residual},
     )
 
 
@@ -441,8 +416,8 @@ def run(doc, command, options=None):
 
     Floating-point overflow and invalid operations are not warned about:
     they leave an infinite or NaN residual, which fails its verdict and is
-    printed in the report."""
-    options = dict(options or {})
+    printed in the report.  Options are checked like a document's."""
+    options = documents.check_options(dict(options or {}), "options.")
     if command == "report-all":
         raise UnknownCommand("report-all expands to the document's analyses")
     if command not in _RUNNERS:
@@ -460,17 +435,17 @@ def run(doc, command, options=None):
     return report
 
 
-def run_all(doc, cli_options=None):
-    """Run every analysis requested by the document, in document order."""
+def run_all(doc, flags=None):
+    """Run every analysis requested by the document, in document order;
+    ``flags`` override each request's own options."""
     if not doc.analyses:
         raise MissingData("analyses", "report-all needs an analyses list")
-    reports = []
-    for request in doc.analyses:
-        options = dict(request.options)
-        for key, value in (cli_options or {}).items():
-            options.setdefault(key, value)
-        reports.append(run(doc, request.command, options))
-    return reports
+    return [_run_request(doc, request, flags) for request in doc.analyses]
+
+
+def _run_request(doc, request, flags):
+    """Run one request; flags override the document's options."""
+    return run(doc, request.command, {**request.options, **(flags or {})})
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +474,15 @@ def _build_parser():
     return parser
 
 
-def _cli_options(args):
-    options = {}
-    if args.tolerance is not None:
-        options["tolerance"] = args.tolerance
-    if args.origin is not None:
-        options["origin"] = args.origin
-    if args.t0 is not None:
-        options["t0"] = args.t0
-    if args.t1 is not None:
-        options["t1"] = args.t1
-    return options
+def _flags(args):
+    """The analysis options set on the command line, checked by the rule
+    of a document's options; an error names the flag."""
+    flags = {
+        name: value
+        for name, value in vars(args).items()
+        if name in documents.OPTION_TYPES and value is not None
+    }
+    return documents.check_options(flags, "--")
 
 
 def _read_document(path):
@@ -526,18 +499,17 @@ def _read_document(path):
     return documents.parse(text)
 
 
-def _reports_for_path(path, args):
+def _reports_for_path(path, command, flags):
+    """Reports of COMMAND on the document at PATH.  A single command runs
+    with the options of the document's first request for it, if any."""
     doc = _read_document(path)
-    options = _cli_options(args)
-    if args.command == "report-all":
-        return run_all(doc, options)
-    merged = {}
-    for request in doc.analyses:
-        if request.command == args.command:
-            merged = dict(request.options)
-            break
-    merged.update(options)
-    return [run(doc, args.command, merged)]
+    if command == "report-all":
+        return run_all(doc, flags)
+    request = next(
+        (r for r in doc.analyses if r.command == command),
+        documents.AnalysisRequest(command),
+    )
+    return [_run_request(doc, request, flags)]
 
 
 def main(argv=None):
@@ -546,15 +518,16 @@ def main(argv=None):
         print("exactly one of --input or --input-dir is required", file=sys.stderr)
         return 2
     try:
+        flags = _flags(args)
         if args.input is not None:
-            reports = _reports_for_path(args.input, args)
+            reports = _reports_for_path(args.input, args.command, flags)
             sys.stdout.buffer.write(emit(reports, args.format))
         else:
             if not args.input_dir.is_dir():
                 raise UnreadableInput(f"cannot read {args.input_dir}: not a directory")
             failed = False
             for path in sorted(args.input_dir.glob("*.json")):
-                reports = _reports_for_path(path, args)
+                reports = _reports_for_path(path, args.command, flags)
                 header = f"# {path.name}\n".encode()
                 sys.stdout.buffer.write(header)
                 sys.stdout.buffer.write(emit(reports, args.format))

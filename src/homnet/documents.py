@@ -206,12 +206,12 @@ def parse(text):
         signal = _parse_signal(signal)
 
     nodes = _parse_nodes(raw.get("nodes"), dimension, signal)
-    branches = _parse_branches(raw.get("branches"), {n["id"] for n in nodes}, signal)
-    faces = _parse_faces(raw.get("faces"), [b["id"] for b in branches])
+    node_ids = [n["id"] for n in nodes]
+    branches = _parse_branches(raw.get("branches"), set(node_ids), dimension, signal)
+    faces = _parse_faces(raw.get("faces"))
     analyses = _parse_analyses(raw.get("analyses"))
 
     branch_ids = [b["id"] for b in branches]
-    node_ids = [n["id"] for n in nodes]
     node_index = {lab: i for i, lab in enumerate(node_ids)}
     endpoint_pairs = [
         (node_index[b["tail"]], node_index[b["head"]]) for b in branches
@@ -295,7 +295,7 @@ def _parse_nodes(raw, dimension, signal):
     return out
 
 
-def _parse_branches(raw, node_ids, signal):
+def _parse_branches(raw, node_ids, dimension, signal):
     if not isinstance(raw, list):
         raise ValidationError("branches", "a branch list is required")
     seen = set()
@@ -322,14 +322,18 @@ def _parse_branches(raw, node_ids, signal):
             if attr in spec:
                 branch[attr] = _parse_quantity(spec[attr], signal, f"{path}.{attr}")
         if "internal_force" in spec:
-            branch["internal_force"] = _parse_scalar_or_vector(
-                spec["internal_force"], f"{path}.internal_force"
+            # an axial scalar, or a vector of the document's dimension
+            value, where = spec["internal_force"], f"{path}.internal_force"
+            branch["internal_force"] = (
+                _parse_fixed_list(value, dimension, where)
+                if isinstance(value, list)
+                else parse_scalar(value, where)
             )
         out.append(branch)
     return out
 
 
-def _parse_faces(raw, branch_ids):
+def _parse_faces(raw):
     if raw is None:
         return []
     if not isinstance(raw, list):
@@ -362,14 +366,20 @@ def _parse_analyses(raw):
         if command not in _COMMANDS:
             raise ValidationError(f"{path}.command", f"unknown command {command!r}")
         options = {k2: v for k2, v in spec.items() if k2 != "command"}
-        for name, value in options.items():
-            if name in _OPTION_TYPES and not _OPTION_TYPES[name][0](value):
-                expected = _OPTION_TYPES[name][1]
-                raise ValidationError(
-                    f"{path}.{name}", f"expected {expected}, got {value!r}"
-                )
-        out.append(AnalysisRequest(command=command, options=options))
+        out.append(AnalysisRequest(command, check_options(options, f"{path}.")))
     return out
+
+
+def check_options(options, prefix):
+    """Check the value of each known analysis option, wherever it comes
+    from; an error names the option as PREFIX + its name ("analyses[0].",
+    "--" or "options.").  Returns the options."""
+    for name, value in options.items():
+        if name in OPTION_TYPES and not OPTION_TYPES[name][0](value):
+            raise ValidationError(
+                f"{prefix}{name}", f"expected {OPTION_TYPES[name][1]}, got {value!r}"
+            )
+    return options
 
 
 def _is_int(value):
@@ -381,7 +391,7 @@ def _is_tolerance(value):
 
 
 # option -> (test of its value, what the test expects)
-_OPTION_TYPES = {
+OPTION_TYPES = {
     "tolerance": (_is_tolerance, "a finite number >= 0"),
     "t0": (_is_int, "an integer sample index"),
     "t1": (_is_int, "an integer sample index"),
@@ -514,9 +524,3 @@ def _float_samples(value, width=None):
         return None
     samples.setflags(write=False)
     return samples
-
-
-def _parse_scalar_or_vector(value, path):
-    if isinstance(value, list):
-        return tuple(parse_scalar(v, path) for v in value)
-    return parse_scalar(value, path)

@@ -133,8 +133,18 @@ def nan_max(a, b):
     return float(np.maximum(a, b))
 
 
-def _node_range(complex):
-    return range(complex.r[0])
+def _node_boundary(complex, values, shape):
+    """The boundary of branch values at every node, as arrays of ``shape``:
+    each value, a series or a static one, enters its head and leaves its tail."""
+    import numpy as np
+
+    out = {i: np.zeros(shape) for i in range(complex.r[0])}
+    for a, series in (values or {}).items():
+        series = np.asarray(series, dtype=float)
+        tail, head = complex.branches[a]
+        out[head] += series
+        out[tail] -= series
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,35 +158,31 @@ class MassBalanceReport:
     total_mass: object  # (N,) array of the total mass per sample
     flow_is_cycle: bool
     total_mass_constant: bool
+    passed: bool  # max_residual within tol
 
 
 def mass_balance_check(d, tol=DEFAULT_TOL):
     """Per node and sample: the mass rate must equal the signed sum of the
-    incident flow rates; total mass is constant exactly when the flow chain
-    is a 1-cycle."""
+    incident flow rates, and passes when every residual is within tol; total
+    mass is constant exactly when the flow chain is a 1-cycle."""
     import numpy as np
 
     cx = d.complex
     N = d.samples
     if d.flows and d.dt is None:
         raise KindMismatch("mass flows need a sampling interval dt")
-    incident = {i: np.zeros(N) for i in _node_range(cx)}
-    for a, series in d.flows.items():
-        series = np.asarray(series, dtype=float)
-        tail, head = cx.branches[a]
-        incident[head] += series
-        incident[tail] -= series
+    incident = _node_boundary(cx, d.flows, N)
 
     residual = {}
     worst = 0.0
-    for i in _node_range(cx):
+    for i in range(cx.r[0]):
         m = d.mass_series(i)
         mdot = series_derivative(m, d.dt) if d.dt is not None else np.zeros(N)
         res = mdot - incident[i]
         residual[i] = res
         worst = nan_max(worst, np.max(np.abs(res), initial=0.0))
 
-    total = sum(d.mass_series(i) for i in _node_range(cx))
+    total = sum(d.mass_series(i) for i in range(cx.r[0]))
     total = np.asarray(total, dtype=float)
     flow_cycle = all(
         float(np.max(np.abs(sum_incident), initial=0.0)) <= tol
@@ -188,6 +194,7 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
         total_mass=total,
         flow_is_cycle=flow_cycle,
         total_mass_constant=float(np.max(total) - np.min(total)) <= tol,
+        passed=worst <= tol,
     )
 
 
@@ -233,18 +240,8 @@ class MomentumBalanceReport:
     max_residual_full: float  # over every sample, end stencils included
     collective_residual: object  # (N, n) array: sum_i dp/dt - sum_i F_ext
     max_collective: float
+    passed: bool  # max_residual and max_collective within tol
 
-
-def _internal_force_at_nodes(complex, f_int, N, n):
-    import numpy as np
-
-    out = {i: np.zeros((N, n)) for i in _node_range(complex)}
-    for a, series in (f_int or {}).items():
-        series = np.asarray(series, dtype=float)
-        tail, head = complex.branches[a]
-        out[head] += series
-        out[tail] -= series
-    return out
 
 def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     """Newton balance per node: dp/dt = F_ext + boundary(F_int) at every
@@ -260,20 +257,17 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
         raise KindMismatch("momentum balance needs a sampling interval dt")
     cx = d.complex
     N = d.samples
-    boundary_forces = _internal_force_at_nodes(cx, f_int, N, d.n)
+    boundary_forces = _node_boundary(cx, f_int, (N, d.n))
     residual = {}
     worst = 0.0
     worst_full = 0.0
     trim = slice(2, -2) if N > 5 else slice(None)
     total_pdot = np.zeros((N, d.n))
     total_fext = np.zeros((N, d.n))
-    for i in _node_range(cx):
+    for i in range(cx.r[0]):
         pdot = d.momentum_rate(i)
-        ext = np.asarray(
-            (f_ext or {}).get(i, np.zeros((N, d.n))), dtype=float
-        )
-        if ext.ndim == 1:
-            ext = np.broadcast_to(ext, (N, d.n))
+        # a static force (n,) or a missing one (0.0) broadcasts over samples
+        ext = np.asarray((f_ext or {}).get(i, 0.0), dtype=float)
         res = pdot - ext - boundary_forces[i]
         residual[i] = res
         worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
@@ -281,12 +275,14 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
         total_pdot += pdot
         total_fext += ext
     collective = total_pdot - total_fext
+    max_collective = float(np.max(np.abs(collective), initial=0.0))
     return MomentumBalanceReport(
         residual=residual,
         max_residual=worst,
         max_residual_full=worst_full,
         collective_residual=collective,
-        max_collective=float(np.max(np.abs(collective), initial=0.0)),
+        max_collective=max_collective,
+        passed=worst <= tol and max_collective <= tol,
     )
 
 
@@ -333,6 +329,7 @@ class AngularMomentumReport:
     max_residual: float  # over samples with full central stencils
     max_residual_full: float  # over every sample, end stencils included
     max_drift: float  # max |L(t) - L(0)| over nodes and samples
+    passed: bool  # max_residual within tol
 
 
 def _wedge_series(r, f):
@@ -359,7 +356,7 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
     import numpy as np
 
     d.check_convective(convective_tol)
-    for i in _node_range(d.complex):
+    for i in range(d.complex.r[0]):
         m = d.mass_series(i)
         if float(np.max(m) - np.min(m)) > convective_tol:
             raise HypothesesUnmet("angular-momentum balance needs constant masses")
@@ -371,7 +368,7 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
     worst_full = 0.0
     drift = 0.0
     trim = slice(2, -2) if N > 5 else slice(None)
-    for i in _node_range(d.complex):
+    for i in range(d.complex.r[0]):
         if i not in d.trajectories:
             continue
         r = d.trajectory(i) - x0
@@ -391,6 +388,7 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
         max_residual=worst,
         max_residual_full=worst_full,
         max_drift=drift,
+        passed=worst <= tol,
     )
 
 
@@ -401,7 +399,7 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
 
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
     worst = 0.0
-    for i in _node_range(d.complex):
+    for i in range(d.complex.r[0]):
         if i not in d.trajectories or i not in forces:
             continue
         r = d.trajectory(i) - x0
@@ -429,7 +427,7 @@ def kinetic_energy(d, t_index=None):
 
     per_node = {}
     total = None
-    for i in _node_range(d.complex):
+    for i in range(d.complex.r[0]):
         if i not in d.trajectories:
             continue
         v = d.velocity(i)
@@ -576,7 +574,7 @@ def work_energy_check(d, k, forces, tol=1e-6):
             f"force system does non-vanishing work {report.cycle_work!r} on a cycle"
         )
     d.check_convective()
-    for i in _node_range(d.complex):
+    for i in range(d.complex.r[0]):
         m = d.mass_series(i)
         if float(np.max(m) - np.min(m)) > 1e-12:
             raise HypothesesUnmet("work-energy theorem needs constant masses")
@@ -590,7 +588,7 @@ def work_energy_check(d, k, forces, tol=1e-6):
     worst_gap = 0.0
     worst_drift = 0.0
     scale = 1.0
-    for i in _node_range(d.complex):
+    for i in range(d.complex.r[0]):
         if i not in d.trajectories:
             continue
         w_path = float(np.sum(works[i]))
@@ -612,23 +610,48 @@ def work_energy_check(d, k, forces, tol=1e-6):
 # d'Alembert
 # ---------------------------------------------------------------------------
 
+def _applied_minus_inertial(d, i, f_ext, boundary_forces):
+    """F_ext(i) + boundary(F_int)(i) - dp(i)/dt, an (N, n) array; a static
+    or missing external force broadcasts over the samples."""
+    import numpy as np
+
+    ext = np.asarray((f_ext or {}).get(i, 0.0), dtype=float)
+    return ext + boundary_forces[i] - d.momentum_rate(i)
+
+
 def dalembert_residual(d, delta_x, f_ext=None, f_int=None):
     """Largest virtual work of applied-minus-inertial forces over the samples:
     max_t |sum_i <F_res(i)(t) - dp(i)/dt, delta_x(i)>|; zero along a natural
     motion for every virtual displacement."""
     import numpy as np
 
-    cx = d.complex
-    N = d.samples
-    boundary_forces = _internal_force_at_nodes(cx, f_int, N, d.n)
-    total = np.zeros(N)
-    for i in _node_range(cx):
+    boundary_forces = _node_boundary(d.complex, f_int, (d.samples, d.n))
+    total = np.zeros(d.samples)
+    for i in range(d.complex.r[0]):
         dx = np.asarray(delta_x.get(i, np.zeros(d.n)), dtype=float)
-        if not dx.any():
-            continue
-        ext = np.asarray((f_ext or {}).get(i, np.zeros((N, d.n))), dtype=float)
-        if ext.ndim == 1:
-            ext = np.broadcast_to(ext, (N, d.n))
-        pdot = d.momentum_rate(i)
-        total += (ext + boundary_forces[i] - pdot) @ dx
+        if dx.any():
+            total += _applied_minus_inertial(d, i, f_ext, boundary_forces) @ dx
     return float(np.max(np.abs(total), initial=0.0))
+
+
+@dataclass
+class DalembertReport:
+    max_residual: float  # over nodes, coordinates and samples
+    passed: bool  # max_residual within tol
+
+
+def dalembert_check(d, f_ext=None, f_int=None, tol=1e-6):
+    """d'Alembert's principle for every unit virtual displacement of one
+    node along one coordinate: the largest ``dalembert_residual`` over them
+    all must be within tol.  Each node's applied-minus-inertial force is
+    formed once and paired with each unit vector, so a non-finite entry
+    poisons the same pairings as it does there."""
+    import numpy as np
+
+    boundary_forces = _node_boundary(d.complex, f_int, (d.samples, d.n))
+    worst = 0.0
+    for i in range(d.complex.r[0]):
+        net = _applied_minus_inertial(d, i, f_ext, boundary_forces)
+        for unit in np.eye(d.n):
+            worst = nan_max(worst, np.max(np.abs(net @ unit), initial=0.0))
+    return DalembertReport(max_residual=worst, passed=worst <= tol)

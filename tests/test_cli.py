@@ -9,6 +9,7 @@ import pytest
 
 from homnet import chains, cli, documents, reports
 from homnet.complexes import Complex
+from homnet.errors import ValidationError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDENS = FIXTURES.parent / "perfbench" / "goldens"
@@ -145,8 +146,9 @@ def test_emitted_json_writes_non_finite_floats_as_strings():
     [
         ("angular", 0.001, [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]),
         ("momentum", 0.1, [[1e307 * (-1) ** a] for a in range(6)]),
+        ("dalembert", 0.1, [[1e307 * (-1) ** a] for a in range(6)]),
     ],
-    ids=["wedge-overflow", "derivative-overflow"],
+    ids=["wedge-overflow", "derivative-overflow", "dalembert-overflow"],
 )
 def test_overflowing_analysis_fails_without_a_warning(tmp_path, capsys, command, dt, pos):
     # any numpy RuntimeWarning raises under the "error" filter; the
@@ -518,6 +520,14 @@ def test_main_requires_exactly_one_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, value", [("t0", 1.5), ("tolerance", math.nan)])
+def test_run_checks_its_options(name, value):
+    options = {"t0": 0, "t1": 3, name: value}
+    with pytest.raises(ValidationError) as err:
+        cli.run(load("freefall.json"), "momentum", options)
+    assert err.value.path == f"options.{name}"
+
+
 def test_per_analysis_options_respected():
     # analyses entries carry their own tolerances; CLI merges on top
     doc = load("orbit.json")
@@ -659,6 +669,57 @@ def test_batch_stops_at_an_unreadable_document(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "# a.json\n" in captured.out and "# c.json" not in captured.out
     assert captured.err.startswith(f"error: {tmp_path / 'b.json'} is not UTF-8: ")
+
+
+@pytest.mark.parametrize("command", ["energy", "report-all"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_flag_must_be_finite_and_not_negative(capsys, command, value):
+    # the same rule as a document's tolerance, named by the flag
+    args = [command, "--input", str(FIXTURES / "freefall.json"), "--tolerance", value]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --tolerance: expected a finite number >= 0, "
+        f"got {float(value)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["kcl", "report-all"])
+def test_flags_override_document_options(tmp_path, capsys, command):
+    # branch AB's float current leaves each node 1e-6 out of balance
+    source = tmp_path / "leak.json"
+    source.write_text(json.dumps({
+        "dimension": 1,
+        "nodes": [{"id": "A"}, {"id": "B"}],
+        "branches": [{"id": "AB", "tail": "A", "head": "B", "current": 1e-6}],
+        "analyses": [{"command": "kcl", "tolerance": 1e-3}],
+    }))
+    assert cli.main([command, "--input", str(source)]) == 0
+    assert "== kcl: PASS ==" in capsys.readouterr().out
+    assert cli.main([command, "--input", str(source), "--tolerance", "1e-9"]) == 1
+    assert "== kcl: FAIL ==" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("force", [[3], [3, 4, 99]], ids=["short", "long"])
+def test_internal_force_of_another_dimension_is_an_error(tmp_path, capsys, force):
+    # a vector of another length is an error, never read short or padded
+    source = tmp_path / "truss.json"
+    source.write_text(json.dumps({
+        "dimension": 2,
+        "nodes": [
+            {"id": "A", "pos": [0, 0], "force": [3, 4]},
+            {"id": "B", "pos": [3, 4], "force": [-3, -4]},
+        ],
+        "branches": [
+            {"id": "AB", "tail": "A", "head": "B", "internal_force": force},
+        ],
+        "analyses": ["virtual-work"],
+    }))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    assert capsys.readouterr().err == (
+        "error: branches[0].internal_force: expected a list of 2 numbers\n"
+    )
 
 
 def test_document_option_of_another_type_is_an_error(tmp_path, capsys):

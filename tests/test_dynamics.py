@@ -632,3 +632,62 @@ def test_dalembert_reduces_to_virtual_work_when_static(pair):
     f_ext = {0: np.tile([3.0, 0.0], (11, 1))}
     res = dyn.dalembert_residual(d, {0: (1.0, 0.0)}, f_ext=f_ext)
     assert res == pytest.approx(3.0)
+
+
+# -- verdicts at the given tolerance -------------------------------------------------------------
+
+def sampled_check(name, pair, **tol):
+    """The report of one sampled check on data that no balance law fits
+    exactly, and the largest residual its verdict reads."""
+    t = np.arange(12) * 0.1
+    if name == "mass":
+        d = dyn.DynamicsState(
+            complex=pair, n=2, dt=0.1, masses={0: 1 + t**3, 1: 2 - t},
+            flows={0: np.cos(t)},
+        )
+        report = dyn.mass_balance_check(d, **tol)
+        return report, report.max_residual
+    d = dyn.DynamicsState(
+        complex=pair, n=2, dt=0.1, masses={0: 1.0, 1: 2.0},
+        trajectories={
+            0: np.stack([np.sin(t), t**3], axis=1),
+            1: np.stack([1 + np.cos(t), t], axis=1),
+        },
+    )
+    f_int = {0: np.stack([t, -(t**2)], axis=1)}
+    if name == "momentum":
+        report = dyn.momentum_balance_check(d, f_int=f_int, **tol)
+        return report, max(report.max_residual, report.max_collective)
+    if name == "angular":
+        report = dyn.angular_momentum_balance(d, **tol)
+        return report, report.max_residual
+    report = dyn.dalembert_check(d, f_int=f_int, **tol)
+    return report, report.max_residual
+
+
+@pytest.mark.parametrize("name", ["mass", "momentum", "angular", "dalembert"])
+def test_sampled_check_passes_up_to_its_largest_residual(pair, name):
+    _, worst = sampled_check(name, pair)
+    assert 0 < worst < math.inf
+    assert sampled_check(name, pair, tol=worst)[0].passed
+    assert not sampled_check(name, pair, tol=math.nextafter(worst, 0))[0].passed
+
+
+def test_dalembert_check_sweeps_every_unit_displacement(pair):
+    d = dyn.DynamicsState(
+        complex=pair, n=2, dt=0.1, masses={0: 1.0, 1: 1.0},
+        trajectories={
+            0: np.tile([0.0, 0.0], (11, 1)),
+            1: np.tile([1.0, 0.0], (11, 1)),
+        },
+    )
+    f_ext = {1: np.tile([0.0, -4.0], (11, 1))}
+    f_int = {0: np.tile([3.0, 0.0], (11, 1))}
+    swept = max(
+        dyn.dalembert_residual(d, {i: unit}, f_ext=f_ext, f_int=f_int)
+        for i in range(2)
+        for unit in [(1.0, 0.0), (0.0, 1.0)]
+    )
+    report = dyn.dalembert_check(d, f_ext=f_ext, f_int=f_int)
+    assert report.max_residual == swept == 4.0
+    assert not report.passed

@@ -126,6 +126,7 @@ def test_cold_float_overflow_prints_no_warning(tmp_path):
             0.001, [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]
         )),
         ("momentum", trajectory(0.1, [[x] for x in swinging])),
+        ("dalembert", trajectory(0.1, [[x] for x in swinging])),
         ("kcl", charging),
     ]
     runs = [

@@ -56,6 +56,14 @@ def test_time_series_is_never_exact():
     assert not mod.is_zero(np.array([0.0, 1e-10, 0.0]), 0)
 
 
+def test_equality_compares_values_not_stored_entries(circle):
+    padded = hn.Cochain(circle, 0, {0: 0, 1: 2}, coeffs.INTEGER, prune=False)
+    pruned = hn.Cochain(circle, 0, {1: 2}, coeffs.INTEGER)
+    assert (padded - pruned).is_zero()
+    assert padded == pruned and pruned == padded
+    assert padded != hn.Cochain(circle, 0, {0: 1, 1: 2}, coeffs.INTEGER)
+
+
 # -- verdicts that a tolerance on exact data got wrong ------------------------------
 
 def truss_document(tmp_path, load_on_c, analysis):
