@@ -16,11 +16,17 @@ path components are its trees, the rank is its number of branches, and the
 fundamental cycle of each chord is the nullspace vector of that chord's
 free column.
 
-Every question about the boundary map on faces is answered by one cached
-echelon (``Complex.face_echelon``) of that map stacked with the chords'
-fundamental cycles: its pivots below the face count are the rank, its face
-block back-substitutes to the 2-cycles, and the cycle columns that are
-pivots are independent modulo the face boundaries.
+The boundary map on faces is first collapsed (``Complex.collapse``), the
+discrete-Morse matching of Forman's theory: each face is matched to a free
+branch, one lying in exactly one face not yet matched, which frees others
+in turn.  When every face is matched, the pairs in collapse order pick a
+unit lower-triangular minor of full rank, and the homology module reads
+every answer about the faces from them (see ``homnet.homology``).  A complex
+with a face left unmatched, such as a closed surface, is answered by one
+cached echelon (``Complex.face_echelon``) of that map stacked with the
+chords' fundamental cycles: its pivots below the face count are the rank,
+its face block back-substitutes to the 2-cycles, and the cycle columns that
+are pivots are independent modulo the face boundaries.
 """
 
 from __future__ import annotations
@@ -73,6 +79,28 @@ class SpanningForest:
         if coeffs[min(coeffs)] < 0:
             coeffs = {a: -v for a, v in coeffs.items()}
         return coeffs
+
+
+def spanning_chords(node_count, branches):
+    """The chords of the spanning forest that keeps each branch joining two
+    components, scanned in the order given: ``branches`` yields
+    ``(index, (tail, head))``, and the indices left out are returned."""
+    rep = list(range(node_count))  # union-find; each set is named by its lowest node
+
+    def find(i):
+        while rep[i] != i:
+            rep[i] = rep[rep[i]]
+            i = rep[i]
+        return i
+
+    chords = []
+    for a, (tail, head) in branches:
+        rt, rh = find(tail), find(head)
+        if rt == rh:
+            chords.append(a)
+        else:
+            rep[max(rt, rh)] = min(rt, rh)
+    return chords
 
 
 @dataclass(frozen=True)
@@ -191,24 +219,13 @@ class Complex:
     def forest(self):
         """The spanning forest of the branches scanned in index order."""
         r0 = len(self.node_labels)
-        rep = list(range(r0))  # union-find; each set is named by its lowest node
-
-        def find(i):
-            while rep[i] != i:
-                rep[i] = rep[rep[i]]
-                i = rep[i]
-            return i
-
+        chords = spanning_chords(r0, enumerate(self.branches))
         tree = [[] for _ in range(r0)]
-        chords = []
+        skip = set(chords)
         for a, (tail, head) in enumerate(self.branches):
-            rt, rh = find(tail), find(head)
-            if rt == rh:
-                chords.append(a)
-                continue
-            rep[max(rt, rh)] = min(rt, rh)
-            tree[tail].append((a, head, 1))
-            tree[head].append((a, tail, -1))
+            if a not in skip:
+                tree[tail].append((a, head, 1))
+                tree[head].append((a, tail, -1))
 
         parent = [None] * r0
         branch = [None] * r0
@@ -231,6 +248,42 @@ class Complex:
         return SpanningForest(tuple(self.branches), tuple(parent), tuple(branch),
                               tuple(sign), tuple(component), tuple(order),
                               tuple(chords))
+
+    @cached_property
+    def collapse(self):
+        """The faces matched to free branches, as ``(face, branch)`` pairs in
+        collapse order, or None when some face is left unmatched.
+
+        A branch is free when it lies in exactly one live face; matching a
+        face to a free branch removes the face, which may free its other
+        branches.  The faces left at the end do not depend on the order, as
+        removing a face only frees branches.  In collapse order the i-th
+        branch lies in the i-th face and in no later one, so the pairs pick
+        a unit lower-triangular minor of the boundary on faces.  Shared by
+        every caller, so read-only."""
+        faces_of = [[] for _ in self.branches]
+        for f, edges in enumerate(self.faces):
+            for b, _ in edges:
+                faces_of[b].append(f)
+        live = [len(fs) for fs in faces_of]
+        alive = [True] * len(self.faces)
+        work = [b for b, n in enumerate(live) if n == 1]
+        work.reverse()  # a stack; the lowest free branch goes first
+        pairs = []
+        while work:
+            b = work.pop()
+            if live[b] != 1:
+                continue
+            for f in faces_of[b]:
+                if alive[f]:
+                    break
+            alive[f] = False
+            pairs.append((f, b))
+            for c, _ in self.faces[f]:
+                live[c] -= 1
+                if live[c] == 1:
+                    work.append(c)
+        return tuple(pairs) if len(pairs) == len(self.faces) else None
 
     @cached_property
     def face_echelon(self):

@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,6 +195,10 @@ def parse(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.msg) from None
+    except ValueError:
+        # the one other failure: an integer literal past the digit limit of
+        # int-to-str conversion
+        raise _long_literal(text) from None
     if not isinstance(raw, dict):
         raise ValidationError("$", "document must be a JSON object")
 
@@ -401,6 +406,42 @@ OPTION_TYPES = {
 
 # -- value parsing -----------------------------------------------------------
 
+def _too_many_digits(digits):
+    """The message for a literal of ``digits`` digits, or None when the
+    int-to-str conversion limit allows it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        return f"a number literal of {digits} digits exceeds the {limit}-digit limit"
+    return None
+
+
+class _Digits(int):
+    """Stand-in for an integer literal too long to convert: its digit count."""
+
+
+def _long_literal(text):
+    """The error naming where a document's over-long integer literal sits,
+    found by parsing it again with such literals replaced by their digit
+    counts; only a failed parse pays for this."""
+    def parse_int(literal):
+        digits = len(literal.lstrip("-"))
+        return _Digits(digits) if _too_many_digits(digits) else int(literal)
+
+    stack = [("$", json.loads(text, parse_int=parse_int))]
+    while stack:
+        path, value = stack.pop()
+        if type(value) is _Digits:
+            return ValidationError(path, _too_many_digits(value))
+        if isinstance(value, dict):
+            items = [(k if path == "$" else f"{path}.{k}", v) for k, v in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(items))
+    return ValidationError("$", "a number literal exceeds the digit limit")
+
+
 def parse_scalar(value, path="$"):
     """One scalar: int and "p/q" strings stay exact, everything else floats.
 
@@ -419,7 +460,9 @@ def parse_scalar(value, path="$"):
         try:
             x = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValidationError(path, f"not a number or fraction: {value!r}") from None
+            digits = max(map(len, re.findall(r"\d+", value)), default=0)
+            message = _too_many_digits(digits) or f"not a number or fraction: {value!r}"
+            raise ValidationError(path, message) from None
         return _in_float_range(x, path)
     raise ValidationError(path, f"not a scalar: {value!r}")
 

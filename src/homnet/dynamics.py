@@ -153,8 +153,7 @@ def _node_boundary(complex, values, shape):
 
 @dataclass
 class MassBalanceReport:
-    residual: dict  # node -> (N,) array of dm/dt minus incident flows
-    max_residual: float
+    max_residual: float  # over nodes and samples of dm/dt minus incident flows
     total_mass: object  # (N,) array of the total mass per sample
     flow_is_cycle: bool
     total_mass_constant: bool
@@ -173,13 +172,11 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
         raise KindMismatch("mass flows need a sampling interval dt")
     incident = _node_boundary(cx, d.flows, N)
 
-    residual = {}
     worst = 0.0
     for i in range(cx.r[0]):
         m = d.mass_series(i)
         mdot = series_derivative(m, d.dt) if d.dt is not None else np.zeros(N)
         res = mdot - incident[i]
-        residual[i] = res
         worst = nan_max(worst, np.max(np.abs(res), initial=0.0))
 
     total = sum(d.mass_series(i) for i in range(cx.r[0]))
@@ -189,7 +186,6 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
         for sum_incident in incident.values()
     )
     return MassBalanceReport(
-        residual=residual,
         max_residual=worst,
         total_mass=total,
         flow_is_cycle=flow_cycle,
@@ -235,11 +231,10 @@ def center_of_mass(masses, g):
 
 @dataclass
 class MomentumBalanceReport:
-    residual: dict  # node -> (N, n) array of dp/dt - F_ext - boundary(F_int)
+    # the residual per node is dp/dt - F_ext - boundary(F_int)
     max_residual: float  # over samples with full central stencils
     max_residual_full: float  # over every sample, end stencils included
-    collective_residual: object  # (N, n) array: sum_i dp/dt - sum_i F_ext
-    max_collective: float
+    max_collective: float  # of sum_i dp/dt - sum_i F_ext over samples
     passed: bool  # max_residual and max_collective within tol
 
 
@@ -258,7 +253,6 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     cx = d.complex
     N = d.samples
     boundary_forces = _node_boundary(cx, f_int, (N, d.n))
-    residual = {}
     worst = 0.0
     worst_full = 0.0
     trim = slice(2, -2) if N > 5 else slice(None)
@@ -269,7 +263,6 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
         # a static force (n,) or a missing one (0.0) broadcasts over samples
         ext = np.asarray((f_ext or {}).get(i, 0.0), dtype=float)
         res = pdot - ext - boundary_forces[i]
-        residual[i] = res
         worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
         worst_full = nan_max(worst_full, np.max(np.abs(res), initial=0.0))
         total_pdot += pdot
@@ -277,10 +270,8 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     collective = total_pdot - total_fext
     max_collective = float(np.max(np.abs(collective), initial=0.0))
     return MomentumBalanceReport(
-        residual=residual,
         max_residual=worst,
         max_residual_full=worst_full,
-        collective_residual=collective,
         max_collective=max_collective,
         passed=worst <= tol and max_collective <= tol,
     )
@@ -324,8 +315,7 @@ def impulse_momentum_gap(d, forces, t0, t1):
 
 @dataclass
 class AngularMomentumReport:
-    angular_momentum: dict  # node -> (N, comps) bivector component arrays
-    residual: dict  # node -> (N, comps) of dL/dt - r wedge F
+    # the residual per node is dL/dt - r wedge F, L = r wedge p
     max_residual: float  # over samples with full central stencils
     max_residual_full: float  # over every sample, end stencils included
     max_drift: float  # max |L(t) - L(0)| over nodes and samples
@@ -362,8 +352,6 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
             raise HypothesesUnmet("angular-momentum balance needs constant masses")
     N = d.samples
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
-    ls = {}
-    residual = {}
     worst = 0.0
     worst_full = 0.0
     drift = 0.0
@@ -374,17 +362,13 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
         r = d.trajectory(i) - x0
         p = d.momentum(i)
         L = _wedge_series(r, p)
-        ls[i] = L
         drift = nan_max(drift, np.max(np.abs(L - L[0]), initial=0.0))
         ldot = series_derivative(L, d.dt)
         f = np.asarray((forces or {}).get(i, np.zeros((N, d.n))), dtype=float)
         res = ldot - _wedge_series(r, f)
-        residual[i] = res
         worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
         worst_full = nan_max(worst_full, np.max(np.abs(res), initial=0.0))
     return AngularMomentumReport(
-        angular_momentum=ls,
-        residual=residual,
         max_residual=worst,
         max_residual_full=worst_full,
         max_drift=drift,

@@ -17,14 +17,18 @@ def circle():
     return hn.build_complex(["A", "B", "C"], [("A", "B"), ("A", "C"), ("B", "C")])
 
 
-@pytest.fixture
-def disc():
+def triangulated_disc():
     """Triangulated disc: rim ABC with interior node D and three faces."""
     return hn.build_complex(
         ["A", "B", "C", "D"],
         [("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")],
         faces=[("A", "B", "D"), ("B", "C", "D"), ("A", "D", "C")],
     )
+
+
+@pytest.fixture
+def disc():
+    return triangulated_disc()
 
 
 @pytest.fixture
@@ -86,6 +90,18 @@ def tetrahedron_surface():
         verts,
         list(itertools.combinations(verts, 2)),
         faces=list(itertools.combinations(verts, 3)),
+    )
+
+
+def disjoint_union(first, second):
+    """The two complexes side by side, the second's labels primed."""
+    r0, r1 = first.r[0], first.r[1]
+    return hn.Complex(
+        first.node_labels + [f"{lab}'" for lab in second.node_labels],
+        first.branches + [(t + r0, h + r0) for t, h in second.branches],
+        first.faces + [tuple((b + r1, s) for b, s in f) for f in second.faces],
+        branch_labels=first.branch_labels + [f"{lab}'" for lab in second.branch_labels],
+        face_labels=first.face_labels + [f"{lab}'" for lab in second.face_labels],
     )
 
 

@@ -359,6 +359,36 @@ def test_main_names_the_bad_sample_of_a_scalar_series(tmp_path, capsys):
     assert err.startswith("error: nodes[0].mass[2]: too large for a float")
 
 
+LONG_LITERAL = "1" + "0" * (sys.get_int_max_str_digits() + 99)
+
+
+def test_main_names_an_integer_literal_past_the_digit_limit(tmp_path, capsys):
+    # json.loads cannot convert the literal, so the document names where it is
+    doc = json.loads((FIXTURES / "triangle_truss.json").read_text())
+    doc["nodes"][1]["pos"] = ["LONG", 0]
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(doc).replace('"LONG"', LONG_LITERAL))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    digits, limit = len(LONG_LITERAL), sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == (
+        f"error: nodes[1].pos[0]: a number literal of {digits} digits"
+        f" exceeds the {limit}-digit limit\n"
+    )
+
+
+def test_main_gives_the_digit_count_of_a_long_fraction_string(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "triangle_truss.json").read_text())
+    doc["nodes"][1]["force"] = [f"{LONG_LITERAL}/3", "3"]
+    source = tmp_path / "bad.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    digits, limit = len(LONG_LITERAL), sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == (
+        f"error: nodes[1].force: a number literal of {digits} digits"
+        f" exceeds the {limit}-digit limit\n"
+    )
+
+
 def test_energy_on_one_sample_needs_two_snapshots(tmp_path, capsys):
     doc = json.loads((FIXTURES / "freefall.json").read_text())
     doc["signal"]["samples"] = 1
