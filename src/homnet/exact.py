@@ -2,21 +2,32 @@
 
 Rank, linear solves and nullspaces are reduced to one primitive: the
 fraction-free integer row echelon of the elimination kernel (``_kernel``,
-pure Python over unbounded integers).  Rational input rows are scaled to
-integers first, and floats are taken as the exact dyadic rationals they are;
-neither changes ranks, nullspaces or solution sets.  Rows of plain ints
-(incidence and integer-position statics) pass to the kernel as they are.
+pure Python over unbounded integers, sparse rows).  Rational input rows are
+scaled to integers first, and floats are taken as the exact dyadic
+rationals they are; neither changes ranks, nullspaces or solution sets.
+Rows of plain ints (incidence and integer-position statics) pass to the
+kernel as they are.
+
+The kernel picks its pivot rows by sparsity, so its echelon rows depend
+on the order of the input rows, but nothing read here does.  Column c is a
+pivot column iff it lies outside the span of the columns before it, a
+property of the columns alone; the rank counts the pivots; the solution
+with the free variables zero is unique, and the nullspace vector of a free
+column is the unique one that is 1 there and 0 at the other free columns,
+made primitive.
 
 Each linear system is eliminated once: ``solve`` reads the solution and the
 nullspace of [A | b] off one echelon by one integer back-substitution,
 ``back_substitute``.  It reads only the columns below a bound n: the left
 block of an echelon is the echelon of that block, so one echelon of [A | B]
 serves every question about A.  With pivot columns p_k < n and d the last
-of those pivots (the pivot minor's determinant), d times the pivot block's
-inverse is integral by Cramer's rule, so in
+of those pivots (plus or minus the pivot minor's determinant), d times the
+pivot block's inverse is integral by Cramer's rule, so in
 X[k] = (d * U[k][cols] - sum_{j>k} U[k][p_j] * X[j]) // U[k][p_k] every
 division is exact.  Then x[p_k] = X[k][b] / d, and the nullspace vector of
-free column f is d at f and -X[k][f] at each p_k, made primitive.
+free column f is d at f and -X[k][f] at each p_k, made primitive.  The
+substitution walks only nonzeros: those of the pivot rows, and those of X,
+where free column f lives on the pivots left of f.
 
 The Smith normal form is computed here directly; torsion reporting runs it
 only when the face echelon does not already certify H1 torsion-free, so it
@@ -28,15 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import _kernel
+
+_INT = frozenset({int})  # the type set of a row of plain ints
 
 
 def scaled_to_integers(row):
     """The row times the common denominator of its entries, as plain ints,
     and that denominator; a float counts as the exact dyadic rational it
     is.  A row of plain ints is returned as it is, over 1."""
-    if all(type(x) is int for x in row):
+    if _INT.issuperset(map(type, row)):
         return row, 1
     row = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
     m = math.lcm(*[x.denominator for x in row])
@@ -76,24 +90,37 @@ def back_substitute(rows, pivots, n, extra=()):
     pivots = [p for p in pivots if p < n]
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     free = sorted(set(range(n)).difference(pivots))
-    cols = free + list(extra)
-    X = [None] * len(pivots)
+    solved = set(free).union(extra)
+    row_of = {p: k for k, p in enumerate(pivots)}
+    span = range(len(rows[0]) if pivots else 0)
+    X = [None] * len(pivots)  # X[k]: solved column -> its nonzero entry
     for k in reversed(range(len(pivots))):
         row = rows[k]
-        acc = [d * row[c] for c in cols]
-        for j in range(k + 1, len(pivots)):
-            u = row[pivots[j]]
-            if u:
-                acc = [a - u * v for a, v in zip(acc, X[j])]
-        X[k] = [a // row[pivots[k]] for a in acc]
-    basis = [[d if c == fc else 0 for c in range(n)] for fc in free]
+        acc = {}
+        for c in compress(span, row):
+            j = row_of.get(c)
+            if j is None:
+                if c in solved:
+                    acc[c] = acc.get(c, 0) + d * row[c]
+            elif j > k:
+                u = row[c]
+                for f, v in X[j].items():
+                    acc[f] = acc.get(f, 0) - u * v
+        piv = row[pivots[k]]
+        X[k] = {f: a // piv for f, a in acc.items() if a}
+    basis = {fc: [0] * n for fc in free}
+    for fc, vec in basis.items():
+        vec[fc] = d
     solutions = [[Fraction(0)] * n for _ in extra]
+    by_column = dict(zip(extra, solutions))
     for k, p in enumerate(pivots):
-        for vec, v in zip(basis, X[k]):
-            vec[p] = -v
-        for x, v in zip(solutions, X[k][len(free):]):
-            x[p] = Fraction(v, d)
-    return [normalize_primitive(v) for v in basis], solutions
+        for c, v in X[k].items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[p] = -v
+            else:
+                by_column[c][p] = Fraction(v, d)
+    return [normalize_primitive(v) for v in basis.values()], solutions
 
 
 def solve(matrix, rhs):
@@ -124,15 +151,13 @@ def nullspace(matrix):
 
 def normalize_primitive(vec):
     """Scale a rational vector to coprime integers with positive leading sign."""
-    if all(type(v) is int for v in vec):
+    if _INT.issuperset(map(type, vec)):
         ints = list(vec)
     else:
         denoms = [v.denominator for v in vec if isinstance(v, Fraction)]
         m = math.lcm(*denoms) if denoms else 1
         ints = [int(v * m) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     for v in ints:

@@ -3,8 +3,8 @@
 Identical inputs must produce identical output bytes, so serialization never
 relies on dict insertion order or platform float repr: keys are sorted,
 floats are printed with 17 significant digits, exact values are printed as
-integer or fraction strings.  JSON output writes non-finite floats as the
-strings "inf", "-inf" and "nan".
+integer or fraction strings of any length.  JSON output writes non-finite
+floats as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -66,15 +66,42 @@ def jsonable(value):
     return str(value)
 
 
+def _int_text(n):
+    """The decimal digits of an int of any size.  Python refuses ``str`` of
+    an int past ``sys.get_int_max_str_digits()`` digits, a process-wide
+    setting that is left alone: such an int is written in pieces of that
+    many digits, split off by divmod with a power of ten and zero-padded."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    width = sys.get_int_max_str_digits()
+    unit = 10**width
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= unit:
+        n, low = divmod(n, unit)
+        pieces.append(str(low).zfill(width))
+    pieces.append(str(n))
+    return sign + "".join(reversed(pieces))
+
+
+def _fraction_text(q):
+    """``str`` of a Fraction, for numerators and denominators of any size."""
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
 def format_number(x):
     """Fixed number formatting: exact kinds as integer/fraction strings,
     floats with 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
-        return str(x)
+        return _int_text(x)
     if isinstance(x, Fraction):
-        return str(x)
+        return _fraction_text(x)
     if isinstance(x, float):
         if x == 0.0:
             x = 0.0  # collapse -0.0
@@ -88,12 +115,12 @@ def _render(value, out):
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, int):
-        out.append(str(value))
+        out.append(_int_text(value))
     elif isinstance(value, float):
         text = format_number(value)
         out.append(text if math.isfinite(value) else f'"{text}"')
     elif isinstance(value, Fraction):
-        out.append(f'"{value}"')
+        out.append(f'"{_fraction_text(value)}"')
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, (list, tuple)):

@@ -93,6 +93,31 @@ def tetrahedron_surface():
     )
 
 
+def boundary_test(cx, coeffs):
+    test = hn.is_boundary(hn.Chain(cx, 1, coeffs, hn.RATIONAL))
+    if not test.bounds:
+        return None
+    return test.witness.module, {f: (type(v), v) for f, v in test.witness.coeffs.items()}
+
+
+def face_answers(cx, chains):
+    """Every answer homology reads from the boundary on faces, and the
+    boundary tests of the chains given by their coefficients."""
+    return (
+        hn.betti_numbers(cx),
+        hn.torsion_coefficients(cx),
+        [z.coeffs for z in hn.homology_generators(cx, 1)] if cx.dim >= 1 else [],
+        [z.coeffs for z in hn.cycle_basis(cx, 2)],
+        [boundary_test(cx, coeffs) for coeffs in chains],
+    )
+
+
+def fresh_copy(cx):
+    """The same complex with nothing cached."""
+    return hn.Complex(cx.node_labels, cx.branches, cx.faces,
+                      branch_labels=cx.branch_labels, face_labels=cx.face_labels)
+
+
 def disjoint_union(first, second):
     """The two complexes side by side, the second's labels primed."""
     r0, r1 = first.r[0], first.r[1]

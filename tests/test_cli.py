@@ -140,6 +140,38 @@ def test_emitted_json_writes_non_finite_floats_as_strings():
     assert b"max_collective_residual = inf\n" in reports.emit(report, "text")
 
 
+def long_int(digits):
+    """The int a decimal digit string writes, built in pieces: ``int`` of
+    a string past the int-to-str digit limit is refused too."""
+    n = 0
+    for k in range(0, len(digits), 1000):
+        piece = digits[k:k + 1000]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+def test_emit_writes_exact_values_past_the_digit_limit():
+    # past twice the default limit of 4,300 digits: written in pieces of
+    # 4,300 digits from the right, the trailing zeros fill the lowest
+    # piece and start the next, so both need their zero padding
+    digits = "9" + "0123456789" * 500 + "0" * 4400
+    n = long_int(digits)
+    report = reports.AnalysisReport("statics", "value", numbers={
+        "big": n, "negative": -n, "tiny": Fraction(1, n), "sevenths": Fraction(n, 7),
+    })
+    assert n % 7  # the sevenths stay a fraction
+    text = reports.emit(report, "text").decode()
+    assert f"    big = {digits}\n" in text
+    assert f"    negative = -{digits}\n" in text
+    assert f"    sevenths = {digits}/7\n" in text
+    assert f"    tiny = 1/{digits}\n" in text
+    payload = reports.emit(report, "json").decode()
+    assert f'"big":{digits},' in payload
+    assert f'"negative":-{digits},' in payload
+    assert f'"sevenths":"{digits}/7",' in payload
+    assert f'"tiny":"1/{digits}"' in payload
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command, dt, pos",

@@ -17,6 +17,8 @@ from homnet.complexes import Complex
 from conftest import (
     complexes,
     disjoint_union,
+    face_answers,
+    fresh_copy,
     real_projective_plane,
     tetrahedron_surface,
     triangulated_disc,
@@ -25,12 +27,6 @@ from conftest import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 WEIGHTS = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=8)
-
-
-def fresh_copy(cx):
-    """The same complex with nothing cached."""
-    return Complex(cx.node_labels, cx.branches, cx.faces,
-                   branch_labels=cx.branch_labels, face_labels=cx.face_labels)
 
 
 def combination(cx, cycle_weights, face_weights):
@@ -42,25 +38,6 @@ def combination(cx, cycle_weights, face_weights):
         face = hn.Chain(cx, 2, {f: 1}, hn.RATIONAL)
         chain = chain + hn.boundary(face).scaled(Fraction(*w))
     return chain.coeffs
-
-
-def boundary_test(cx, coeffs):
-    test = hn.is_boundary(hn.Chain(cx, 1, coeffs, hn.RATIONAL))
-    if not test.bounds:
-        return None
-    return test.witness.module, {f: (type(v), v) for f, v in test.witness.coeffs.items()}
-
-
-def face_answers(cx, chains):
-    """Every answer homology reads from the boundary on faces, and the
-    boundary tests of the chains given by their coefficients."""
-    return (
-        hn.betti_numbers(cx),
-        hn.torsion_coefficients(cx),
-        [z.coeffs for z in hn.homology_generators(cx, 1)] if cx.dim >= 1 else [],
-        [z.coeffs for z in hn.cycle_basis(cx, 2)],
-        [boundary_test(cx, coeffs) for coeffs in chains],
-    )
 
 
 def reversed_disc():
