@@ -54,6 +54,13 @@ def _branch_internal_vectors(doc):
 
 
 def _dynamics_state(doc):
+    """The document's dynamics state, built once and shared by `momentum`,
+    `angular`, `dalembert` and `energy`, so each node's velocity, momentum
+    and momentum rate are computed once per document."""
+    return doc.memo("dynamics", lambda: _build_dynamics_state(doc))
+
+
+def _build_dynamics_state(doc):
     if doc.signal is None:
         raise MissingData("signal", "trajectory analyses need a signal block")
     masses = doc.node_attr("mass")
@@ -296,9 +303,10 @@ def _run_momentum(doc, options):
         "max_residual_with_ends": rep.max_residual_full,
         "max_collective_residual": rep.max_collective,
     }
-    t0, t1 = options.get("t0"), options.get("t1")
-    if t0 is not None and t1 is not None and f_ext:
-        numbers["impulse_momentum_gap"] = dyn.impulse_momentum_gap(d, f_ext, t0, t1)
+    if "t0" in options and f_ext:  # options give both bounds or neither
+        numbers["impulse_momentum_gap"] = dyn.impulse_momentum_gap(
+            d, f_ext, options["t0"], options["t1"]
+        )
     return AnalysisReport(
         command="momentum",
         verdict="pass" if rep.passed else "fail",

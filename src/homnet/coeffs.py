@@ -24,6 +24,7 @@ from .errors import (
     KindMismatch,
     PairingUndefined,
     ToleranceBelowPruneFloor,
+    TooFewSamples,
 )
 
 # Magnitude below which float-kind coefficients are pruned from sparse chains.
@@ -422,7 +423,7 @@ def series_derivative(x, dt):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if n < 3:
-        raise KindMismatch("derivative needs at least 3 samples")
+        raise TooFewSamples("derivatives need at least 3 samples")
     d = np.empty_like(x)
     d[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
     d[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * dt)

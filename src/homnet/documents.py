@@ -71,8 +71,8 @@ class NetworkDocument:
     source_text: str = ""
     source_sha256: str = ""  # hex digest of source_text, hashed once in parse
     floats: bool = False  # some node or branch value is a float or float array
-    _series: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     # -- attribute collectors ------------------------------------------------
 
@@ -110,6 +110,15 @@ class NetworkDocument:
             pos[spec["id"]] = tuple(p.tolist() if is_array(p) else p)
         return pos
 
+    def memo(self, key, build):
+        """What ``build()`` returns, built on the first call with KEY and
+        shared by every later one: the document's one store of derived
+        values (series arrays, the dynamics state).  Nothing is stored when
+        ``build`` raises."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def geometric_complex(self):
         return realize(self.complex, self.dimension, self.static_positions())
 
@@ -128,29 +137,30 @@ class NetworkDocument:
         broadcasts to a constant series.  A sample list parsed as a float
         array is shared as it is; any other is converted once per document.
         Every call shares the same read-only arrays."""
+        return dict(self.memo(("series", name), lambda: self._build_series(name)))
+
+    def _build_series(self, name):
         import numpy as np
 
-        if name not in self._series:
-            if self.signal is None:
-                raise MissingData("signal", "sampled series need a signal block")
-            out = {}
-            for spec in self.nodes:
-                if name not in spec:
-                    continue
-                value = spec[name]
-                i = self.complex.node_index(spec["id"])
-                if is_array(value):
-                    out[i] = value
-                    continue
-                if is_sample_list(value):
-                    out[i] = np.array(
-                        [[float(c) for c in row] for row in value], dtype=float
-                    )
-                else:
-                    out[i] = np.tile([float(c) for c in value], (self.samples, 1))
-                out[i].setflags(write=False)
-            self._series[name] = out
-        return dict(self._series[name])
+        if self.signal is None:
+            raise MissingData("signal", "sampled series need a signal block")
+        out = {}
+        for spec in self.nodes:
+            if name not in spec:
+                continue
+            value = spec[name]
+            i = self.complex.node_index(spec["id"])
+            if is_array(value):
+                out[i] = value
+                continue
+            if is_sample_list(value):
+                out[i] = np.array(
+                    [[float(c) for c in row] for row in value], dtype=float
+                )
+            else:
+                out[i] = np.tile([float(c) for c in value], (self.samples, 1))
+            out[i].setflags(write=False)
+        return out
 
 
 def is_sample_list(value):
@@ -377,12 +387,19 @@ def _parse_analyses(raw):
 
 def check_options(options, prefix):
     """Check the value of each known analysis option, wherever it comes
-    from; an error names the option as PREFIX + its name ("analyses[0].",
-    "--" or "options.").  Returns the options."""
+    from, and that a sample window gives both its bounds t0 and t1; an
+    error names the option as PREFIX + its name ("analyses[0].", "--" or
+    "options.").  Returns the options."""
     for name, value in options.items():
         if name in OPTION_TYPES and not OPTION_TYPES[name][0](value):
             raise ValidationError(
                 f"{prefix}{name}", f"expected {OPTION_TYPES[name][1]}, got {value!r}"
+            )
+    for given, missing in (("t0", "t1"), ("t1", "t0")):
+        if given in options and missing not in options:
+            raise ValidationError(
+                f"{prefix}{missing}",
+                f"a sample window needs both bounds, but only {prefix}{given} is given",
             )
     return options
 
@@ -548,22 +565,29 @@ def _float_samples(value, width=None):
     """A sample list as one read-only float array, or None.
 
     The list qualifies when every sample is a float (``width`` None) or a
-    list of ``width`` floats, and every one is finite: one type scan, one
-    conversion and one finiteness check.  On None the caller validates
-    sample by sample, which names the first bad sample and keeps exact
-    samples exact.  A JSON float is never out of range, because the decoder
-    reads an overflowing literal as infinity."""
-    flat = value
+    list of ``width`` floats, and every one is finite.  It is flattened
+    once; then one type scan, one conversion, one finiteness check and one
+    reshape.  A sample that is no list either has no length or flattens
+    into something other than floats (a JSON string into strings, an object
+    into its string keys), so the one scan of the flat values rejects it.
+    On None the caller validates sample by sample, which names the first
+    bad sample and keeps exact samples exact.  A JSON float is never out of
+    range, because the decoder reads an overflowing literal as infinity."""
+    flat, shape = value, (len(value),)
     if width is not None:
-        if set(map(type, value)) != {list} or set(map(len, value)) != {width}:
+        try:
+            if set(map(len, value)) != {width}:
+                return None
+        except TypeError:  # a sample with no length
             return None
-        flat = itertools.chain.from_iterable(value)
+        flat, shape = list(itertools.chain.from_iterable(value)), (len(value), width)
     if set(map(type, flat)) != {float}:
         return None
     import numpy as np
 
-    samples = np.array(value, dtype=float)
+    samples = np.array(flat, dtype=float)
     if not np.isfinite(samples).all():
         return None
+    samples = samples.reshape(shape)
     samples.setflags(write=False)
     return samples

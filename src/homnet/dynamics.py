@@ -5,7 +5,12 @@ law states that a time derivative equals a boundary (or a resultant), and
 each conservation corollary states that the relevant chain is a cycle.
 Trajectory data is handled as numpy arrays keyed by node or branch index;
 derivatives use the central/one-sided sampling rule shared with time-series
-chains, which is exact on quadratic samples.  Each function imports numpy
+chains, which is exact on quadratic samples.  A ``DynamicsState`` computes
+each node's velocity, momentum and momentum rate once; ``homnet.cli`` keeps
+one state per document, so the momentum, angular, d'Alembert and energy
+checks differentiate each trajectory once between them.  The potential of a
+walk that revisits no position is one running sum over the whole array,
+bit-identical to integrating it step by step.  Each function imports numpy
 itself: ``homnet.cli`` loads this module, and an exact document must not
 pay for numpy.
 """
@@ -21,7 +26,6 @@ from .errors import (
     KindMismatch,
     NonConvectiveMomentum,
     RangeError,
-    TooFewSamples,
     ZeroTotalMass,
 )
 from .homology import cycle_basis
@@ -85,8 +89,6 @@ class DynamicsState:
     def velocity(self, i):
         if self.dt is None:
             raise KindMismatch("velocities need a sampling interval dt")
-        if self.samples < 3:
-            raise TooFewSamples("derivatives need at least 3 samples")
         return self._cached(
             "velocity", i, lambda: series_derivative(self.trajectory(i), self.dt)
         )
@@ -500,8 +502,10 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
     a potential is recovered by integrating the work over the spanning
     forest of the trace, which is read off each node's walk: the forest
     branch into a newly visited vertex starts at the walk's previous
-    vertex, so that vertex's potential is already known.  A trace without
-    chords is a forest, and its complex is never built."""
+    vertex, so that vertex's potential is already known.  On a walk without
+    chords that is one cumsum; only a walk that revisits a position takes
+    the step-by-step loop.  A trace without chords is a forest, and its
+    complex is never built."""
     import numpy as np
 
     trace = spatial_trace(k)
@@ -520,9 +524,26 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
                 )
 
     # U = -integrate(W) has U(root) = 0 and U(head) = U(tail) - w(step)
-    # along the forest; negating a float sum is exact
+    # along the forest; negating a float sum is exact.  On a walk without
+    # chords every moving step enters a new vertex, so U is minus the
+    # running sum of its moving steps: one cumsum over all walks, adding in
+    # the order the forest loop does.  A zero step adds -0.0, which leaves
+    # every sum as it is, bit for bit.
+    vertices = trace.vertices
+    r0, times = vertices.shape
+    moved = vertices[:, 1:] != vertices[:, :-1]
+    work = np.array([w[i] for i in range(r0)]).reshape(moved.shape)
+    steps = np.zeros((r0, times))
+    steps[:, 1:] = np.where(moved, work, -0.0)
+    running = -steps.cumsum(axis=1)
+    # a walk has no chord when each move reaches a vertex of its own
+    chord_free = moved.sum(axis=1) == vertices.max(axis=1) - vertices[:, 0]
     potential = {}
-    for i, per_time in enumerate(trace.node_vertices):
+    for i in range(r0):
+        if chord_free[i]:
+            potential[i] = running[i]
+            continue
+        per_time = trace.node_vertices[i]
         integrated = {per_time[0]: 0.0}
         for tail, head, step in zip(per_time, per_time[1:], w[i].tolist()):
             if head not in integrated:

@@ -6,7 +6,10 @@ successor by a motion link carrying the step displacement.  The spatial trace
 projects a node's motion links onto space: each node's motion becomes a walk
 over its distinct positions, where revisits close loops.  Work and
 conservativity checks live on that projection; they read the walks directly
-and build the trace as a complex only when some walk closes a loop.
+and build the trace as a complex only when some walk closes a loop.  The
+walks are handled as whole arrays: one stable sort of every (node, position)
+row numbers all distinct positions at once, for float and exact (object)
+positions alike, with no lookup per sample.
 """
 
 from __future__ import annotations
@@ -142,20 +145,25 @@ class SpatialTrace:
     """Projection of the motion onto space, one walk per node; revisited
     positions are identified, so closed trajectories become loops.
 
-    ``node_vertices[i][a]`` is the trace vertex of node i at time a.  Each
-    node's vertices are numbered in the order the walk first visits them,
-    after those of the nodes before it, so the walks share no vertex.  A
-    nonzero step is a trace branch, numbered in (node, time) order by
-    ``step_edges``; a step whose head is first visited at that step is a
-    branch of the spanning forest, and any other nonzero step is a chord
-    that closes a loop.  ``chords`` is their number, the first Betti number
-    of the trace.  ``complex`` is built on first use; a trace without chords
-    is a forest, and the work checks never ask for it.
+    ``vertices[i, a]`` is the trace vertex of node i at time a, an int
+    array of shape (r0, steps + 1); ``node_vertices`` is the same as nested
+    lists.  Each node's vertices are numbered in the order the walk first
+    visits them, after those of the nodes before it, so the walks share no
+    vertex.  A nonzero step is a trace branch, numbered in (node, time)
+    order by ``step_edges``; a step whose head is first visited at that
+    step is a branch of the spanning forest, and any other nonzero step is
+    a chord that closes a loop.  ``chords`` is their number, the first
+    Betti number of the trace.  ``complex`` is built on first use; a trace
+    without chords is a forest, and the work checks never ask for it.
     """
 
     base_labels: list
-    node_vertices: list
+    vertices: object  # int array of shape (r0, steps + 1)
     chords: int
+
+    @cached_property
+    def node_vertices(self):
+        return self.vertices.tolist()
 
     @cached_property
     def step_edges(self):
@@ -186,23 +194,37 @@ class SpatialTrace:
 
 
 def spatial_trace(k):
-    """Read each node's column of ``k.positions`` as a walk: positions are
-    identified by their coordinate tuples, so a revisit is an exact match."""
-    vertex_of = []
-    chords = 0
-    top = 0  # vertices numbered so far
-    for i in range(k.base.r[0]):
-        seen = {}
-        per_time = [
-            seen.setdefault(pos, top + len(seen))
-            for pos in map(tuple, k.positions[:, i].tolist())
-        ]
-        top += len(seen)
-        steps = sum(map(int.__ne__, per_time, per_time[1:]))
-        # every vertex after the first is reached by exactly one forest step
-        chords += steps - (len(seen) - 1)
-        vertex_of.append(per_time)
-    return SpatialTrace(list(k.base.node_labels), vertex_of, chords)
+    """Read each node's column of ``k.positions`` as a walk.  Two positions
+    are one vertex when every coordinate compares equal, as coordinate
+    tuples do: -0.0 is 0.0, and a position with a NaN equals none, not
+    even itself.
+
+    All walks are numbered at once, float and exact positions alike.  The
+    rows (node, position) in (node, time) order are sorted by one stable
+    ``np.lexsort``, which brings equal rows together with the earliest
+    first; that row of each run is a first visit, and a cumsum over the
+    first visits, in (node, time) order, numbers the vertices."""
+    import numpy as np
+
+    times, r0, n = k.positions.shape
+    walks = k.positions.transpose(1, 0, 2).reshape(r0 * times, n)
+    rows = np.concatenate((np.arange(r0).repeat(times)[:, None], walks), axis=1)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.empty(len(rows), dtype=bool)  # the first row of each run
+    starts[:1] = True
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first_visits = order[starts]
+    visited = np.zeros(len(rows), dtype=bool)
+    visited[first_visits] = True
+    number = visited.cumsum() - 1  # the vertex first visited at each row
+    vertices = np.empty(len(rows), dtype=int)
+    vertices[order] = number[first_visits][starts.cumsum() - 1]
+    vertices = vertices.reshape(r0, times)
+    steps = int(np.count_nonzero(vertices[:, 1:] != vertices[:, :-1]))
+    # every vertex after a walk's first is reached by exactly one forest step
+    chords = steps - (len(first_visits) - r0)
+    return SpatialTrace(list(k.base.node_labels), vertices, chords)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -219,21 +221,83 @@ def frameworks(draw, coordinates, max_nodes=6, dims=(1, 2, 3)):
     return geo.realize(cx, n, spots)
 
 
+FLOAT_COORDINATES = st.floats(-1e6, 1e6, allow_nan=False)
+# small ints and Fractions, with both float zeros mixed in, so that equal
+# positions recur and 0 == 0.0 == -0.0 == Fraction(0) is exercised
+EXACT_COORDINATES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.sampled_from((0.0, -0.0)),
+)
+
+
 @st.composite
-def motions(draw, max_nodes=3, max_steps=8):
-    """Hypothesis strategy: a float motion of a face-free complexes() draw
-    in n = 1, 2 or 3 dimensions.  Each node moves among a few positions of
-    its own, so positions are revisited and some steps are zero."""
+def motions(draw, max_nodes=3, max_steps=8, coordinates=FLOAT_COORDINATES):
+    """Hypothesis strategy: a motion of a face-free complexes() draw in
+    n = 1, 2 or 3 dimensions.  Each node moves among a few positions of its
+    own, so positions are revisited and some steps are zero.  Coordinates
+    are finite floats by default; when ``coordinates`` draws anything else
+    (ints, Fractions) the positions are an object array, as exact documents
+    give."""
     cx = draw(complexes(max_nodes=max_nodes, with_faces=False))
     n = draw(st.sampled_from((1, 2, 3)))
     samples = draw(st.integers(2, max_steps + 1))
-    coords = st.floats(-1e6, 1e6, allow_nan=False)
-    positions = np.empty((samples, cx.r[0], n))
-    for i in range(cx.r[0]):
-        spots = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=3))
-        path = st.lists(st.sampled_from(spots), min_size=samples, max_size=samples)
-        positions[:, i] = draw(path)
+    walks = []
+    for _ in range(cx.r[0]):
+        spots = draw(st.lists(st.tuples(*[coordinates] * n), min_size=1, max_size=3))
+        walks.append(draw(st.lists(st.sampled_from(spots), min_size=samples,
+                                   max_size=samples)))
+    rows = [[walk[a] for walk in walks] for a in range(samples)]
+    floats = all(type(c) is float for walk in walks for p in walk for c in p)
+    positions = np.empty((samples, cx.r[0], n), dtype=float if floats else object)
+    positions[...] = rows
     return kin.KinematicalComplex(base=cx, positions=positions)
+
+
+# the tolerance of each sampled analysis that trajectory_document() asks
+# for: free fall is quadratic in time, which the sampled derivatives
+# reproduce exactly; on a circle the one-sided end stencils of the momentum
+# rate err by about m R w^3 dt, so the balances that read the end samples
+# get 5e-2
+SAMPLED_COMMANDS = ("momentum", "angular", "dalembert", "energy", "mass")
+TRAJECTORY_TOLERANCES = {
+    "freefall": dict.fromkeys(SAMPLED_COMMANDS, 1e-6),
+    "circular": {**dict.fromkeys(SAMPLED_COMMANDS, 1e-6),
+                 "momentum": 5e-2, "dalembert": 5e-2},
+}
+
+
+def trajectory_document(rng, kind, particles, samples, dt=1e-3, gravity=9.81):
+    """The JSON text of unconnected particles of constant mass sampled every
+    ``dt``, requesting every sampled analysis: a free fall under gravity
+    from near the origin (kind "freefall"), or uniform circular motion
+    under its centripetal force (kind "circular")."""
+    times = [a * dt for a in range(samples)]
+    nodes = []
+    for p in range(particles):
+        m = float(rng.randint(1, 2))
+        if kind == "freefall":
+            x0, y0 = rng.uniform(-2, 2), rng.uniform(1, 5)
+            vx, vy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            pos = [[x0 + vx * t, y0 + vy * t - 0.5 * gravity * t**2] for t in times]
+            force = [0.0, -m * gravity]
+        else:
+            radius, omega = rng.uniform(1, 1.5), rng.uniform(0.6, 0.9)
+            phase = rng.uniform(0, 2 * math.pi)
+            pos = [[radius * math.cos(omega * t + phase),
+                    radius * math.sin(omega * t + phase)] for t in times]
+            force = [[-m * omega**2 * x, -m * omega**2 * y] for x, y in pos]
+        nodes.append({"id": f"P{p}", "pos": pos, "mass": m, "force": force})
+    return json.dumps({
+        "dimension": 2,
+        "signal": {"dt": dt, "samples": samples},
+        "nodes": nodes,
+        "branches": [],
+        "analyses": [
+            {"command": c, "tolerance": TRAJECTORY_TOLERANCES[kind][c]}
+            for c in SAMPLED_COMMANDS
+        ],
+    })
 
 
 def random_chain(rng, cx, dim, module=None, span=9):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 
 from homnet import chains, cli, documents, reports
 from homnet.complexes import Complex
-from homnet.errors import ValidationError
+from homnet.errors import TooFewSamples, ValidationError
+from conftest import trajectory_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDENS = FIXTURES.parent / "perfbench" / "goldens"
@@ -590,6 +592,31 @@ def test_run_checks_its_options(name, value):
     assert err.value.path == f"options.{name}"
 
 
+@pytest.mark.parametrize("given, missing", [("t0", "t1"), ("t1", "t0")])
+def test_window_bound_flag_needs_the_other(capsys, given, missing):
+    # a lone bound used to drop the window, and the gap with it, silently
+    args = ["momentum", "--input", str(FIXTURES / "freefall.json"), f"--{given}", "3"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: --{missing}: ")
+
+
+@pytest.mark.parametrize("given, missing", [("t0", "t1"), ("t1", "t0")])
+def test_window_bound_option_needs_the_other(given, missing):
+    with pytest.raises(ValidationError) as err:
+        cli.run(load("freefall.json"), "momentum", {given: 3})
+    assert err.value.path == f"options.{missing}"
+
+
+@pytest.mark.parametrize("given, missing", [("t0", "t1"), ("t1", "t0")])
+def test_window_bound_in_a_document_needs_the_other(tmp_path, capsys, given, missing):
+    doc = json.loads((FIXTURES / "freefall.json").read_text())
+    doc["analyses"] = ["energy", {"command": "momentum", given: 3}]
+    source = tmp_path / "freefall.json"
+    source.write_text(json.dumps(doc))
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: analyses[1].{missing}: ")
+
+
 def test_per_analysis_options_respected():
     # analyses entries carry their own tolerances; CLI merges on top
     doc = load("orbit.json")
@@ -682,6 +709,69 @@ def test_dalembert_differentiates_each_node_once(monkeypatch):
     assert state.momentum_rate(0) is state.momentum_rate(0)
     for array in (state.velocity(0), state.momentum(0), state.momentum_rate(0)):
         assert not array.flags.writeable
+
+
+def test_report_all_on_a_long_free_fall_differentiates_each_trajectory_once(
+    monkeypatch,
+):
+    # momentum, angular, dalembert and energy share one dynamics state, so
+    # each trajectory and each momentum is differentiated once per document
+    from homnet import dynamics
+
+    inputs = []
+    derivative = dynamics.series_derivative
+
+    def counted(x, dt):
+        inputs.append(x)
+        return derivative(x, dt)
+
+    monkeypatch.setattr(dynamics, "series_derivative", counted)
+    doc = documents.parse(trajectory_document(random.Random(4), "freefall", 4, 700))
+    assert [r.verdict for r in cli.run_all(doc)] == ["pass"] * 5
+    state = cli._dynamics_state(doc)
+    for i, trajectory in doc.trajectories().items():
+        assert sum(x is trajectory for x in inputs) == 1
+        assert sum(x is state.momentum(i) for x in inputs) == 1
+    # per node: velocity, momentum rate, angular-momentum rate, mass rate
+    assert len(inputs) == 4 * 4
+
+
+# every fixture, and seeded trajectory documents of both motions
+REPORT_ALL_DOCUMENTS = [
+    pytest.param(path.read_text(), id=path.stem) for path in sorted(FIXTURES.glob("*.json"))
+] + [
+    pytest.param(
+        trajectory_document(random.Random(seed), kind, particles, samples),
+        id=f"{kind}-seed{seed}",
+    )
+    for seed in (0, 1, 2)
+    for kind, particles, samples in (("freefall", 2, 40), ("circular", 3, 60))
+]
+
+
+@pytest.mark.parametrize("text", REPORT_ALL_DOCUMENTS)
+def test_report_all_matches_each_command_on_a_fresh_document(text):
+    # what report-all shares within one document changes no byte
+    shared = cli.run_all(documents.parse(text))
+    alone = [
+        cli.run(documents.parse(text), request.command, dict(request.options))
+        for request in documents.parse(text).analyses
+    ]
+    for fmt in ("text", "json"):
+        assert reports.emit(shared, fmt) == reports.emit(alone, fmt)
+
+
+def test_sampled_analyses_need_three_samples():
+    # one condition, one error, whichever analysis meets it first
+    text = json.dumps({
+        "dimension": 2,
+        "signal": {"dt": 0.1, "samples": 2},
+        "nodes": [{"id": "P", "mass": 1.0, "pos": [[0, 0], [1, 1]], "force": [0, -1]}],
+        "branches": [],
+    })
+    for command in ("mass", "momentum", "angular", "dalembert", "energy"):
+        with pytest.raises(TooFewSamples, match="^derivatives need at least 3 samples$"):
+            cli.run(documents.parse(text), command)
 
 
 # -- reports of a missing value -------------------------------------------------

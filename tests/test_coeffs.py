@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homnet import coeffs
-from homnet.errors import DimensionMismatch, KindMismatch, PairingUndefined
+from homnet.errors import (
+    DimensionMismatch,
+    KindMismatch,
+    PairingUndefined,
+    TooFewSamples,
+)
 
 ints = st.integers(min_value=-50, max_value=50)
 small_vectors = st.lists(ints, min_size=2, max_size=4)
@@ -112,5 +117,5 @@ def test_series_derivative_exact_on_quadratics():
 
 
 def test_series_derivative_needs_three_samples():
-    with pytest.raises(KindMismatch):
+    with pytest.raises(TooFewSamples, match="derivatives need at least 3 samples"):
         coeffs.series_derivative(np.array([1.0, 2.0]), 0.1)

@@ -10,7 +10,7 @@ from homnet import errors
 from homnet import geometry as geo
 from homnet import homology
 from homnet import kinematics as kin
-from conftest import motions
+from conftest import EXACT_COORDINATES, motions
 
 
 @pytest.fixture
@@ -469,6 +469,33 @@ def test_conservative_check_matches_the_trace_complex(k, data):
                   for i in range(r0)}
     tol = data.draw(st.sampled_from((dyn.DEFAULT_TOL, math.inf)))
     assert_matches_trace_complex_oracle(k, forces, tol)
+
+
+def forest_loop_potential(per_time, work):
+    """The per-sample forest loop ``conservative_check`` runs only on walks
+    that revisit a position, kept as the oracle of its cumsum: U(root) = 0
+    and U(head) = U(tail) - w(step) into each newly visited vertex."""
+    integrated = {per_time[0]: 0.0}
+    for tail, head, step in zip(per_time, per_time[1:], work.tolist()):
+        if head not in integrated:
+            integrated[head] = integrated[tail] + step
+    return -np.array([integrated[v] for v in per_time])
+
+
+@settings(deadline=None)
+@given(st.one_of(motions(), motions(coordinates=EXACT_COORDINATES)), st.data())
+def test_chord_free_potential_matches_the_forest_loop(k, data):
+    # an infinite tolerance passes every cycle, so every walk's potential
+    # is integrated; the chord-free ones by the cumsum, bit for bit
+    r0, n = k.base.r[0], k.n
+    coords = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = st.lists(st.tuples(*[coords] * n), min_size=k.steps, max_size=k.steps)
+    forces = {i: np.array(data.draw(rows)).reshape(k.steps, n) for i in range(r0)}
+    report = dyn.conservative_check(k, forces, math.inf)
+    trace = kin.spatial_trace(k)
+    for i, per_time in enumerate(trace.node_vertices):
+        want = forest_loop_potential(per_time, report.work[i])
+        assert report.potential[i].tobytes() == want.tobytes()
 
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]

@@ -1,16 +1,17 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import homnet as hn
 from homnet import dynamics as dyn
 from homnet import errors
 from homnet import geometry as geo
 from homnet import kinematics as kin
-from conftest import motions
+from conftest import EXACT_COORDINATES, motions
 
 
 def snapshots_of(complex, *position_lists):
@@ -141,6 +142,61 @@ def test_spatial_trace_identifies_revisited_positions(k):
         assert seen.isdisjoint(vertices)
         seen.update(vertices)
     assert trace.complex.r[0] == len(seen)
+
+
+def dict_numbered_trace(k):
+    """The per-sample numbering ``spatial_trace`` replaced, kept as its
+    oracle: each coordinate tuple looked up in a dict per node.  Returns
+    (vertex numbers per node, chord count)."""
+    vertex_of, chords, top = [], 0, 0
+    for i in range(k.base.r[0]):
+        seen = {}
+        per_time = [
+            seen.setdefault(pos, top + len(seen))
+            for pos in map(tuple, k.positions[:, i].tolist())
+        ]
+        top += len(seen)
+        steps = sum(map(int.__ne__, per_time, per_time[1:]))
+        chords += steps - (len(seen) - 1)
+        vertex_of.append(per_time)
+    return vertex_of, chords
+
+
+SIGNED_ZEROS = st.sampled_from((0.0, -0.0))
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    motions(),
+    motions(coordinates=st.one_of(SIGNED_ZEROS, st.floats(-2, 2, allow_nan=False))),
+    motions(coordinates=EXACT_COORDINATES),
+))
+def test_spatial_trace_matches_the_dict_numbering(k):
+    # float and exact positions, revisits, zero steps, and 0.0 == -0.0
+    trace = kin.spatial_trace(k)
+    assert (trace.node_vertices, trace.chords) == dict_numbered_trace(k)
+    assert trace.vertices.tolist() == trace.node_vertices
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0]],
+        [[math.nan, 0.0], [math.nan, 0.0], [0.0, 0.0], [math.nan, 0.0]],
+        [[0.0, math.nan], [1.0, 1.0], [0.0, math.nan], [1.0, 1.0]],
+        [[Fraction(1, 2), 0], [0.5, 0], [Fraction(1, 2), Fraction(0)], [1, 2]],
+    ],
+    ids=["signed-zeros", "nan-rows", "nan-second-coordinate", "exact"],
+)
+def test_spatial_trace_matches_the_dict_numbering_on_examples(path):
+    # a position holding a NaN equals none, not even itself
+    floats = all(type(c) is float for p in path for c in p)
+    positions = np.empty((len(path), 2, 2), dtype=float if floats else object)
+    positions[:, 0] = path
+    positions[:, 1] = path[::-1]
+    k = kin.KinematicalComplex(base=hn.build_complex(["P", "Q"], []), positions=positions)
+    trace = kin.spatial_trace(k)
+    assert (trace.node_vertices, trace.chords) == dict_numbered_trace(k)
 
 
 def test_kinematical_state_uniform_motion(triangle):
