@@ -1,4 +1,10 @@
-"""Chains, cochains, the boundary/coboundary operators and chain maps."""
+"""Chains, cochains, the boundary/coboundary operators and chain maps.
+
+A chain is sparse: it keeps only its nonzero entries.  An entry is dropped
+when it is exactly zero (``Module.is_zero`` at tolerance 0), never because
+it is small, so a float residual reaches every check as it was computed and
+is judged at the tolerance the check is given.
+"""
 
 from __future__ import annotations
 
@@ -55,7 +61,7 @@ class _Valued:
     def __len__(self):
         return len(self.coeffs)
 
-    def is_zero(self, tol=None):
+    def is_zero(self, tol=0):
         return all(self.module.is_zero(v, tol) for v in self.coeffs.values())
 
     def _binary(self, other, op):
@@ -103,9 +109,7 @@ class _Valued:
             and other.dim == self.dim
             and self.module.compatible(other.module)
             and all(
-                self.module.is_zero(
-                    self.module.add(self[i], self.module.neg(other[i])), 0
-                )
+                self.module.is_zero(self.module.add(self[i], self.module.neg(other[i])))
                 for i in self.coeffs.keys() | other.coeffs.keys()
             )
         )

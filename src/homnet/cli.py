@@ -107,16 +107,30 @@ def _force_complex(doc):
     )
 
 
-def _residual_map(chain):
+# Largest norm of a float residual entry that a report leaves out.
+_PRINT_FLOOR = 1e-12
+
+
+def _print_floor(options):
+    """The print floor of one request's residual maps: never above its
+    tolerance, so every entry that a verdict counted as nonzero is printed."""
+    return min(_PRINT_FLOOR, options.get("tolerance", _PRINT_FLOOR))
+
+
+def _residual_map(chain, floor=None):
     """Circuit values by label.  Exact scalars, integral or not, are
     written as rationals, so a report reads the same over either exact
-    kind."""
+    kind.  A float entry whose norm is within ``floor``, when one is given,
+    is left out."""
     labels = chain.complex.labels(chain.dim)
     if chain.module.exact:
         return {labels[i]: Fraction(v) for i, v in chain.coeffs.items()}
+    mod = chain.module
     out = {}
     for i, v in chain.coeffs.items():
-        comps = chain.module.to_components(v)
+        if floor is not None and mod.norm(v) <= floor:
+            continue
+        comps = mod.to_components(v)
         out[labels[i]] = comps[0] if len(comps) == 1 else comps
     return out
 
@@ -166,15 +180,16 @@ def _run_kcl(doc, options):
     kwargs = {"dt": doc.dt, "samples": doc.samples} if has_series else {}
     state = electrical.circuit_state(doc.complex, currents, charges=charges, **kwargs)
     rep = electrical.kcl_check(state, **_tol(options))
+    nodes = _residual_map(rep.residual, _print_floor(options))
     return AnalysisReport(
         command="kcl",
         verdict="pass" if rep.balanced else "fail",
         numbers={
             "conserved": rep.conserved,
             "extended_cycle": rep.extended_cycle,
-            "max_residual": rep.max_residual,
+            "max_residual": rep.max_residual if nodes else 0.0,
         },
-        residuals={"nodes": _residual_map(rep.residual)},
+        residuals={"nodes": nodes},
     )
 
 
@@ -194,7 +209,7 @@ def _run_kvl(doc, options):
         command="kvl",
         verdict="pass" if rep.passed else "fail",
         numbers={},
-        residuals={"drops": _residual_map(dv)},
+        residuals={"drops": _residual_map(dv, _print_floor(options))},
     )
     if rep.passed:
         report.details["potential"] = _residual_map(rep.potential)
@@ -303,7 +318,7 @@ def _run_momentum(doc, options):
         "max_residual_with_ends": rep.max_residual_full,
         "max_collective_residual": rep.max_collective,
     }
-    if "t0" in options and f_ext:  # options give both bounds or neither
+    if "t0" in options:  # options give both bounds or neither
         numbers["impulse_momentum_gap"] = dyn.impulse_momentum_gap(
             d, f_ext, options["t0"], options["t1"]
         )

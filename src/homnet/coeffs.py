@@ -11,7 +11,9 @@ components are all ints or Fractions is exact and is zero only when it
 equals zero, whatever the tolerance; exact data is compared exactly by every
 analysis.  Any other value is zero when its norm is within the tolerance,
 so the tolerance applies only to float data.  A sampled signal is never
-exact.
+exact.  The default tolerance is 0, the rule by which chains drop entries
+when they are built: no nonzero float value is treated as zero unless a
+check asks for a tolerance.
 """
 
 from __future__ import annotations
@@ -23,12 +25,8 @@ from .errors import (
     DimensionMismatch,
     KindMismatch,
     PairingUndefined,
-    ToleranceBelowPruneFloor,
     TooFewSamples,
 )
-
-# Magnitude below which float-kind coefficients are pruned from sparse chains.
-DEFAULT_PRUNE_TOL = 1e-12
 
 # Default absolute tolerance of every float-valued check.
 DEFAULT_TOL = 1e-9
@@ -127,17 +125,6 @@ class Module:
     kind = "abstract"
     exact = False
 
-    @property
-    def prune_tol(self):
-        return 0 if self.exact else DEFAULT_PRUNE_TOL
-
-    def check_tol(self, tol):
-        """Raise when a nonzero tolerance lies below the pruning floor: a
-        test at that tolerance would pass the pruned entries silently.  The
-        floor of an exact module is 0, so it never raises there."""
-        if tol and tol < self.prune_tol:
-            raise ToleranceBelowPruneFloor(tol, self.prune_tol)
-
     def zero(self):
         raise NotImplementedError
 
@@ -152,15 +139,14 @@ class Module:
         raise NotImplementedError
 
     def norm(self, x):
-        """Magnitude used by tolerance checks and pruning."""
+        """Magnitude used by tolerance checks."""
         raise NotImplementedError
 
-    def is_zero(self, x, tol=None):
-        """An exact value equals zero; any other is within tol (default:
-        the pruning floor) of zero."""
+    def is_zero(self, x, tol=0):
+        """An exact value equals zero; any other is within tol of zero."""
         if self.holds_exact(x):
             return not any(self.to_components(x))
-        return self.norm(x) <= (self.prune_tol if tol is None else tol)
+        return self.norm(x) <= tol
 
     def holds_exact(self, x):
         """True when every component is an int or a Fraction, not a float

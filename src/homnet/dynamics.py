@@ -299,14 +299,18 @@ def impulse(forces, dt, t0, t1):
 
 
 def impulse_momentum_gap(d, forces, t0, t1):
-    """Max norm of trapezoid-impulse minus momentum change over the window."""
+    """Max norm over the nodes of trapezoid-impulse minus momentum change
+    over the window [t0, t1].  A node without a force has zero impulse, so
+    its gap is its momentum change."""
     import numpy as np
 
+    if not (0 <= t0 < t1 < d.samples):
+        raise RangeError(f"window [{t0}, {t1}] outside 0..{d.samples - 1}")
     imp = impulse(forces, d.dt, t0, t1)
     worst = 0.0
-    for i, value in imp.items():
+    for i in range(d.complex.r[0]):
         p = d.momentum(i)
-        gap = value - (p[t1] - p[t0])
+        gap = imp.get(i, 0.0) - (p[t1] - p[t0])
         worst = nan_max(worst, np.max(np.abs(gap), initial=0.0))
     return worst
 

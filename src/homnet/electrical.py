@@ -12,6 +12,8 @@ against the potential integrated along the spanning forest.
 Integral data (ints, or fractions with denominator 1) is a chain over the
 integers: both laws then add and negate plain ints, and a potential
 integrated from integer drops is integral.  Other exact data is rational.
+Float data is judged on its residuals as computed, at the tolerance a check
+is given; no entry is dropped beforehand for being small.
 """
 
 from __future__ import annotations
@@ -132,10 +134,9 @@ class KclReport:
 def kcl_check(state, tol=DEFAULT_TOL):
     """Charge balance at every node: the signed sum of incident currents
     must equal the charging rate; with zero rates this is the cycle test.
-    A float ``tol`` below the pruning floor raises
-    ``ToleranceBelowPruneFloor``."""
+    Every verdict reads the residual as computed, at ``tol``, so at
+    ``tol=0`` a float residual passes only when it is exactly zero."""
     mod = state.module
-    mod.check_tol(tol)
     flow = boundary(state.current)
     rate = state.charging_rate()
     residual = flow - rate
@@ -149,9 +150,7 @@ def kcl_check(state, tol=DEFAULT_TOL):
         },
         balanced=balanced,
         conserved=flow.is_zero(tol),
-        # zero the way a chain entry is: pruned, or within the tolerance
-        extended_cycle=balanced
-        and (mod.is_zero(apex) or mod.is_zero(apex, tol)),
+        extended_cycle=balanced and mod.is_zero(apex, tol),
         max_residual=max(
             (mod.norm(v) for v in residual.coeffs.values()), default=0.0
         ),

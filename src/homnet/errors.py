@@ -101,17 +101,6 @@ class InvalidPartition(HomnetError):
     pass
 
 
-class ToleranceBelowPruneFloor(HomnetError):
-    """A nonzero float tolerance below the pruning floor of float chains,
-    which have already dropped every entry within that floor."""
-
-    def __init__(self, tol, floor):
-        super().__init__(
-            f"tolerance {tol!r} is below the pruning floor {floor!r} of float "
-            "chains, which drop smaller entries before any test"
-        )
-        self.tol = tol
-        self.floor = floor
 
 
 class MissingData(HomnetError):

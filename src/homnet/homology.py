@@ -57,13 +57,11 @@ def _rank_boundary(complex, k):
 
 
 def is_cycle(chain, tol=None):
-    """True when the boundary is zero.  A float tolerance below the pruning
-    floor raises ``ToleranceBelowPruneFloor``."""
+    """True when the boundary is zero within ``tol`` (default
+    ``DEFAULT_TOL``); an exact boundary must vanish exactly."""
     if chain.dim == 0:
         return True
-    tol = DEFAULT_TOL if tol is None else tol
-    chain.module.check_tol(tol)
-    return boundary(chain).is_zero(tol)
+    return boundary(chain).is_zero(DEFAULT_TOL if tol is None else tol)
 
 
 @dataclass
@@ -80,7 +78,9 @@ def is_boundary(chain, tol=None):
     ``_tree_flow``).  A 1-chain of an exact kind is solved exactly over
     the faces (``_faces``), its witness the one ``exact.solve`` returns;
     real64 1-chains use a least-squares solve with a residual tolerance.
+    Every float test is at ``tol`` (default ``DEFAULT_TOL``).
     """
+    tol = DEFAULT_TOL if tol is None else tol
     if not is_cycle(chain, tol):
         raise NotACycle("only cycles can bound")
     cx, k, mod = chain.complex, chain.dim, chain.module
@@ -99,7 +99,6 @@ def is_boundary(chain, tol=None):
     import numpy as np
 
     mat = [list(col) for col in zip(*cx.incidence_2)]
-    tol = DEFAULT_TOL if tol is None else tol
     a = np.array(mat, dtype=float)
     rhs = np.array([chain[j] for j in range(cx.r[k])], dtype=float)
     x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
@@ -120,7 +119,6 @@ def _tree_flow(chain, tol):
     """
     if chain.module.exact:
         chain = chain.as_module(RATIONAL)
-    tol = DEFAULT_TOL if tol is None else tol
     forest = chain.complex.forest
     total = [chain[v] for v in range(chain.complex.r[0])]
     flow = {}

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from homnet import chains, cli, documents, reports
+from homnet import chains, cli, documents, electrical, reports
 from homnet.complexes import Complex
-from homnet.errors import TooFewSamples, ValidationError
+from homnet.errors import RangeError, TooFewSamples, ValidationError
 from conftest import trajectory_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -592,6 +592,21 @@ def test_run_checks_its_options(name, value):
     assert err.value.path == f"options.{name}"
 
 
+def test_momentum_window_without_a_force_reports_the_momentum_change():
+    doc = json.loads((FIXTURES / "freefall.json").read_text())
+    del doc["nodes"][0]["force"]
+    unforced = documents.parse(json.dumps(doc))
+    report = cli.run(unforced, "momentum", {"t0": 0, "t1": 3})
+    # no force, no impulse: the gap is the momentum change m g (t1 - t0) dt
+    gap = report.numbers["impulse_momentum_gap"]
+    assert gap == pytest.approx(2.0 * 9.81 * 3 * 0.025)
+    assert cli.run(load("freefall.json"), "momentum", {"t0": 0, "t1": 3}).numbers[
+        "impulse_momentum_gap"
+    ] < 1e-9
+    with pytest.raises(RangeError):
+        cli.run(unforced, "momentum", {"t0": 0, "t1": 41})
+
+
 @pytest.mark.parametrize("given, missing", [("t0", "t1"), ("t1", "t0")])
 def test_window_bound_flag_needs_the_other(capsys, given, missing):
     # a lone bound used to drop the window, and the gap with it, silently
@@ -662,7 +677,7 @@ def test_failing_batch_exits_1(tmp_path, capsys):
     assert all(f"# {name}.json\n" in out for name in "abc")
 
 
-# -- tolerances below the pruning floor -------------------------------------------
+# -- float tolerances below 1e-12 ----------------------------------------------------
 
 def test_zero_tolerance_on_exact_document():
     # exact values ignore the tolerance: the exact verdicts stand
@@ -672,15 +687,83 @@ def test_zero_tolerance_on_exact_document():
     assert cli.run(load("circle.json"), "kcl", {"tolerance": 0}).verdict == "pass"
 
 
-def test_float_tolerance_below_prune_floor_is_an_error(tmp_path, capsys):
-    doc = json.loads((FIXTURES / "circuit_charging.json").read_text())
-    source = tmp_path / "charging.json"
-    source.write_text(json.dumps(doc))
-    args = ["kcl", "--input", str(source), "--tolerance"]
-    assert cli.main(args + ["1e-15"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: tolerance 1e-15 is below the pruning floor 1e-12")
+def test_float_tolerance_below_the_print_floor_answers(tmp_path, capsys):
+    # circuit_charging's residual is rounding noise of at most 4.4e-16: it
+    # fails at tolerance 0, with the noise printed, and passes from 1e-15 on
+    args = ["kcl", "--input", str(FIXTURES / "circuit_charging.json"), "--tolerance"]
+    assert cli.main(args + ["0"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "max_residual = 4.4408920985006262e-16" in out
+    assert "nodes = {A: [0, 0, -2.2204460492503131e-16, 0, 0, " in out
+    assert cli.main(args + ["1e-15"]) == 0
+    assert "max_residual = 0\n" in capsys.readouterr().out
     assert cli.main(args + ["1e-12"]) == 0
+    assert capsys.readouterr().out == (GOLDENS / "circuit_charging.txt").read_text()
+    # one branch carrying 5e-13 fails below 1e-12, its residual printed
+    source = tmp_path / "branch.json"
+    source.write_text(json.dumps({
+        "dimension": 1,
+        "nodes": [{"id": "A"}, {"id": "B"}],
+        "branches": [{"id": "AB", "tail": "A", "head": "B", "current": 5e-13}],
+    }))
+    args = ["kcl", "--input", str(source), "--tolerance"]
+    for tol in ("0", "1e-15"):
+        assert cli.main(args + [tol]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "max_residual = 4.9999999999999999e-13" in out
+        assert "nodes = {A: -4.9999999999999999e-13, B: 4.9999999999999999e-13}" in out
+    assert cli.main(args + ["1e-12"]) == 0
+    assert "nodes = {}" in capsys.readouterr().out
+
+
+# reports at --tolerance 1e-12 equal those at each request's own tolerance;
+# freefall and orbit ask 1e-6 of trajectory checks that fail at 1e-12
+SAME_AT_1E12 = {path.stem for path in FIXTURES.glob("*.json")} - {"freefall", "orbit"}
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-15", "1e-12"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_report_all_answers_at_small_tolerances(path, tol, monkeypatch, capsys):
+    judged = []  # every KCL residual and KVL drop chain, in the order judged
+
+    def spy(name, chain_of):
+        original = getattr(electrical, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            judged.append(chain_of(result))
+            return result
+
+        monkeypatch.setattr(electrical, name, wrapped)
+
+    spy("kcl_check", lambda report: report.residual)
+    spy("voltage_drop", lambda dv: dv)
+    args = ["report-all", "--input", str(path), "--tolerance", tol]
+    code = cli.main(args + ["--format", "json"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and err == ""
+    printed = [
+        (key, report["residuals"][key])
+        for report in json.loads(out)
+        for key in ("nodes", "drops")
+        if key in report.get("residuals", {})
+    ]
+    assert [key for key, _ in printed] == [
+        "nodes" if chain.dim == 0 else "drops" for chain in judged
+    ]
+    for (_, shown), chain in zip(printed, judged):
+        labels = chain.complex.labels(chain.dim)
+        for i, v in chain.coeffs.items():
+            if chain.module.norm(v) > float(tol):
+                assert labels[i] in shown
+    if tol == "1e-12" and path.stem in SAME_AT_1E12:
+        runs = []
+        for argv in (args, args[:-2]):
+            code = cli.main(argv)
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
 
 
 # -- derivatives computed once per node -------------------------------------------

@@ -57,9 +57,12 @@ def test_timeseries_scalar_broadcast():
 
 
 def test_exact_modules_have_zero_tolerance():
-    assert coeffs.INTEGER.prune_tol == 0
-    assert coeffs.RATIONAL.prune_tol == 0
-    assert coeffs.REAL64.prune_tol > 0
+    # an exact value is zero only when it equals zero, at any tolerance;
+    # a float value too unless a tolerance is given
+    for mod in (coeffs.INTEGER, coeffs.RATIONAL):
+        assert not mod.is_zero(Fraction(1, 10**13), 1.0)
+    assert not coeffs.REAL64.is_zero(1e-13)
+    assert coeffs.REAL64.is_zero(1e-13, 1e-12)
 
 
 @given(small_vectors, small_vectors)

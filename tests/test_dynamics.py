@@ -207,6 +207,25 @@ def test_impulse_window_validated(single_node):
         dyn.impulse({0: np.zeros((11, 2))}, 0.1, 5, 20)
 
 
+def test_gap_without_a_force_is_the_momentum_change(single_node):
+    # a node at constant velocity: no force, so no impulse, and the gap is
+    # its momentum change, zero; a kicked momentum shows the change
+    dt, samples = 0.1, 11
+    t = np.arange(samples) * dt
+    d = dyn.DynamicsState(
+        complex=single_node, n=2, dt=dt, masses={0: 2.0},
+        trajectories={0: np.stack([3.0 * t, np.zeros(samples)], axis=1)},
+    )
+    assert dyn.impulse_momentum_gap(d, {}, 0, samples - 1) == pytest.approx(0)
+    p = np.zeros((samples, 2))
+    p[5:] = (1.0, -2.0)
+    kicked = dyn.DynamicsState(complex=single_node, n=2, dt=dt, momenta={0: p},
+                               trajectories=d.trajectories)
+    assert dyn.impulse_momentum_gap(kicked, {}, 0, samples - 1) == 2.0
+    with pytest.raises(errors.RangeError):
+        dyn.impulse_momentum_gap(d, {}, 5, samples)
+
+
 # -- angular momentum --------------------------------------------------------------------
 
 def orbit_state(single_node, om=1.0, m=1.0, dt=1e-3, samples=1001):

@@ -380,13 +380,16 @@ def test_power_flagged_when_kvl_fails(circle):
     assert not report.is_coboundary
 
 
-def test_float_tolerance_below_prune_floor_raises():
-    # 5e-13 is pruned from the current chain before any test, so a check at
-    # tol=1e-15 would report balanced with residual 0
+def test_float_residual_is_judged_at_the_tolerance_asked():
+    # 5e-13 on one branch is a residual of 5e-13 at both of its nodes: it
+    # fails at tol=0 and at 1e-15, and passes at 1e-12
     cx = hn.build_complex(["A", "B"], [("A", "B")])
     state = el.circuit_state(cx, {"AB": 5e-13})
-    with pytest.raises(errors.ToleranceBelowPruneFloor) as caught:
-        el.kcl_check(state, tol=1e-15)
-    assert "1e-15" in str(caught.value) and "1e-12" in str(caught.value)
-    assert (caught.value.tol, caught.value.floor) == (1e-15, 1e-12)
-    assert el.kcl_check(state, tol=1e-12).balanced
+    for tol in (0, 1e-15):
+        report = el.kcl_check(state, tol=tol)
+        assert not (report.balanced or report.conserved or report.extended_cycle)
+        assert report.max_residual == 5e-13
+        assert dict(report.residual.coeffs) == {0: -5e-13, 1: 5e-13}
+    report = el.kcl_check(state, tol=1e-12)
+    assert report.balanced and report.conserved and report.extended_cycle
+    assert report.max_residual == 5e-13

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import homnet as hn
 from homnet import _kernel, errors, exact, homology
+from homnet.coeffs import DEFAULT_TOL
 from conftest import (
     complexes,
     random_chain,
@@ -34,10 +35,10 @@ def test_zero_chain_is_cycle(circle):
     assert hn.is_cycle(hn.Chain.zero(circle, 1, hn.INTEGER))
 
 
-def test_float_tolerance_below_prune_floor_raises(circle):
+def test_float_cycle_is_judged_at_the_tolerance_asked(circle):
     c = hn.Chain(circle, 1, {0: 5e-13}, hn.REAL64)
-    with pytest.raises(errors.ToleranceBelowPruneFloor):
-        hn.is_cycle(c, 1e-15)
+    assert not hn.is_cycle(c, 0)
+    assert not hn.is_cycle(c, 1e-15)
     assert hn.is_cycle(c, 1e-12)
     # exact kinds ignore the tolerance
     tiny = hn.Chain(circle, 1, {0: Fraction(1, 10**13)}, hn.RATIONAL)
@@ -62,6 +63,23 @@ def test_face_boundary_bounds(disc):
 def test_circle_loop_does_not_bound(circle):
     z = hn.Chain(circle, 1, {0: 1, 2: 1, 1: -1}, hn.INTEGER)
     assert not hn.is_boundary(z).bounds
+
+
+@pytest.mark.parametrize("faces", [[("A", "B", "C")], None])
+def test_small_float_cycle_bounds_with_or_without_faces(faces):
+    # 1e-10 on CD and DC is within DEFAULT_TOL of zero: it bounds whether the
+    # complex has a face (least squares) or none (the zero test)
+    cx = hn.build_complex(
+        ["A", "B", "C", "D"],
+        [("A", "B"), ("B", "C"), ("A", "C"), ("C", "D"), ("D", "C")],
+        faces=faces,
+    )
+    index = {lab: i for i, lab in enumerate(cx.branch_labels)}
+    chain = hn.Chain(cx, 1, {index["CD"]: 1e-10, index["DC"]: 1e-10}, hn.REAL64)
+    assert hn.is_cycle(chain, DEFAULT_TOL)
+    assert hn.is_boundary(chain).bounds
+    assert hn.is_boundary(chain, DEFAULT_TOL).bounds
+    assert not hn.is_boundary(chain, 1e-11).bounds
 
 
 def test_zero_chain_bounds(circle):

@@ -515,16 +515,21 @@ def test_branch_with_two_external_ends_rejected(propped_triangle):
         st.close_open_system(fc, external_nodes=["PA", "A"])
 
 
-def test_float_tolerance_below_prune_floor_raises():
+def test_float_equilibrium_is_judged_at_the_tolerance_asked():
     cx = hn.build_complex(["A", "B"], [("A", "B")])
     g = geo.realize(cx, 2, {"A": (0, 0), "B": (3, 4)})
     fc = st.force_complex(
         g,
-        external={"A": (3.0, 4.0), "B": (-3.0, -4.0 + 1e-12)},
+        external={"A": (3.0, 4.0), "B": (-3.0, -4.0 + 5e-13)},
         internal={"AB": (3.0, 4.0)},
     )
-    with pytest.raises(errors.ToleranceBelowPruneFloor):
-        st.equilibrium_check(fc, 1e-15)
+    residual = (-4.0 + 5e-13) + 4.0  # about 5e-13, as rounded
+    for tol in (0, 1e-15):
+        report = st.equilibrium_check(fc, tol)
+        assert not report.in_equilibrium
+        assert report.max_residual == residual
+        assert report.resultant == (0.0, residual)
+    assert st.equilibrium_check(fc, 1e-12).in_equilibrium
     # exact forces ignore the tolerance
     exact_fc = st.force_complex(
         g,

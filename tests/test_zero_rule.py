@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import assume, given, settings, strategies as hst
 
 import homnet as hn
 from homnet import cli, coeffs, errors
@@ -35,13 +35,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
     ],
 )
 def test_exact_value_is_zero_only_when_it_equals_zero(module, tiny):
-    for tol in (None, 0, 1e-9, 1e-3, 1.0):
+    assert not module.is_zero(tiny)
+    assert module.is_zero(module.zero())
+    for tol in (0, 1e-9, 1e-3, 1.0):
         assert not module.is_zero(tiny, tol)
         assert module.is_zero(module.zero(), tol)
 
 
 def test_float_value_is_zero_within_the_tolerance():
-    assert coeffs.REAL64.is_zero(1e-13)  # the pruning floor
+    assert not coeffs.REAL64.is_zero(1e-13)  # the default tolerance is 0
+    assert coeffs.REAL64.is_zero(0.0) and coeffs.REAL64.is_zero(-0.0)
     assert not coeffs.REAL64.is_zero(1e-10)
     assert coeffs.REAL64.is_zero(1e-10, 1e-9)
     assert not coeffs.REAL64.is_zero(1e-10, 0)
@@ -231,3 +234,58 @@ def test_exact_statics_verdicts_ignore_the_tolerance(g, data):
     ]
     for check in checks:
         assert same_verdict(check)
+
+
+# -- float verdicts at the tolerance asked -------------------------------------------
+
+FLOAT_TOLERANCES = (0, 1e-15, 1e-12, 1e-9)
+
+# a residual component of magnitude 1e-16 to 1e-6, either sign
+tiny_floats = hst.tuples(hst.floats(-16, -6), hst.sampled_from((-1.0, 1.0))).map(
+    lambda t: t[1] * 10.0 ** t[0]
+)
+unit_floats = hst.floats(-10, 10, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(complexes(max_nodes=5), hst.data())
+def test_float_kcl_verdict_is_max_residual_within_tol(cx, data):
+    # float circulations around the fundamental cycles, plus a tiny current
+    # on one branch
+    assume(cx.r[1] > 0)
+    currents = {a: 0.0 for a in range(cx.r[1])}
+    for z in hn.cycle_basis(cx, 1):
+        w = data.draw(unit_floats)
+        for a, k in z.coeffs.items():
+            currents[a] += k * w
+    currents[data.draw(hst.integers(0, cx.r[1] - 1))] += data.draw(tiny_floats)
+    labels = cx.branch_labels
+    state = el.circuit_state(cx, {labels[a]: v for a, v in currents.items()})
+    # the residual as computed: each node's signed sum, in branch order
+    sums = [0.0] * cx.r[0]
+    for a, (tail, head) in enumerate(cx.branches):
+        sums[head] += currents[a]
+        sums[tail] -= currents[a]
+    for tol in FLOAT_TOLERANCES:
+        report = el.kcl_check(state, tol)
+        assert report.max_residual == max(map(abs, sums))
+        assert report.balanced == (report.max_residual <= tol)
+
+
+@settings(deadline=None, max_examples=60)
+@given(hst.integers(2, 3), hst.data())
+def test_float_equilibrium_verdict_is_max_residual_within_tol(n, data):
+    # B's load misses the internal force F by a tiny r: the residual is r
+    # (as rounded) at B alone, and the resultant is the same sum, bit for bit
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, n, {"A": (0,) * n, "B": (1,) * n})
+    force = data.draw(hst.tuples(*[unit_floats] * n))
+    r = data.draw(hst.tuples(*[tiny_floats] * n))
+    fc = st.force_complex(
+        g,
+        external={"A": force, "B": tuple(-f + e for f, e in zip(force, r))},
+        internal={"AB": force},
+    )
+    for tol in FLOAT_TOLERANCES:
+        report = st.equilibrium_check(fc, tol)
+        assert report.in_equilibrium == (report.max_residual <= tol)
