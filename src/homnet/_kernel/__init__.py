@@ -1,14 +1,19 @@
-"""The elimination kernel: the fraction-free Bareiss echelon in ``pure``.
+"""The elimination kernel: the fraction-free echelon with primitive rows in
+``pure``.
 
-It takes and returns dense row lists and eliminates sparse rows, the
-sparsest candidate row pivoting.  The echelon rows depend on the order of
-the input rows, but every answer read from them (rank, pivot columns,
-nullspace, solutions, H1 chords, torsion) does not.
+It takes dense row lists and returns the dense echelon rows, the pivot
+columns and the leading minors of the pivot rows and columns (the Bareiss
+pivots); it eliminates sparse rows, the sparsest candidate row pivoting.
+Each row is plus or minus the primitive part of the Bareiss row, so the
+entries are not minors.  The echelon rows depend on the order of the input
+rows, but every answer read from them (rank, pivot columns, nullspace,
+solutions, H1 chords, torsion) does not.
 
 ``_speedups.c`` beside this file is not part of the package; it is the
 input of the benchmark's kernel replay (``perfbench/replay.py``).  It
-still takes the first nonzero row as the pivot row, so its echelon rows
-differ from these where its pivot columns agree.
+still keeps Bareiss entries and takes the first nonzero row as the pivot
+row, so its echelon rows can differ from these while its pivot columns
+agree.
 """
 
 from .pure import BACKEND, echelon

@@ -1,4 +1,5 @@
-"""Pure-Python fraction-free row echelon (Bareiss) over arbitrary integers.
+"""Pure-Python fraction-free row echelon over arbitrary integers, with
+primitive rows.
 
 This is the package's one elimination kernel.  Each row is held as the
 dict {column: entry} of its nonzeros, so a step costs the nonzeros of the
@@ -14,58 +15,74 @@ at k = 7 and a fifth at k = 16.  The rule only chooses which rows become
 pivot rows.  Column c is a pivot column exactly when it lies outside the
 span of the columns before it, whatever the row order, so the pivot
 columns, the rank and everything read from them are those of any row
-order: the nullspace and the solutions of a system are the matrix's own,
-and the last pivot of a prefix of r pivot rows is plus or minus an r x r
-minor of the input.
+order: the nullspace and the solutions of a system are the matrix's own.
 
-Bareiss step t with pivot p_t updates each row below the pivot row to
-(p_t * x - lead * y) / p_{t-1}.  A row whose lead is zero is only scaled by
-p_t / p_{t-1}, and consecutive scalings telescope: a row last updated by
-step s and untouched since equals its stored values times p_t / p_s after
-step t.  So such rows are left as stored, with the step s they are current
-to, and scaled once, when they become the pivot row or meet a nonzero lead.
-That one division is exact because the scaled entries are the very minors
-the step-by-step scaling produces, and scaling never turns a nonzero into
-a zero, so the stored nonzeros are the row's.  A row that is still deferred
-when the loop ends lies below the last pivot row, so it is all zeros and
-needs no finishing either.  The output equals the step-by-step
-elimination's under the same row rule, entry for entry.
+Every row is kept primitive, divided by its content (the gcd of its
+entries): primitive-row fraction-free elimination (Geddes, Czapor and
+Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9).  With pivot p and
+a row's lead l, g = gcd(p, l), the step replaces the row x by the
+primitive part of (p/g) x - (l/g) y, y the pivot row; a row whose lead is
+zero is left as it is.  Bareiss's step (Bareiss 1968) replaces x by
+(p x - l y) divided by the previous pivot, so its entries are minors over
+every earlier pivot; on a grid truss most of such a minor is one factor
+shared by the whole row, which the content removes.  Each row here is a
+nonzero rational multiple of the Bareiss row under the same row rule, so it
+has the same support, the rule picks the same pivot rows in the same order,
+and each output row is plus or minus the primitive part of the Bareiss
+row.
+
+The minors Bareiss carried in the entries are reported beside them.  A
+pivot row equals the input row times the product of the multipliers p/g
+applied to it over the product of the contents removed from it, plus
+earlier pivot rows; the echelon is triangular on the pivot columns, so the
+determinant of the minor on the first t pivot rows and pivot columns is,
+up to sign, the product of the first t pivots times that ratio's inverse
+for each of their rows.  Keeping it costs two integer multiplications per
+row update and none per entry.
 """
 
 from itertools import compress
+from math import gcd
 
 BACKEND = "pure"
 
 
 def echelon(rows, ncols):
-    """Fraction-free row echelon of an integer matrix.
+    """Fraction-free row echelon of an integer matrix, every row primitive.
 
     ``rows`` is a list of row lists which is consumed (copy before calling if
-    the input matters).  Returns ``(rows, pivot_cols)`` as dense row lists,
-    where the first ``len(pivot_cols)`` rows hold the echelon form and the
-    rest are zero; entries are exact minors of the input, so they stay
-    integral throughout.
+    the input matters).  Returns ``(rows, pivot_cols, minors)``: dense row
+    lists, of which the first ``len(pivot_cols)`` hold the echelon form and
+    the rest are zero, and ``minors[t]``, plus or minus the determinant of
+    the input's minor on the rows that became the first t + 1 pivot rows
+    and on the first t + 1 pivot columns (the Bareiss pivot of step t).
     """
     nrows = len(rows)
     span = range(ncols)
     sparse = []  # row -> {column: entry} of its nonzeros, its pivot popped
     leading = {}  # column -> the rows whose first nonzero it is
+    taken = [1] * nrows  # row -> the product of the contents removed from it
+    given = [1] * nrows  # row -> the product of the multipliers applied to it
     for i, row in enumerate(rows):
         entries = {c: row[c] for c in compress(span, row)}
-        sparse.append(entries)
         if entries:
+            g = gcd(*entries.values())
+            if g > 1:
+                entries = {c: x // g for c, x in entries.items()}
+                taken[i] = g
             leading.setdefault(next(iter(entries)), []).append(i)
+        sparse.append(entries)
     order = list(range(nrows))  # position -> row
     where = order[:]  # row -> position
-    pivots = [1]  # p_0 = 1, then the pivot of each step
-    current = [0] * nrows  # the step each stored row is current to
+    pivots = []
     pivot_cols = []
+    minors = []
+    minor = 1
     for c in span:
         candidates = leading.pop(c, None)
         if candidates is None:
             continue
-        step = len(pivots) - 1
-        prev = pivots[step]
+        step = len(pivots)
         # every row at or below position step is zero left of column c
         best = candidates[0]
         if len(candidates) > 1:
@@ -79,34 +96,29 @@ def echelon(rows, ncols):
         order[step], order[pos] = best, other
         where[best], where[other] = step, pos
         tail = sparse[best]
-        s = pivots[current[best]]
-        if s != prev:  # deferred: the row is its stored values times prev / s
-            tail = sparse[best] = {j: x * prev // s for j, x in tail.items()}
         piv = tail.pop(c)
         for i in candidates:
             if i == best:
                 continue
             row = sparse[i]
             lead = row.pop(c)
-            s = pivots[current[i]]
-            if s != prev:
-                lead = lead * prev // s
-                out = {
-                    j: v for j, y in tail.items()
-                    if (v := (piv * (row.pop(j, 0) * prev // s) - lead * y) // prev)
-                }
-            else:
-                out = {
-                    j: v for j, y in tail.items()
-                    if (v := (piv * row.pop(j, 0) - lead * y) // prev)
-                }
-            if row:
-                # the entries only this row holds: scaled by piv / s at once
-                out.update({j: piv * x // s for j, x in row.items()})
+            g = gcd(piv, lead)
+            a, b = piv // g, lead // g
+            out = {
+                j: v for j, y in tail.items() if (v := a * row.pop(j, 0) - b * y)
+            }
+            if row:  # the entries only this row holds
+                out.update({j: a * x for j, x in row.items()})
+            g = gcd(*out.values())
+            if g > 1:
+                out = {j: v // g for j, v in out.items()}
+                taken[i] *= g
+            given[i] *= a
             sparse[i] = out
-            current[i] = step + 1
             if out:
                 leading.setdefault(min(out), []).append(i)
+        minor = minor * piv * taken[best] // given[best]
+        minors.append(minor)
         pivots.append(piv)
         pivot_cols.append(c)
         if step + 1 == nrows:
@@ -117,6 +129,6 @@ def echelon(rows, ncols):
         for j, x in sparse[i].items():
             row[j] = x
         dense.append(row)
-    for row, c, piv in zip(dense, pivot_cols, pivots[1:]):
+    for row, c, piv in zip(dense, pivot_cols, pivots):
         row[c] = piv
-    return dense, pivot_cols
+    return dense, pivot_cols, minors

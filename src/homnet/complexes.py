@@ -287,7 +287,7 @@ class Complex:
 
     @cached_property
     def face_echelon(self):
-        """Echelon ``(rows, pivots)`` of the r1 x (r2 + m) matrix
+        """Echelon ``(rows, pivots, minors)`` of the r1 x (r2 + m) matrix
         [boundary on faces | z_1 ... z_m], z_i the fundamental cycle of the
         i-th chord.  The pivots below r2 count the rank of the boundary on
         faces, and column r2 + i is a pivot iff z_i is independent of the

@@ -124,7 +124,6 @@ def circuit_state(complex, currents, charges=None, voltages=None, dt=None,
 @dataclass
 class KclReport:
     residual: Chain  # boundary(I) - dQ/dt
-    per_node: dict  # label -> residual value
     balanced: bool  # is the residual zero
     conserved: bool  # is the current chain a cycle
     extended_cycle: bool  # is the extended current chain a cycle
@@ -144,10 +143,6 @@ def kcl_check(state, tol=DEFAULT_TOL):
     apex = augmented_boundary(rate)
     return KclReport(
         residual=residual,
-        per_node={
-            state.complex.node_labels[i]: residual[i]
-            for i in range(state.complex.r[0])
-        },
         balanced=balanced,
         conserved=flow.is_zero(tol),
         extended_cycle=balanced and mod.is_zero(apex, tol),

@@ -20,12 +20,17 @@ Each linear system is eliminated once: ``solve`` reads the solution and the
 nullspace of [A | b] off one echelon by one integer back-substitution,
 ``back_substitute``.  It reads only the columns below a bound n: the left
 block of an echelon is the echelon of that block, so one echelon of [A | B]
-serves every question about A.  With pivot columns p_k < n and d the last
-of those pivots (plus or minus the pivot minor's determinant), d times the
-pivot block's inverse is integral by Cramer's rule, so in
-X[k] = (d * U[k][cols] - sum_{j>k} U[k][p_j] * X[j]) // U[k][p_k] every
-division is exact.  Then x[p_k] = X[k][b] / d, and the nullspace vector of
-free column f is d at f and -X[k][f] at each p_k, made primitive.  The
+serves every question about A.  The kernel's rows are primitive, not
+minors, so no one denominator makes the pivot block's inverse integral in
+advance.  Instead each solved column f (a free column, or a right-hand
+side) keeps a running denominator t_f, and with pivot columns p_k < n the
+substitution computes X[k][f] = (t_f * U[k][f] - sum_{j>k} U[k][p_j] *
+X[j][f]) / U[k][p_k] from the last pivot row up.  When the pivot u does
+not divide the numerator a, column f is scaled by |u| / gcd(a, u): t_f and
+every X[j][f] already computed are multiplied, the stored entries lazily,
+when next read.  Then x[p_k] = X[k][b] / t_b, and the nullspace vector of
+free column f is t_f at f and -X[k][f] at each p_k, made primitive.  The
+denominators grow with the answer, not with the pivot minor.  The
 substitution walks only nonzeros: those of the pivot rows, and those of X,
 where free column f lives on the pivots left of f.
 
@@ -58,8 +63,8 @@ def scaled_to_integers(row):
 
 
 def echelon(matrix, extra=None):
-    """Echelon ``(rows, pivots)`` of [matrix | extra] after per-row integer
-    scaling."""
+    """The kernel's ``(rows, pivots, minors)`` of [matrix | extra] after
+    per-row integer scaling."""
     rows = []
     for i, row in enumerate(matrix):
         full = list(row) + ([extra[i]] if extra is not None else [])
@@ -88,38 +93,55 @@ def back_substitute(rows, pivots, n, extra=()):
     block times x = column e.
     """
     pivots = [p for p in pivots if p < n]
-    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     free = sorted(set(range(n)).difference(pivots))
-    solved = set(free).union(extra)
+    scale = dict.fromkeys([*free, *extra], 1)  # solved column -> denominator
     row_of = {p: k for k, p in enumerate(pivots)}
     span = range(len(rows[0]) if pivots else 0)
-    X = [None] * len(pivots)  # X[k]: solved column -> its nonzero entry
+    # X[k]: solved column f -> (entry, the scale of f it was computed at)
+    X = [None] * len(pivots)
     for k in reversed(range(len(pivots))):
         row = rows[k]
         acc = {}
         for c in compress(span, row):
             j = row_of.get(c)
             if j is None:
-                if c in solved:
-                    acc[c] = acc.get(c, 0) + d * row[c]
+                t = scale.get(c)
+                if t is not None:
+                    acc[c] = acc.get(c, 0) + t * row[c]
             elif j > k:
                 u = row[c]
-                for f, v in X[j].items():
+                later = X[j]
+                for f, (v, s) in later.items():
+                    t = scale[f]
+                    if s != t:  # column f was scaled since: catch up once
+                        v *= t // s
+                        later[f] = v, t
                     acc[f] = acc.get(f, 0) - u * v
         piv = row[pivots[k]]
-        X[k] = {f: a // piv for f, a in acc.items() if a}
+        out = {}
+        for f, a in acc.items():
+            if a:
+                q, r = divmod(a, piv)
+                if r:  # scale column f until the pivot divides it
+                    m = abs(piv) // math.gcd(a, piv)
+                    scale[f] *= m
+                    q = a * m // piv
+                out[f] = q, scale[f]
+        X[k] = out
     basis = {fc: [0] * n for fc in free}
     for fc, vec in basis.items():
-        vec[fc] = d
+        vec[fc] = scale[fc]
     solutions = [[Fraction(0)] * n for _ in extra]
     by_column = dict(zip(extra, solutions))
     for k, p in enumerate(pivots):
-        for c, v in X[k].items():
+        for c, (v, s) in X[k].items():
+            t = scale[c]
+            v *= t // s
             vec = basis.get(c)
             if vec is not None:
                 vec[p] = -v
             else:
-                by_column[c][p] = Fraction(v, d)
+                by_column[c][p] = Fraction(v, t)
     return [normalize_primitive(v) for v in basis.values()], solutions
 
 
@@ -133,7 +155,7 @@ def solve(matrix, rhs):
     if not matrix:
         return [], []
     n = len(matrix[0])
-    rows, pivots = echelon(matrix, extra=rhs)
+    rows, pivots, _ = echelon(matrix, extra=rhs)
     basis, (x,) = back_substitute(rows, pivots, n, [n])
     consistent = not pivots or pivots[-1] != n
     return (x if consistent else None), basis

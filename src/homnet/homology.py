@@ -28,9 +28,10 @@ faces stacked with the fundamental cycles (``Complex.face_echelon``)
 instead: its pivots below the face count give the rank, its face block
 back-substitutes to the 2-cycle basis and to boundary witnesses, and the
 cycle columns that are pivots are the H1 generators.  Both select the same
-generators, the greedy choice modulo the face boundaries.  The last face
-pivot is, up to sign, a minor of full rank, which the product of the
-invariant factors divides, so a unit pivot proves H1 torsion-free; only
+generators, the greedy choice modulo the face boundaries.  The kernel
+reports, beside the echelon, the minor of full rank of the boundary on
+faces on its face pivot rows and columns, which the product of the
+invariant factors divides, so a unit minor proves H1 torsion-free; only
 when it is not +-1 does the Smith form behind the torsion coefficients run.
 """
 
@@ -56,12 +57,12 @@ def _rank_boundary(complex, k):
     return _faces(complex).rank
 
 
-def is_cycle(chain, tol=None):
-    """True when the boundary is zero within ``tol`` (default
-    ``DEFAULT_TOL``); an exact boundary must vanish exactly."""
+def is_cycle(chain, tol=DEFAULT_TOL):
+    """True when the boundary is zero within ``tol``; an exact boundary must
+    vanish exactly."""
     if chain.dim == 0:
         return True
-    return boundary(chain).is_zero(DEFAULT_TOL if tol is None else tol)
+    return boundary(chain).is_zero(tol)
 
 
 @dataclass
@@ -70,7 +71,7 @@ class BoundaryTest:
     witness: Chain | None = None
 
 
-def is_boundary(chain, tol=None):
+def is_boundary(chain, tol=DEFAULT_TOL):
     """Decide whether a cycle bounds, producing a witness chain when it does.
 
     A 0-chain bounds when its coefficients sum to zero on every path
@@ -78,9 +79,8 @@ def is_boundary(chain, tol=None):
     ``_tree_flow``).  A 1-chain of an exact kind is solved exactly over
     the faces (``_faces``), its witness the one ``exact.solve`` returns;
     real64 1-chains use a least-squares solve with a residual tolerance.
-    Every float test is at ``tol`` (default ``DEFAULT_TOL``).
+    Every float test is at ``tol``.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if not is_cycle(chain, tol):
         raise NotACycle("only cycles can bound")
     cx, k, mod = chain.complex, chain.dim, chain.module
@@ -186,8 +186,8 @@ def torsion_coefficients(complex):
     directed multigraph is totally unimodular.  H_1 is certified
     torsion-free by a unit minor of full rank of the boundary on faces,
     which the product of the invariant factors divides: the collapse's, or
-    else the face echelon's last pivot; only without one does the Smith
-    form run.
+    else the face echelon's minor on its face pivots; only without one does
+    the Smith form run.
     """
     out = [[] for _ in range(complex.dim + 1)]
     if complex.dim == 2:
@@ -321,7 +321,9 @@ class _Collapse:
             columns.append(
                 [u + p - q for u, p, q in zip(phi[a], potential[tail], potential[head])]
             )
-        _, pivots = _kernel.echelon([list(row) for row in zip(*columns)], len(columns))
+        _, pivots, _ = _kernel.echelon(
+            [list(row) for row in zip(*columns)], len(columns)
+        )
         if len(pivots) != b1:
             raise InternalMismatch(
                 f"cocycle pairing has rank {len(pivots)}, expected b1 = {b1}"
@@ -363,17 +365,17 @@ class _FaceEchelon:
         return sum(1 for p in self.complex.face_echelon[1] if p < self.complex.r[2])
 
     def cycles(self):
-        rows, pivots = self.complex.face_echelon
+        rows, pivots, _ = self.complex.face_echelon
         return exact.back_substitute(rows, pivots, self.complex.r[2])[0]
 
     def torsion(self):
-        """The Bareiss pivot in row r-1 is +-1 times an r x r minor, and the
+        """The echelon reports, up to sign, the r x r minor of the boundary
+        on faces on its first r pivot rows and columns, r its rank, and the
         product of the invariant factors is the gcd of all such minors, so
-        a unit pivot proves H1 torsion-free; only otherwise does the Smith
+        a unit minor proves H1 torsion-free; only otherwise does the Smith
         form run."""
         r = self.rank
-        rows, pivots = self.complex.face_echelon
-        if r and abs(rows[r - 1][pivots[r - 1]]) != 1:
+        if r and abs(self.complex.face_echelon[2][r - 1]) != 1:
             snf = exact.smith_normal_form(self.complex.incidence_2)
             return [d for d in snf.d if d > 1]
         return []
@@ -402,7 +404,7 @@ class _FaceEchelon:
             for i, a in enumerate(forest.chords)
             if chain[a]
         ]
-        rows, pivots = cx.face_echelon
+        rows, pivots, _ = cx.face_echelon
         ec = [sum(w * row[col] for col, w in weights) for row in rows[: len(pivots)]]
         faces = self.rank
         if any(ec[faces:]):
@@ -442,7 +444,7 @@ def integrate(cochain):
     return Cochain(cx, 0, values, mod, prune=False)
 
 
-def is_coboundary(cochain, tol=None):
+def is_coboundary(cochain, tol=DEFAULT_TOL):
     """Decide whether a 1-cochain is the coboundary of a 0-cochain.
 
     It is one exactly when it sums to zero around the fundamental cycle of
@@ -465,7 +467,7 @@ def is_coboundary(cochain, tol=None):
             continue
         z = Chain(cx, 1, forest.cycle(a), INTEGER)
         val = evaluate(cochain, z)
-        if not _value_is_zero(mod, val, tol):
+        if not mod.is_zero(val, tol):
             return CoboundaryTest(False, witness=z, pairing=val)
 
     values = {}
@@ -474,8 +476,3 @@ def is_coboundary(cochain, tol=None):
         for v in comp:
             values[v] = mod.add(potential[v], top)
     return CoboundaryTest(True, potential=Cochain(cx, 0, values, mod, prune=False))
-
-
-def _value_is_zero(mod, val, tol):
-    """``Module.is_zero`` at the tolerance of the cochain tests."""
-    return mod.is_zero(val, DEFAULT_TOL if tol is None else tol)

@@ -91,8 +91,8 @@ def test_a_face_without_a_free_branch_falls_back():
 
 def test_a_short_pairing_rank_is_an_internal_mismatch(monkeypatch):
     def short(rows, ncols):
-        rows, pivots = echelon(rows, ncols)
-        return rows, pivots[:-1]
+        rows, pivots, minors = echelon(rows, ncols)
+        return rows, pivots[:-1], minors[:-1]
 
     echelon = _kernel.echelon
     monkeypatch.setattr(_kernel, "echelon", short)

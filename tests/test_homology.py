@@ -460,14 +460,14 @@ def test_float_coboundary_fails_on_loop_sum_above_tol(circle):
     assert dict(result.witness.coeffs) == {0: 1, 1: -1, 2: 1}
 
 
-def cycle_sum_coboundary(cochain, tol=None):
+def cycle_sum_coboundary(cochain, tol=DEFAULT_TOL):
     """The per-cycle algorithm, kept as the oracle: sum the cochain around
     every chord's fundamental cycle in chord order, and integrate the
     potential only once every sum vanishes."""
     cx, mod = cochain.complex, cochain.module
     for z in hn.cycle_basis(cx, 1):
         val = hn.evaluate(cochain, z)
-        if not homology._value_is_zero(mod, val, tol):
+        if not mod.is_zero(val, tol):
             return homology.CoboundaryTest(False, witness=z, pairing=val)
     potential = homology.integrate(cochain)
     values = {}

@@ -1,5 +1,9 @@
-"""The elimination kernel against the step-by-step Bareiss loop it defers,
-and the answers read from it against the row order and the row rule."""
+"""The elimination kernel against the step-by-step Bareiss loop, whose rows
+it keeps primitive, and the answers read from it against the row order and
+the row rule."""
+
+import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +17,7 @@ from conftest import (
     face_answers,
     fresh_copy,
     frameworks,
+    random_complex,
     real_projective_plane,
     tetrahedron_surface,
     triangulated_disc,
@@ -37,11 +42,13 @@ def eager_echelon(rows, ncols, pick=sparsest):
     """The step-by-step Bareiss loop: at every step each row below the pivot
     row is updated, a row with a zero lead by the scaling p_t / p_{t-1}.
     ``pick`` chooses the pivot row among the rows at or below the pivot
-    position with a nonzero in the pivot column."""
+    position with a nonzero in the pivot column.  Returns the kernel's
+    ``(rows, pivot_cols, minors)``: the pivots are the minors."""
     nrows = len(rows)
     prev = 1
     r = 0
     pivot_cols = []
+    pivots = []
     for c in range(ncols):
         candidates = [p for p in range(r, nrows) if rows[p][c] != 0]
         if not candidates:
@@ -63,10 +70,35 @@ def eager_echelon(rows, ncols, pick=sparsest):
                 row_i[c] = 0
         prev = piv
         pivot_cols.append(c)
+        pivots.append(piv)
         r += 1
         if r == nrows:
             break
-    return rows, pivot_cols
+    return rows, pivot_cols, pivots
+
+
+def primitive(row):
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g else row
+
+
+def matches_bareiss(got, want):
+    """The kernel's echelon against the eager Bareiss one: the same pivot
+    columns, each row in the same place and plus or minus the primitive
+    part of the Bareiss row, and each minor plus or minus the Bareiss
+    pivot of its step."""
+    rows, pivot_cols, minors = got
+    bareiss_rows, bareiss_cols, bareiss_pivots = want
+    return (
+        pivot_cols == bareiss_cols
+        and len(rows) == len(bareiss_rows)
+        and all(
+            row in (p, [-x for x in p])
+            for row, p in zip(rows, map(primitive, bareiss_rows))
+        )
+        and list(map(abs, minors)) == list(map(abs, bareiss_pivots))
+    )
 
 
 entries = st.one_of(
@@ -123,22 +155,15 @@ DEFERRED = [  # the last row keeps a zero lead under three pivots
 def test_pure_kernel_matches_eager_bareiss(rows):
     ncols = len(rows[0]) if rows else 0
     got = pure.echelon([list(r) for r in rows], ncols)
-    assert got == eager_echelon([list(r) for r in rows], ncols)
+    assert matches_bareiss(got, eager_echelon([list(r) for r in rows], ncols))
     assert all(type(x) is int for row in got[0] for x in row)
     # the pivot columns are those of the first-nonzero rule
     assert got[1] == eager_echelon([list(r) for r in rows], ncols, first_nonzero)[1]
 
 
-@settings(deadline=None)
-@given(complexes())
-def test_pure_kernel_matches_eager_bareiss_on_boundary_maps(cx):
-    """The boundary map on branches, and [boundary on faces | fundamental
-    cycles] as ``Complex.face_echelon`` hands it to the package's kernel."""
-    assert _kernel.echelon is pure.echelon and hn.KERNEL_BACKEND == "pure"
-    boundary_1 = [[row[i] for row in cx.incidence_1] for i in range(cx.r[0])]
-    assert pure.echelon([list(r) for r in boundary_1], cx.r[1]) == eager_echelon(
-        boundary_1, cx.r[1]
-    )
+def face_matrix(cx):
+    """[boundary on faces | fundamental cycles] and its column count, as
+    ``Complex.face_echelon`` hands it to the kernel."""
     forest = cx.forest
     ncols = cx.r[2] + len(forest.chords)
     faces = [[0] * ncols for _ in range(cx.r[1])]
@@ -148,7 +173,21 @@ def test_pure_kernel_matches_eager_bareiss_on_boundary_maps(cx):
     for i, a in enumerate(forest.chords, cx.r[2]):
         for b, v in forest.cycle(a).items():
             faces[b][i] = v
-    assert cx.face_echelon == eager_echelon(faces, ncols)
+    return faces, ncols
+
+
+@settings(deadline=None)
+@given(complexes())
+def test_pure_kernel_matches_eager_bareiss_on_boundary_maps(cx):
+    """The boundary map on branches, and [boundary on faces | fundamental
+    cycles] as ``Complex.face_echelon`` hands it to the package's kernel."""
+    assert _kernel.echelon is pure.echelon and hn.KERNEL_BACKEND == "pure"
+    boundary_1 = [[row[i] for row in cx.incidence_1] for i in range(cx.r[0])]
+    assert matches_bareiss(
+        pure.echelon([list(r) for r in boundary_1], cx.r[1]),
+        eager_echelon(boundary_1, cx.r[1]),
+    )
+    assert matches_bareiss(cx.face_echelon, eager_echelon(*face_matrix(cx)))
 
 
 @settings(deadline=None, max_examples=200)
@@ -192,9 +231,18 @@ def test_grid_truss_echelon_keeps_its_fill_small():
     A = statics.equilibrium_matrix(g)
     q = [a % 11 - 5 for a in range(g.complex.r[1])]
     b = [sum(x * y for x, y in zip(row, q)) for row in A]
-    rows, pivots = exact.echelon(A, extra=b)
+    rows, pivots, _ = exact.echelon(A, extra=b)
     assert len(pivots) == 2 * g.complex.r[0] - 3  # rigid: three rigid motions
     assert sum(1 for row in rows[: len(pivots)] for x in row if x) <= 2500
+
+
+def test_grid_truss_echelon_keeps_its_entries_small():
+    """Primitive rows keep every entry of the k = 12 grid truss's echelon
+    within 43 bits; the Bareiss entries, minors over every earlier pivot,
+    reach 917.  The bound is a machine word, not the measured size."""
+    A = statics.equilibrium_matrix(jittered_grid_truss(12))
+    rows, _, _ = exact.echelon(A)
+    assert max(abs(x).bit_length() for row in rows for x in row) <= 64
 
 
 def chains_to_test(cx):
@@ -222,3 +270,38 @@ def test_face_echelon_answers_do_not_depend_on_the_row_rule(cx, torsion, monkeyp
         _kernel, "echelon", lambda rows, ncols: eager_echelon(rows, ncols, first_nonzero)
     )
     assert face_answers(fresh_copy(cx), chains) == got
+
+
+def test_smith_form_runs_exactly_without_a_unit_face_minor(monkeypatch):
+    """The torsion certificate reads the kernel's minor where it read the
+    Bareiss pivot of the last face pivot row, so the Smith form runs
+    exactly when that eager pivot is not +-1: on the projective plane, and
+    on no face-echelon draw of ``random_complex``."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    smith_normal_form = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", counted)
+    rng = random.Random(0)
+    draws = [
+        cx for cx in (random_complex(rng) for _ in range(20000))
+        if cx.dim == 2 and cx.collapse is None
+    ]
+    assert len(draws) == 5
+    named = [
+        real_projective_plane(),
+        tetrahedron_surface(),
+        disjoint_union(triangulated_disc(), real_projective_plane()),
+    ]
+    runs = []
+    for cx in named + draws:
+        _, pivot_cols, pivots = eager_echelon(*face_matrix(cx))
+        rank = sum(1 for c in pivot_cols if c < cx.r[2])
+        calls.clear()
+        hn.torsion_coefficients(cx)
+        assert len(calls) == (abs(pivots[rank - 1]) != 1)
+        runs.append(len(calls))
+    assert runs == [1, 0, 1] + [0] * len(draws)

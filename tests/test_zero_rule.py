@@ -3,6 +3,7 @@ zero, whatever the tolerance, and any other value when its norm is within
 the tolerance.  So every verdict on exact data is the same at any
 tolerance."""
 
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +41,13 @@ def test_exact_value_is_zero_only_when_it_equals_zero(module, tiny):
     for tol in (0, 1e-9, 1e-3, 1.0):
         assert not module.is_zero(tiny, tol)
         assert module.is_zero(module.zero(), tol)
+
+
+@pytest.mark.parametrize("check", [hn.is_cycle, hn.is_boundary, hn.is_coboundary])
+def test_homology_tests_keep_their_default_in_the_signature(check):
+    """One meaning for ``tol``: the default lives in the signature, as in
+    every other check, so ``None`` is no tolerance."""
+    assert inspect.signature(check).parameters["tol"].default == coeffs.DEFAULT_TOL
 
 
 def test_float_value_is_zero_within_the_tolerance():
