@@ -23,22 +23,13 @@ Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9).  With pivot p and
 a row's lead l, g = gcd(p, l), the step replaces the row x by the
 primitive part of (p/g) x - (l/g) y, y the pivot row; a row whose lead is
 zero is left as it is.  Bareiss's step (Bareiss 1968) replaces x by
-(p x - l y) divided by the previous pivot, so its entries are minors over
+(p x - l y) divided by the previous pivot, so each entry is a minor over
 every earlier pivot; on a grid truss most of such a minor is one factor
 shared by the whole row, which the content removes.  Each row here is a
 nonzero rational multiple of the Bareiss row under the same row rule, so it
 has the same support, the rule picks the same pivot rows in the same order,
 and each output row is plus or minus the primitive part of the Bareiss
 row.
-
-The minors Bareiss carried in the entries are reported beside them.  A
-pivot row equals the input row times the product of the multipliers p/g
-applied to it over the product of the contents removed from it, plus
-earlier pivot rows; the echelon is triangular on the pivot columns, so the
-determinant of the minor on the first t pivot rows and pivot columns is,
-up to sign, the product of the first t pivots times that ratio's inverse
-for each of their rows.  Keeping it costs two integer multiplications per
-row update and none per entry.
 """
 
 from itertools import compress
@@ -51,33 +42,26 @@ def echelon(rows, ncols):
     """Fraction-free row echelon of an integer matrix, every row primitive.
 
     ``rows`` is a list of row lists which is consumed (copy before calling if
-    the input matters).  Returns ``(rows, pivot_cols, minors)``: dense row
-    lists, of which the first ``len(pivot_cols)`` hold the echelon form and
-    the rest are zero, and ``minors[t]``, plus or minus the determinant of
-    the input's minor on the rows that became the first t + 1 pivot rows
-    and on the first t + 1 pivot columns (the Bareiss pivot of step t).
+    the input matters).  Returns ``(rows, pivot_cols)``: dense row lists, of
+    which the first ``len(pivot_cols)`` hold the echelon form and the rest
+    are zero.
     """
     nrows = len(rows)
     span = range(ncols)
     sparse = []  # row -> {column: entry} of its nonzeros, its pivot popped
     leading = {}  # column -> the rows whose first nonzero it is
-    taken = [1] * nrows  # row -> the product of the contents removed from it
-    given = [1] * nrows  # row -> the product of the multipliers applied to it
     for i, row in enumerate(rows):
         entries = {c: row[c] for c in compress(span, row)}
         if entries:
             g = gcd(*entries.values())
             if g > 1:
                 entries = {c: x // g for c, x in entries.items()}
-                taken[i] = g
             leading.setdefault(next(iter(entries)), []).append(i)
         sparse.append(entries)
     order = list(range(nrows))  # position -> row
     where = order[:]  # row -> position
     pivots = []
     pivot_cols = []
-    minors = []
-    minor = 1
     for c in span:
         candidates = leading.pop(c, None)
         if candidates is None:
@@ -112,13 +96,9 @@ def echelon(rows, ncols):
             g = gcd(*out.values())
             if g > 1:
                 out = {j: v // g for j, v in out.items()}
-                taken[i] *= g
-            given[i] *= a
             sparse[i] = out
             if out:
                 leading.setdefault(min(out), []).append(i)
-        minor = minor * piv * taken[best] // given[best]
-        minors.append(minor)
         pivots.append(piv)
         pivot_cols.append(c)
         if step + 1 == nrows:
@@ -131,4 +111,4 @@ def echelon(rows, ncols):
         dense.append(row)
     for row, c, piv in zip(dense, pivot_cols, pivots):
         row[c] = piv
-    return dense, pivot_cols, minors
+    return dense, pivot_cols

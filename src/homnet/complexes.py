@@ -16,17 +16,9 @@ path components are its trees, the rank is its number of branches, and the
 fundamental cycle of each chord is the nullspace vector of that chord's
 free column.
 
-The boundary map on faces is first collapsed (``Complex.collapse``), the
-discrete-Morse matching of Forman's theory: each face is matched to a free
-branch, one lying in exactly one face not yet matched, which frees others
-in turn.  When every face is matched, the pairs in collapse order pick a
-unit lower-triangular minor of full rank, and the homology module reads
-every answer about the faces from them (see ``homnet.homology``).  A complex
-with a face left unmatched, such as a closed surface, is answered by one
-cached echelon (``Complex.face_echelon``) of that map stacked with the
-chords' fundamental cycles: its pivots below the face count are the rank,
-its face block back-substitutes to the 2-cycles, and the cycle columns that
-are pivots are independent modulo the face boundaries.
+The boundary map on faces is collapsed (``Complex.collapse``), a
+discrete-Morse matching in Forman's sense, from which the homology module
+reads every answer about the faces (see ``homnet.homology``).
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import _kernel
 from .errors import (
     DuplicateLabel,
     NonClosingFace,
@@ -159,6 +150,8 @@ class Complex:
             raise DuplicateLabel("branch labels are not unique")
         if len(self.face_labels) != len(self.faces):
             raise DuplicateLabel("one label per face required")
+        if len(set(self.face_labels)) != len(self.face_labels):
+            raise DuplicateLabel("face labels are not unique")
 
         self._node_index = {lab: i for i, lab in enumerate(self.node_labels)}
         self._branch_index = {lab: a for a, lab in enumerate(self.branch_labels)}
@@ -251,16 +244,16 @@ class Complex:
 
     @cached_property
     def collapse(self):
-        """The faces matched to free branches, as ``(face, branch)`` pairs in
-        collapse order, or None when some face is left unmatched.
+        """The discrete-Morse matching of the faces, as ``(pairs, critical)``:
+        ``(face, branch)`` pairs in collapse order, and the critical faces.
 
         A branch is free when it lies in exactly one live face; matching a
         face to a free branch removes the face, which may free its other
-        branches.  The faces left at the end do not depend on the order, as
-        removing a face only frees branches.  In collapse order the i-th
-        branch lies in the i-th face and in no later one, so the pairs pick
-        a unit lower-triangular minor of the boundary on faces.  Shared by
-        every caller, so read-only."""
+        branches.  When no branch is free, the lowest live face is made
+        critical and removed, so a closed surface has one critical face per
+        component.  A matched branch lies in no face removed after its own,
+        so the pairs pick a unit lower-triangular minor of the boundary on
+        faces.  Shared by every caller, so read-only."""
         faces_of = [[] for _ in self.branches]
         for f, edges in enumerate(self.faces):
             for b, _ in edges:
@@ -269,41 +262,29 @@ class Complex:
         alive = [True] * len(self.faces)
         work = [b for b, n in enumerate(live) if n == 1]
         work.reverse()  # a stack; the lowest free branch goes first
-        pairs = []
-        while work:
-            b = work.pop()
-            if live[b] != 1:
-                continue
-            for f in faces_of[b]:
-                if alive[f]:
-                    break
+        pairs, critical = [], []
+        lowest = 0  # every face below it is removed
+        while True:
+            if work:
+                b = work.pop()
+                if live[b] != 1:
+                    continue
+                for f in faces_of[b]:
+                    if alive[f]:
+                        break
+                pairs.append((f, b))
+            else:
+                while lowest < len(alive) and not alive[lowest]:
+                    lowest += 1
+                if lowest == len(alive):
+                    return tuple(pairs), tuple(critical)
+                f = lowest
+                critical.append(f)
             alive[f] = False
-            pairs.append((f, b))
             for c, _ in self.faces[f]:
                 live[c] -= 1
                 if live[c] == 1:
                     work.append(c)
-        return tuple(pairs) if len(pairs) == len(self.faces) else None
-
-    @cached_property
-    def face_echelon(self):
-        """Echelon ``(rows, pivots, minors)`` of the r1 x (r2 + m) matrix
-        [boundary on faces | z_1 ... z_m], z_i the fundamental cycle of the
-        i-th chord.  The pivots below r2 count the rank of the boundary on
-        faces, and column r2 + i is a pivot iff z_i is independent of the
-        face boundaries and of the cycles before it.  Shared by every
-        caller, so read-only."""
-        forest = self.forest
-        r2 = len(self.faces)
-        ncols = r2 + len(forest.chords)
-        rows = [[0] * ncols for _ in self.branches]
-        for f, edges in enumerate(self.faces):
-            for b, s in edges:
-                rows[b][f] += s
-        for i, a in enumerate(forest.chords, r2):
-            for b, v in forest.cycle(a).items():
-                rows[b][i] = v
-        return _kernel.echelon(rows, ncols)
 
     def __repr__(self):
         r0, r1, r2 = self.r

@@ -209,6 +209,8 @@ def parse(text):
         # the one other failure: an integer literal past the digit limit of
         # int-to-str conversion
         raise _long_literal(text) from None
+    except RecursionError:
+        raise ValidationError("$", _TOO_DEEP) from None
     if not isinstance(raw, dict):
         raise ValidationError("$", "document must be a JSON object")
 
@@ -353,15 +355,20 @@ def _parse_faces(raw):
         return []
     if not isinstance(raw, list):
         raise ValidationError("faces", "faces must be a list")
+    seen = set()
     out = []
     for k, spec in enumerate(raw):
         path = f"faces[{k}]"
         if not isinstance(spec, dict) or "id" not in spec or "edges" not in spec:
             raise ValidationError(path, "each face needs an id and 3 signed edges")
+        fid = str(spec["id"])
+        if fid in seen:
+            raise ValidationError(f"{path}.id", f"duplicate face id {fid!r}")
+        seen.add(fid)
         edges = spec["edges"]
         if not isinstance(edges, list) or len(edges) != 3:
             raise ValidationError(f"{path}.edges", "exactly three signed branch ids")
-        out.append({"id": str(spec["id"]), "edges": [str(e) for e in edges]})
+        out.append({"id": fid, "edges": [str(e) for e in edges]})
     return out
 
 
@@ -432,6 +439,10 @@ def _too_many_digits(digits):
     return None
 
 
+# a document nested deeper than the parser recurses
+_TOO_DEEP = "arrays and objects nest too deeply to parse"
+
+
 class _Digits(int):
     """Stand-in for an integer literal too long to convert: its digit count."""
 
@@ -444,7 +455,10 @@ def _long_literal(text):
         digits = len(literal.lstrip("-"))
         return _Digits(digits) if _too_many_digits(digits) else int(literal)
 
-    stack = [("$", json.loads(text, parse_int=parse_int))]
+    try:
+        stack = [("$", json.loads(text, parse_int=parse_int))]
+    except RecursionError:
+        return ValidationError("$", _TOO_DEEP)
     while stack:
         path, value = stack.pop()
         if type(value) is _Digits:

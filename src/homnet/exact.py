@@ -21,7 +21,7 @@ nullspace of [A | b] off one echelon by one integer back-substitution,
 ``back_substitute``.  It reads only the columns below a bound n: the left
 block of an echelon is the echelon of that block, so one echelon of [A | B]
 serves every question about A.  The kernel's rows are primitive, not
-minors, so no one denominator makes the pivot block's inverse integral in
+Bareiss rows, so no one denominator makes the pivot block's inverse integral in
 advance.  Instead each solved column f (a free column, or a right-hand
 side) keeps a running denominator t_f, and with pivot columns p_k < n the
 substitution computes X[k][f] = (t_f * U[k][f] - sum_{j>k} U[k][p_j] *
@@ -34,9 +34,9 @@ denominators grow with the answer, not with the pivot minor.  The
 substitution walks only nonzeros: those of the pivot rows, and those of X,
 where free column f lives on the pivots left of f.
 
-The Smith normal form is computed here directly; torsion reporting runs it
-only when the face echelon does not already certify H1 torsion-free, so it
-is not a hot path.
+The Smith normal form is computed here directly.  Torsion reporting runs
+it only on the Morse boundary of a complex's critical faces, a matrix with
+one column per critical face, so it is not a hot path.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def scaled_to_integers(row):
 
 
 def echelon(matrix, extra=None):
-    """The kernel's ``(rows, pivots, minors)`` of [matrix | extra] after
-    per-row integer scaling."""
+    """The kernel's ``(rows, pivots)`` of [matrix | extra] after per-row
+    integer scaling."""
     rows = []
     for i, row in enumerate(matrix):
         full = list(row) + ([extra[i]] if extra is not None else [])
@@ -155,7 +155,7 @@ def solve(matrix, rhs):
     if not matrix:
         return [], []
     n = len(matrix[0])
-    rows, pivots, _ = echelon(matrix, extra=rhs)
+    rows, pivots = echelon(matrix, extra=rhs)
     basis, (x,) = back_substitute(rows, pivots, n, [n])
     consistent = not pivots or pivots[-1] != n
     return (x if consistent else None), basis

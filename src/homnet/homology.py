@@ -13,26 +13,11 @@ chord's value is the difference of the potential integrated along the
 trees.  A 0-chain bounds exactly when it sums to zero on each tree.
 
 In dimension two every question about the boundary map on faces is
-answered in one place, ``_faces``.  When the collapse (``Complex.collapse``)
-matches every face to a free branch, the pairs are a unit lower-triangular
-minor of full rank: the map is injective, so there are no 2-cycles, its
-rank is the face count, and H1 is torsion-free, the gcd of its minors of
-full rank being 1.  The unmatched branches span a graph whose
-spanning-forest chords index H1; a reverse sweep over the pairs extends the
-unit cochains on those chords to an integer cocycle that vanishes on every
-face boundary, and the H1 generators are the fundamental cycles whose
-pairings with it are pivots of one small echelon.  The boundary test of an
-exact 1-chain is a forward sweep over the pairs.  A complex with a face the
-collapse leaves unmatched reads one cached echelon of the boundary map on
-faces stacked with the fundamental cycles (``Complex.face_echelon``)
-instead: its pivots below the face count give the rank, its face block
-back-substitutes to the 2-cycle basis and to boundary witnesses, and the
-cycle columns that are pivots are the H1 generators.  Both select the same
-generators, the greedy choice modulo the face boundaries.  The kernel
-reports, beside the echelon, the minor of full rank of the boundary on
-faces on its face pivot rows and columns, which the product of the
-invariant factors divides, so a unit minor proves H1 torsion-free; only
-when it is not +-1 does the Smith form behind the torsion coefficients run.
+answered in one place, ``_faces``, from the collapse (``Complex.collapse``)
+and the Morse boundary of its critical faces (see ``_Faces``): one small
+echelon gives the rank, the H1 generators, the 2-cycles and the boundary
+test of an exact 1-chain, and the Smith form behind the torsion
+coefficients runs on the Morse boundary, one column per critical face.
 """
 
 from __future__ import annotations
@@ -54,7 +39,8 @@ def _rank_boundary(complex, k):
     if k == 1:
         # one echelon pivot per tree branch
         return complex.r[1] - len(complex.forest.chords)
-    return _faces(complex).rank
+    faces = _faces(complex)
+    return len(faces.pairs) + faces.morse_rank
 
 
 def is_cycle(chain, tol=DEFAULT_TOL):
@@ -95,7 +81,10 @@ def is_boundary(chain, tol=DEFAULT_TOL):
     if k == 0:
         return _tree_flow(chain, tol)
     if mod.exact:
-        return _faces(cx).solve(chain)
+        witness = _faces(cx).solve(chain.coeffs)
+        if witness is None:
+            return BoundaryTest(False)
+        return BoundaryTest(True, Chain(cx, 2, witness, RATIONAL))
     import numpy as np
 
     mat = [list(col) for col in zip(*cx.incidence_2)]
@@ -146,8 +135,8 @@ def cycle_basis(complex, k=1):
     forest, one cycle per chord in chord order with coefficients all +-1;
     it equals the exact nullspace basis vector for vector.  In dimension two
     it is the exact nullspace of the boundary map on faces: empty when the
-    collapse matches every face, else back-substituted from the face block
-    of ``Complex.face_echelon``.
+    collapse leaves no critical face, else the kernel of their Morse
+    boundary, lifted and made canonical (see ``_Faces._cycles``).
     """
     if k == 0:
         return [Chain(complex, 0, {i: 1}, INTEGER) for i in range(complex.r[0])]
@@ -158,7 +147,7 @@ def cycle_basis(complex, k=1):
         return []
     return [
         Chain(complex, k, {i: v for i, v in enumerate(vec) if v}, INTEGER)
-        for vec in _faces(complex).cycles()
+        for vec in _faces(complex).cycles
     ]
 
 
@@ -183,11 +172,10 @@ def torsion_coefficients(complex):
     from the boundary map out of dimension k+1.  Integer coefficients only.
 
     H_0 never has torsion: the boundary map on branches of a loop-free
-    directed multigraph is totally unimodular.  H_1 is certified
-    torsion-free by a unit minor of full rank of the boundary on faces,
-    which the product of the invariant factors divides: the collapse's, or
-    else the face echelon's minor on its face pivots; only without one does
-    the Smith form run.
+    directed multigraph is totally unimodular.  H_1 is the cokernel of the
+    Morse boundary of the collapse's critical faces, so its torsion is read
+    from the Smith form of that matrix, one column per critical face; with
+    no critical face H_1 is free.
     """
     out = [[] for _ in range(complex.dim + 1)]
     if complex.dim == 2:
@@ -230,10 +218,12 @@ def summary(complex):
 # ---------------------------------------------------------------------------
 
 def _faces(complex):
-    """The answers to every question about the boundary on faces: read from
-    the collapse when it matches every face, else from the face echelon."""
-    pairs = complex.collapse
-    return _FaceEchelon(complex) if pairs is None else _Collapse(complex, pairs)
+    """The answers to every question about the boundary on faces, built on
+    the first question and kept on the complex."""
+    faces = vars(complex).get("_faces")
+    if faces is None:
+        faces = vars(complex)["_faces"] = _Faces(complex)
+    return faces
 
 
 def _split(edges, b):
@@ -247,57 +237,51 @@ def _split(edges, b):
     return third[1], first, second
 
 
-class _Collapse:
-    """Face answers from ``Complex.collapse``, a matching of every face.
+class _Faces:
+    """Face answers from ``Complex.collapse``: its pairs, and the Morse
+    boundary of its critical faces C.
 
-    The matched branches and faces form a unit lower-triangular minor of
-    full rank, so the boundary on faces is injective: no 2-cycles, rank r2,
-    and no H1 torsion, the gcd of the r2 x r2 minors being 1.
+    Without C the complex collapses onto the graph G of the unmatched
+    branches, whose b spanning-forest chords index its first homology.  The
+    unit cochains on those chords, zero on G's tree, extend by a reverse
+    sweep over the pairs to an integer cocycle phi, each matched branch
+    taking the value that makes phi vanish on its face's boundary; phi maps
+    that homology isomorphically onto the integers^b.  The Morse boundary
+    of a critical face is phi of its boundary, so H1 is the cokernel of the
+    b x |C| Morse matrix D, the rank of the boundary on faces is the pair
+    count plus the rank of D, and each 2-cycle is a vector of the kernel of
+    D lifted to the matched faces.  With C empty there are no 2-cycles and
+    no H1 torsion.
     """
 
-    def __init__(self, complex, pairs):
-        self.complex, self.pairs = complex, pairs
+    def __init__(self, complex):
+        # no reference to the complex, which keeps this object
+        self.faces, self.chords = complex.faces, complex.forest.chords
+        self.pairs, self.critical = complex.collapse
+        phi = self._cocycle(complex)
+        self.morse = []  # the columns of D
+        for f in self.critical:
+            (x, s), (y, t), (z, u) = ((phi[b], s) for b, s in self.faces[f])
+            self.morse.append([s * p + t * q + u * r for p, q, r in zip(x, y, z)])
+        self.rows, self.pivots = self._echelon(complex, phi)
+        n = len(self.critical)
+        self.morse_rank = sum(1 for c in self.pivots if c < n)
+        self.cycles = self._cycles() if self.morse_rank < n else []
 
-    @property
-    def rank(self):
-        return self.complex.r[2]
-
-    def cycles(self):
-        return []
-
-    def torsion(self):
-        return []
-
-    def h1_chords(self):
-        """The chords whose fundamental cycles the greedy rank selection
-        keeps modulo the face boundaries, found through a cocycle.
-
-        The unmatched branches span a graph with the complex's homology;
-        its spanning-forest chords index H1.  The unit cochains on them,
-        zero on its tree, extend by a reverse sweep over the pairs to an
-        integer cocycle phi, each matched branch taking the value that makes
-        phi vanish on its face's boundary.  phi maps H1 isomorphically onto
-        the rationals^b1, so a fundamental cycle is independent of the face
-        boundaries and the cycles before it iff its pairing with phi is
-        independent of theirs: the pivot columns of the b1 x m pairing
-        matrix.  The pairing of chord a's cycle is phi(a) + P(tail) -
-        P(head), P the potential of phi integrated along the forest.
-        """
-        cx, pairs = self.complex, self.pairs
-        forest, branches = cx.forest, cx.branches
+    def _cocycle(self, cx):
+        """phi, a vector of length b per branch."""
+        pairs = self.pairs
         matched = {b for _, b in pairs}
         basis = spanning_chords(
-            cx.r[0], ((a, ends) for a, ends in enumerate(branches) if a not in matched)
+            cx.r[0], ((a, ends) for a, ends in enumerate(cx.branches) if a not in matched)
         )
         b1 = len(basis)
-        if b1 != len(forest.chords) - cx.r[2]:
+        if b1 != len(cx.forest.chords) - len(pairs):
             raise InternalMismatch(
-                f"collapse leaves {b1} cycles, ranks give {len(forest.chords) - cx.r[2]}"
+                f"collapse leaves {b1} cycles, ranks give {len(cx.forest.chords) - len(pairs)}"
             )
-        if not b1:
-            return []
         zero = (0,) * b1  # shared by every branch phi vanishes on, so immutable
-        phi = [zero] * len(branches)
+        phi = [zero] * cx.r[1]
         for j, a in enumerate(basis):
             phi[a] = zero[:j] + (1,) + zero[j + 1:]
         for f, b in reversed(pairs):
@@ -306,7 +290,19 @@ class _Collapse:
             if x is not zero or y is not zero:
                 s, t = -sign * s, -sign * t
                 phi[b] = [s * u + t * v for u, v in zip(x, y)]
-        potential = [zero] * cx.r[0]
+        return phi
+
+    def _echelon(self, cx, phi):
+        """Echelon ``(rows, pivots)`` of [D | P], P the pairings of phi with
+        the fundamental cycles of the m chords of the forest, each oriented
+        along its chord: phi(a) + P(tail) - P(head), P the potential of phi
+        along the forest.  Column |C| + i is a pivot iff the i-th cycle is
+        independent of the face boundaries and of the cycles before it."""
+        forest, branches = cx.forest, cx.branches
+        b1 = len(phi[0])
+        if not b1:
+            return [], []
+        potential = [(0,) * b1] * cx.r[0]
         for v in forest.order:
             a = forest.branch[v]
             if a is not None:
@@ -315,104 +311,113 @@ class _Collapse:
                     potential[v] = [u + w for u, w in zip(up, drop)]
                 else:
                     potential[v] = [u - w for u, w in zip(up, drop)]
-        columns = []
+        columns = list(self.morse)
         for a in forest.chords:
             tail, head = branches[a]
             columns.append(
                 [u + p - q for u, p, q in zip(phi[a], potential[tail], potential[head])]
             )
-        _, pivots, _ = _kernel.echelon(
-            [list(row) for row in zip(*columns)], len(columns)
-        )
+        rows, pivots = _kernel.echelon([list(row) for row in zip(*columns)], len(columns))
         if len(pivots) != b1:
             raise InternalMismatch(
                 f"cocycle pairing has rank {len(pivots)}, expected b1 = {b1}"
             )
-        return [forest.chords[i] for i in pivots]
+        return rows, pivots
 
-    def solve(self, chain):
-        """Boundary test of an exact 1-cycle by a forward sweep in collapse
-        order: the i-th matched branch lies in no later face, so the
-        coefficient left on it fixes the i-th face's.  The cycle bounds iff
-        nothing is left, and the witness is the unique one."""
-        cx = self.complex
-        scale = math.lcm(*(Fraction(v).denominator for v in chain.coeffs.values()))
-        rest = {a: int(v * scale) for a, v in chain.coeffs.items()}
+    def h1_chords(self):
+        """The chords whose fundamental cycles the greedy rank selection
+        keeps modulo the face boundaries: the pivots past D."""
+        n = len(self.critical)
+        return [self.chords[c - n] for c in self.pivots if c >= n]
+
+    def torsion(self):
+        if not self.morse_rank:
+            return []
+        rows = [list(row) for row in zip(*self.morse)]
+        return [d for d in exact.smith_normal_form(rows).d if d > 1]
+
+    def _sweep(self, rest):
+        """The chain on the matched faces whose boundary is ``rest``, found by
+        a forward sweep in collapse order: the i-th matched branch lies in no
+        face removed after the i-th face, so the coefficient left on it
+        fixes that face's.  ``rest`` keeps what the matched faces do not
+        bound."""
+        faces = self.faces
         witness = {}
         for f, b in self.pairs:
             v = rest.get(b)
             if v:
-                edges = cx.faces[f]
+                edges = faces[f]
                 x = v * _split(edges, b)[0]
-                witness[f] = Fraction(x, scale)
+                witness[f] = x
                 for c, s in edges:
                     rest[c] = rest.get(c, 0) - x * s
-        if any(rest.values()):
-            return BoundaryTest(False)
-        return BoundaryTest(True, Chain(cx, 2, witness, RATIONAL))
+        return witness
 
-
-class _FaceEchelon:
-    """Face answers from ``Complex.face_echelon``, the echelon of
-    [boundary on faces | fundamental cycles], for complexes with a face the
-    collapse leaves unmatched."""
-
-    def __init__(self, complex):
-        self.complex = complex
-
-    @property
-    def rank(self):
-        return sum(1 for p in self.complex.face_echelon[1] if p < self.complex.r[2])
-
-    def cycles(self):
-        rows, pivots, _ = self.complex.face_echelon
-        return exact.back_substitute(rows, pivots, self.complex.r[2])[0]
-
-    def torsion(self):
-        """The echelon reports, up to sign, the r x r minor of the boundary
-        on faces on its first r pivot rows and columns, r its rank, and the
-        product of the invariant factors is the gcd of all such minors, so
-        a unit minor proves H1 torsion-free; only otherwise does the Smith
-        form run."""
-        r = self.rank
-        if r and abs(self.complex.face_echelon[2][r - 1]) != 1:
-            snf = exact.smith_normal_form(self.complex.incidence_2)
-            return [d for d in snf.d if d > 1]
-        return []
-
-    def h1_chords(self):
-        # keep a chord's cycle iff its column of [boundary on faces | cycles]
-        # is a pivot
-        forest, r2 = self.complex.forest, self.complex.r[2]
-        return [forest.chords[c - r2] for c in self.complex.face_echelon[1] if c >= r2]
-
-    def solve(self, chain):
-        """Boundary test of an exact 1-cycle c on the echelon
-        E [boundary on faces | cycles] for some invertible E.
-
-        c is sum_i c[chord_i] * s_i * z_i, s_i = +-1 the chord's coefficient
-        in its fundamental cycle z_i, so E c is that combination of the cycle
-        columns.  c bounds iff E c is zero past the face pivots; the face
-        rows then back-substitute to the witness ``exact.solve`` would
-        return.
-        """
-        cx = self.complex
-        forest, r2 = cx.forest, cx.r[2]
-        scale = math.lcm(*(Fraction(v).denominator for v in chain.coeffs.values()))
-        weights = [
-            (r2 + i, int(chain[a] * scale) * forest.cycle(a)[a])
-            for i, a in enumerate(forest.chords)
-            if chain[a]
+    def _cycles(self):
+        """The basis ``exact.nullspace`` gives the boundary on faces: the
+        kernel of D lifted by the sweep, in reduced echelon form read from
+        the highest face down, so each vector is 1 at its free face (its
+        pivot) and 0 at the others; one solve by the pivot block gives it."""
+        n, r2 = len(self.critical), len(self.faces)
+        lifted = []
+        for vec in exact.back_substitute(self.rows, self.pivots, n)[0]:
+            z = {f: v for f, v in zip(self.critical, vec) if v}
+            rest = self._take_boundary({}, z)
+            z.update((f, x) for f, x in self._sweep(rest).items())
+            if any(rest.values()):
+                raise InternalMismatch("a kernel vector of the Morse boundary does not lift")
+            lifted.append([z.get(f, 0) for f in reversed(range(r2))])
+        rows, pivots = exact.echelon(lifted)
+        k = len(pivots)
+        block = [[row[p] for p in pivots] + row for row in rows]
+        _, columns = exact.back_substitute(block, range(k), k, range(k, k + r2))
+        return [
+            exact.normalize_primitive([columns[r2 - 1 - f][i] for f in range(r2)])
+            for i in reversed(range(k))
         ]
-        rows, pivots, _ = cx.face_echelon
-        ec = [sum(w * row[col] for col, w in weights) for row in rows[: len(pivots)]]
-        faces = self.rank
-        if any(ec[faces:]):
-            return BoundaryTest(False)
-        augmented = [row + [v] for row, v in zip(rows, ec[:faces])]
-        _, (x,) = exact.back_substitute(augmented, pivots, r2, [len(rows[0])])
-        witness = {f: v / scale for f, v in enumerate(x)}
-        return BoundaryTest(True, Chain(cx, 2, witness, RATIONAL))
+
+    def _take_boundary(self, rest, chain):
+        """``rest`` less the boundary of a 2-chain {face: coefficient}."""
+        for f, x in chain.items():
+            for c, s in self.faces[f]:
+                rest[c] = rest.get(c, 0) - x * s
+        return rest
+
+    def solve(self, coeffs):
+        """Boundary test of an exact 1-cycle c, given by its coefficients:
+        the witness ``exact.solve`` returns, zero at every free face, or
+        None when c does not bound.
+
+        c is sum_i c[a_i] * z_i, z_i the cycle of the i-th chord a_i
+        oriented along it, so the echelon E [D | P] takes phi(c) to that
+        combination of its pairing columns.  c bounds iff that is zero past
+        the pivots of D, which give the critical part of a witness; the
+        sweep gives the rest, and the 2-cycles clear it at the free faces."""
+        scale = math.lcm(*(Fraction(v).denominator for v in coeffs.values()))
+        rest = {a: int(v * scale) for a, v in coeffs.items()}
+        rows, pivots = self.rows, self.pivots
+        n, r = len(self.critical), self.morse_rank
+        weights = [(n + i, rest[a]) for i, a in enumerate(self.chords) if rest.get(a)]
+        ec = [sum(w * row[col] for col, w in weights) for row in rows]
+        if any(ec[r:]):
+            return None
+        witness = {}
+        if r:
+            augmented = [row + [v] for row, v in zip(rows, ec[:r])]
+            _, (x,) = exact.back_substitute(augmented, pivots, n, [len(rows[0])])
+            witness = {f: v for f, v in zip(self.critical, x) if v}
+            self._take_boundary(rest, witness)
+        witness.update(self._sweep(rest))
+        if any(rest.values()):
+            raise InternalMismatch("the sweep leaves part of a cycle the echelon bounds")
+        for z in self.cycles:
+            free = max(f for f, v in enumerate(z) if v)
+            q = Fraction(witness.get(free, 0), z[free])
+            for f, v in enumerate(z):
+                if q and v:
+                    witness[f] = witness.get(f, 0) - q * v
+        return {f: Fraction(v) / scale for f, v in witness.items()}
 
 
 # ---------------------------------------------------------------------------

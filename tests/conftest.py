@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import homnet as hn
+from homnet import exact
 from homnet import geometry as geo
 from homnet import kinematics as kin
 
@@ -114,6 +115,59 @@ def face_answers(cx, chains):
     )
 
 
+def greedy_generators(cx, cycles):
+    """The cycles the greedy selection keeps: each one that raises the rank
+    of the face boundaries stacked with the cycles kept before it."""
+    stack = list(cx.incidence_2)
+    current = exact.rank(stack) if stack else 0
+    kept = []
+    for z in cycles:
+        candidate = stack + [[z.get(a, 0) for a in range(cx.r[1])]]
+        if exact.rank(candidate) > current:
+            kept.append(z)
+            stack, current = candidate, current + 1
+    return kept
+
+
+def dense_face_answers(cx, chains):
+    """``face_answers`` read from dense eliminations of the incidence
+    matrices: ranks, nullspaces and solves by ``exact``, torsion by the
+    Smith form of the whole boundary on faces, and the H1 generators by the
+    greedy rank selection over the nullspace basis of the boundary on
+    branches."""
+    r0, r1, r2 = cx.r
+    rank_1 = exact.rank(cx.incidence_1) if r1 else 0
+    rank_2 = exact.rank(cx.incidence_2) if r2 else 0
+    betti = [r0 - rank_1, r1 - rank_1 - rank_2, r2 - rank_2][: cx.dim + 1]
+    torsion = [[] for _ in range(cx.dim + 1)]
+    boundary_2 = [list(col) for col in zip(*cx.incidence_2)]
+    if r2:
+        torsion[1] = [d for d in exact.smith_normal_form(cx.incidence_2).d if d > 1]
+    generators = []
+    if cx.dim >= 1:
+        boundary_1 = [list(col) for col in zip(*cx.incidence_1)]
+        cycles = [
+            {a: v for a, v in enumerate(vec) if v} for vec in exact.nullspace(boundary_1)
+        ]
+        generators = greedy_generators(cx, cycles)
+    two_cycles = []
+    if r2:
+        two_cycles = [
+            {f: v for f, v in enumerate(vec) if v} for vec in exact.nullspace(boundary_2)
+        ]
+    tests = []
+    for coeffs in chains:
+        if not r2:
+            tests.append(None if any(coeffs.values()) else (hn.RATIONAL, {}))
+            continue
+        x = exact.solve(boundary_2, [coeffs.get(a, 0) for a in range(r1)])[0]
+        tests.append(
+            None if x is None
+            else (hn.RATIONAL, {f: (Fraction, v) for f, v in enumerate(x) if v})
+        )
+    return betti, torsion, generators, two_cycles, tests
+
+
 def fresh_copy(cx):
     """The same complex with nothing cached."""
     return hn.Complex(cx.node_labels, cx.branches, cx.faces,
@@ -156,6 +210,30 @@ def triangulated_grid(k, holes=()):
     holes = set(holes)
     faces = [f for t, f in enumerate(faces) if t not in holes]
     return hn.build_complex(nodes, branches, faces=faces)
+
+
+def closed_surface(k, twist=False):
+    """The k x k node grid of ``triangulated_grid`` closed up into a torus,
+    or, with ``twist``, into a Klein bottle: column k is column 0, and row k
+    is row 0, turned upside down when twisted."""
+    def node(i, j):
+        i, j = i % (2 * k), j % k
+        if i >= k:
+            i -= k
+            if twist:
+                j = k - 1 - j
+        return f"n{i}_{j}"
+
+    nodes = [node(i, j) for i in range(k) for j in range(k)]
+    index = {lab: t for t, lab in enumerate(nodes)}
+    faces = []
+    for i in range(k):
+        for j in range(k):
+            faces.append((node(i, j), node(i + 1, j), node(i + 1, j + 1)))
+            faces.append((node(i, j), node(i + 1, j + 1), node(i, j + 1)))
+    sides = {tuple(sorted(e, key=index.get)) for f in faces for e in itertools.combinations(f, 2)}
+    return hn.build_complex(nodes, sorted(sides, key=lambda e: (index[e[0]], index[e[1]])),
+                            faces=faces)
 
 
 def random_complex(rng, max_nodes=7, with_faces=True):

@@ -410,6 +410,20 @@ def test_main_names_an_integer_literal_past_the_digit_limit(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    # the literal fails the first parse, the nesting the one that finds it
+    '{"a": ' + LONG_LITERAL + ', "b": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["nested", "long-literal-then-nested"])
+def test_main_rejects_a_document_nested_too_deeply(tmp_path, capsys, text):
+    source = tmp_path / "deep.json"
+    source.write_text(text)
+    assert cli.main(["homology", "--input", str(source)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $: arrays and objects nest too deeply to parse\n"
+    )
+
+
 def test_main_gives_the_digit_count_of_a_long_fraction_string(tmp_path, capsys):
     doc = json.loads((FIXTURES / "triangle_truss.json").read_text())
     doc["nodes"][1]["force"] = [f"{LONG_LITERAL}/3", "3"]

@@ -44,6 +44,15 @@ def test_duplicate_label_rejected():
         hn.build_complex(["A", "A"], [])
 
 
+def test_duplicate_face_label_rejected():
+    with pytest.raises(errors.DuplicateLabel):
+        hn.build_complex(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")],
+                         faces=[("A", "B", "C"), ("A", "B", "C")])
+    with pytest.raises(errors.DuplicateLabel):
+        hn.Complex(["A", "B", "C"], [(0, 1), (1, 2), (0, 2)],
+                   [((0, 1), (1, 1), (2, -1))] * 2, face_labels=["f", "f"])
+
+
 def test_self_loop_rejected():
     with pytest.raises(errors.SelfLoopBranch):
         hn.build_complex(["A", "B"], [("A", "A")])

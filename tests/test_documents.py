@@ -96,6 +96,16 @@ def test_duplicate_ids_rejected():
         )
 
 
+def test_duplicate_face_ids_rejected():
+    # under a shared label one face's coefficient would overwrite the other's
+    doc = json.loads((FIXTURES / "disc.json").read_text())
+    doc["faces"].append(dict(doc["faces"][0]))
+    with pytest.raises(ValidationError) as err:
+        documents.parse(json.dumps(doc))
+    assert err.value.path == "faces[3].id"
+    assert "duplicate face id 'ABD'" in str(err.value)
+
+
 def test_self_loop_branch_rejected():
     with pytest.raises(ValidationError):
         documents.parse(doc_text(branches=[{"id": "AA", "tail": "A", "head": "A"}]))

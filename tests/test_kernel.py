@@ -12,6 +12,7 @@ import homnet as hn
 from homnet import _kernel, exact, geometry, statics
 from homnet._kernel import pure
 from conftest import (
+    closed_surface,
     complexes,
     disjoint_union,
     face_answers,
@@ -43,7 +44,7 @@ def eager_echelon(rows, ncols, pick=sparsest):
     row is updated, a row with a zero lead by the scaling p_t / p_{t-1}.
     ``pick`` chooses the pivot row among the rows at or below the pivot
     position with a nonzero in the pivot column.  Returns the kernel's
-    ``(rows, pivot_cols, minors)``: the pivots are the minors."""
+    ``(rows, pivot_cols)`` and the pivots, which are the leading minors."""
     nrows = len(rows)
     prev = 1
     r = 0
@@ -85,11 +86,10 @@ def primitive(row):
 
 def matches_bareiss(got, want):
     """The kernel's echelon against the eager Bareiss one: the same pivot
-    columns, each row in the same place and plus or minus the primitive
-    part of the Bareiss row, and each minor plus or minus the Bareiss
-    pivot of its step."""
-    rows, pivot_cols, minors = got
-    bareiss_rows, bareiss_cols, bareiss_pivots = want
+    columns, and each row in the same place and plus or minus the
+    primitive part of the Bareiss row."""
+    rows, pivot_cols = got
+    bareiss_rows, bareiss_cols, _ = want
     return (
         pivot_cols == bareiss_cols
         and len(rows) == len(bareiss_rows)
@@ -97,7 +97,6 @@ def matches_bareiss(got, want):
             row in (p, [-x for x in p])
             for row, p in zip(rows, map(primitive, bareiss_rows))
         )
-        and list(map(abs, minors)) == list(map(abs, bareiss_pivots))
     )
 
 
@@ -162,8 +161,8 @@ def test_pure_kernel_matches_eager_bareiss(rows):
 
 
 def face_matrix(cx):
-    """[boundary on faces | fundamental cycles] and its column count, as
-    ``Complex.face_echelon`` hands it to the kernel."""
+    """[boundary on faces | fundamental cycles] and its column count, a
+    dense kernel input whose pivots give the face rank and the H1 chords."""
     forest = cx.forest
     ncols = cx.r[2] + len(forest.chords)
     faces = [[0] * ncols for _ in range(cx.r[1])]
@@ -179,15 +178,39 @@ def face_matrix(cx):
 @settings(deadline=None)
 @given(complexes())
 def test_pure_kernel_matches_eager_bareiss_on_boundary_maps(cx):
-    """The boundary map on branches, and [boundary on faces | fundamental
-    cycles] as ``Complex.face_echelon`` hands it to the package's kernel."""
+    """The boundary map on branches, [boundary on faces | fundamental
+    cycles], and the Morse matrix that the face answers hand the package's
+    kernel."""
     assert _kernel.echelon is pure.echelon and hn.KERNEL_BACKEND == "pure"
     boundary_1 = [[row[i] for row in cx.incidence_1] for i in range(cx.r[0])]
     assert matches_bareiss(
         pure.echelon([list(r) for r in boundary_1], cx.r[1]),
         eager_echelon(boundary_1, cx.r[1]),
     )
-    assert matches_bareiss(cx.face_echelon, eager_echelon(*face_matrix(cx)))
+    faces, ncols = face_matrix(cx)
+    assert matches_bareiss(
+        pure.echelon([list(r) for r in faces], ncols), eager_echelon(faces, ncols)
+    )
+    for rows, ncols in morse_matrices(cx):
+        assert matches_bareiss(
+            pure.echelon([list(r) for r in rows], ncols), eager_echelon(rows, ncols)
+        )
+
+
+def morse_matrices(cx):
+    """Every matrix the face answers of a fresh copy of the complex hand the
+    kernel, as it was handed."""
+    seen = []
+
+    def capture(rows, ncols):
+        seen.append(([list(r) for r in rows], ncols))
+        return echelon(rows, ncols)
+
+    echelon = _kernel.echelon
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "echelon", capture)
+        face_answers(fresh_copy(cx), chains_to_test(cx))
+    return seen
 
 
 @settings(deadline=None, max_examples=200)
@@ -231,7 +254,7 @@ def test_grid_truss_echelon_keeps_its_fill_small():
     A = statics.equilibrium_matrix(g)
     q = [a % 11 - 5 for a in range(g.complex.r[1])]
     b = [sum(x * y for x, y in zip(row, q)) for row in A]
-    rows, pivots, _ = exact.echelon(A, extra=b)
+    rows, pivots = exact.echelon(A, extra=b)
     assert len(pivots) == 2 * g.complex.r[0] - 3  # rigid: three rigid motions
     assert sum(1 for row in rows[: len(pivots)] for x in row if x) <= 2500
 
@@ -241,7 +264,7 @@ def test_grid_truss_echelon_keeps_its_entries_small():
     within 43 bits; the Bareiss entries, minors over every earlier pivot,
     reach 917.  The bound is a machine word, not the measured size."""
     A = statics.equilibrium_matrix(jittered_grid_truss(12))
-    rows, _, _ = exact.echelon(A)
+    rows, _ = exact.echelon(A)
     assert max(abs(x).bit_length() for row in rows for x in row) <= 64
 
 
@@ -259,24 +282,27 @@ def chains_to_test(cx):
     (real_projective_plane(), [[], [2], []]),
     (tetrahedron_surface(), [[], [], []]),
     (disjoint_union(triangulated_disc(), real_projective_plane()), [[], [2], []]),
-], ids=["projective-plane", "tetrahedron-surface", "disc+projective-plane"])
+    (closed_surface(4), [[], [], []]),
+    (closed_surface(4, twist=True), [[], [2], []]),
+], ids=["projective-plane", "tetrahedron-surface", "disc+projective-plane", "torus",
+        "klein-bottle"])
 def test_face_echelon_answers_do_not_depend_on_the_row_rule(cx, torsion, monkeypatch):
-    assert cx.collapse is None  # the face echelon's path
+    assert cx.collapse[1]  # a critical face: the Morse boundary is read
     chains = chains_to_test(cx)
     got = face_answers(fresh_copy(cx), chains)
     assert got[1] == torsion
     assert None not in got[-1][: cx.r[2]]  # the face boundaries bound
     monkeypatch.setattr(
-        _kernel, "echelon", lambda rows, ncols: eager_echelon(rows, ncols, first_nonzero)
+        _kernel, "echelon", lambda rows, ncols: eager_echelon(rows, ncols, first_nonzero)[:2]
     )
     assert face_answers(fresh_copy(cx), chains) == got
 
 
-def test_smith_form_runs_exactly_without_a_unit_face_minor(monkeypatch):
-    """The torsion certificate reads the kernel's minor where it read the
-    Bareiss pivot of the last face pivot row, so the Smith form runs
-    exactly when that eager pivot is not +-1: on the projective plane, and
-    on no face-echelon draw of ``random_complex``."""
+def test_smith_form_sees_only_the_morse_boundary(monkeypatch):
+    """Torsion runs the Smith form on the Morse boundary of the critical
+    faces, one column each, never on the boundary on faces: not at all on
+    the torus, whose Morse boundary is zero, and on one column on the Klein
+    bottle and the projective plane."""
     calls = []
 
     def counted(matrix):
@@ -285,23 +311,26 @@ def test_smith_form_runs_exactly_without_a_unit_face_minor(monkeypatch):
 
     smith_normal_form = exact.smith_normal_form
     monkeypatch.setattr(exact, "smith_normal_form", counted)
+    named = {
+        "projective-plane": real_projective_plane(),
+        "tetrahedron-surface": tetrahedron_surface(),
+        "disc+projective-plane": disjoint_union(triangulated_disc(), real_projective_plane()),
+        "torus": closed_surface(8),
+        "klein-bottle": closed_surface(8, twist=True),
+    }
     rng = random.Random(0)
     draws = [
         cx for cx in (random_complex(rng) for _ in range(20000))
-        if cx.dim == 2 and cx.collapse is None
+        if cx.dim == 2 and cx.collapse[1]
     ]
-    assert len(draws) == 5
-    named = [
-        real_projective_plane(),
-        tetrahedron_surface(),
-        disjoint_union(triangulated_disc(), real_projective_plane()),
-    ]
-    runs = []
-    for cx in named + draws:
-        _, pivot_cols, pivots = eager_echelon(*face_matrix(cx))
-        rank = sum(1 for c in pivot_cols if c < cx.r[2])
+    columns = {}
+    for name, cx in [*named.items(), *enumerate(draws)]:
         calls.clear()
         hn.torsion_coefficients(cx)
-        assert len(calls) == (abs(pivots[rank - 1]) != 1)
-        runs.append(len(calls))
-    assert runs == [1, 0, 1] + [0] * len(draws)
+        assert all(m != cx.incidence_2 for m in calls)
+        assert all(len(row) == len(cx.collapse[1]) for m in calls for row in m)
+        columns[name] = [len(m[0]) for m in calls]
+    assert {name: columns[name] for name in named} == {
+        "projective-plane": [1], "tetrahedron-surface": [],
+        "disc+projective-plane": [1], "torus": [], "klein-bottle": [1],
+    }
