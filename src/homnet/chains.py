@@ -127,6 +127,17 @@ class Chain(_Valued):
     def zero(cls, complex, dim, module):
         return cls(complex, dim, {}, module)
 
+    @classmethod
+    def of_integers(cls, complex, dim, values):
+        """An integer chain over ``{index: int}`` already known to hold
+        only nonzero ints at indices of ``dim``-simplexes, such as a
+        primitive nullspace vector; the dict is kept, not checked or
+        copied."""
+        chain = cls.__new__(cls)
+        chain.complex, chain.dim, chain.module = complex, dim, coeffs.INTEGER
+        chain.coeffs = values
+        return chain
+
 
 class Cochain(_Valued):
     """Linear functional on chains, stored by its values on the generators."""

@@ -545,9 +545,17 @@ def _parse_quantity(value, signal, path):
     return parse_scalar(value, path)
 
 
+_FLOAT_INT = 2**1023  # an int of at most this size is a finite float
+
+
 def _parse_fixed_list(value, length, path):
+    """A list of ``length`` scalars as a tuple.  Plain ints within
+    +-2**1023 are floats' range, so a list of only those is taken in one
+    scan; any other list goes through ``parse_scalar`` entry by entry."""
     if not isinstance(value, list) or len(value) != length:
         raise ValidationError(path, f"expected a list of {length} numbers")
+    if all(type(v) is int and -_FLOAT_INT <= v <= _FLOAT_INT for v in value):
+        return tuple(value)
     return tuple(parse_scalar(v, path) for v in value)
 
 

@@ -34,6 +34,11 @@ denominators grow with the answer, not with the pivot minor.  The
 substitution walks only nonzeros: those of the pivot rows, and those of X,
 where free column f lives on the pivots left of f.
 
+Results are sparse where the answer is: a nullspace vector is a
+column-sorted ``{column: int}`` of its nonzeros, primitive (gcd 1, its
+lowest column positive), built from those nonzeros alone; a solution is a
+dense list of n Fractions.
+
 The Smith normal form is computed here directly.  Torsion reporting runs
 it only on the Morse boundary of a complex's critical faces, a matrix with
 one column per critical face, so it is not a hot path.
@@ -128,9 +133,9 @@ def back_substitute(rows, pivots, n, extra=()):
                     q = a * m // piv
                 out[f] = q, scale[f]
         X[k] = out
-    basis = {fc: [0] * n for fc in free}
-    for fc, vec in basis.items():
-        vec[fc] = scale[fc]
+    # free column f lives on the pivots left of f, so inserting the pivots
+    # in order and f last keeps each vector column-sorted
+    basis = {fc: {} for fc in free}
     solutions = [[Fraction(0)] * n for _ in extra]
     by_column = dict(zip(extra, solutions))
     for k, p in enumerate(pivots):
@@ -142,15 +147,27 @@ def back_substitute(rows, pivots, n, extra=()):
                 vec[p] = -v
             else:
                 by_column[c][p] = Fraction(v, t)
-    return [normalize_primitive(v) for v in basis.values()], solutions
+    for fc, vec in basis.items():
+        vec[fc] = scale[fc]
+    return [_primitive(vec) for vec in basis.values()], solutions
+
+
+def _primitive(vec):
+    """A nonempty ``{column: int}`` of nonzeros divided by the gcd of its
+    values, signed so that its first (lowest) column is positive."""
+    g = math.gcd(*vec.values())
+    if next(iter(vec.values())) < 0:
+        g = -g
+    return vec if g == 1 else {c: v // g for c, v in vec.items()}
 
 
 def solve(matrix, rhs):
     """Solve matrix * x = rhs by one elimination of [matrix | rhs].
 
     Returns ``(x, basis)``: ``x`` is one exact solution with the free
-    variables set to zero, or None when the system is inconsistent;
-    ``basis`` is the nullspace basis of the matrix (see ``nullspace``).
+    variables set to zero, a list of Fractions, or None when the system is
+    inconsistent; ``basis`` is the nullspace basis of the matrix (see
+    ``nullspace``).
     """
     if not matrix:
         return [], []
@@ -164,30 +181,22 @@ def solve(matrix, rhs):
 def nullspace(matrix):
     """Basis of the rational nullspace as primitive integer vectors.
 
-    Each vector is cleared of denominators, divided by the gcd of its
-    entries, and sign-fixed so its first nonzero entry is positive; basis
-    vectors are ordered by their free column.
+    Each vector is a column-sorted ``{column: int}`` of its nonzeros,
+    cleared of denominators, divided by the gcd of its entries, and
+    sign-fixed so its lowest column is positive; basis vectors are ordered
+    by their free column.
     """
     return solve(matrix, [0] * len(matrix))[1]
 
 
 def normalize_primitive(vec):
-    """Scale a rational vector to coprime integers with positive leading sign."""
-    if _INT.issuperset(map(type, vec)):
-        ints = list(vec)
-    else:
-        denoms = [v.denominator for v in vec if isinstance(v, Fraction)]
-        m = math.lcm(*denoms) if denoms else 1
-        ints = [int(v * m) for v in vec]
+    """Scale a rational vector to coprime integers with positive leading
+    sign; a float counts as the exact dyadic rational it is."""
+    ints = list(scaled_to_integers(vec)[0])
     g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return ints if g in (0, 1) else [v // g for v in ints]
 
 
 # ---------------------------------------------------------------------------

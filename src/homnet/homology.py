@@ -142,7 +142,7 @@ def cycle_basis(complex, k=1):
         return [Chain(complex, 0, {i: 1}, INTEGER) for i in range(complex.r[0])]
     if k == 1:
         forest = complex.forest
-        return [Chain(complex, 1, forest.cycle(a), INTEGER) for a in forest.chords]
+        return [Chain.of_integers(complex, 1, forest.cycle(a)) for a in forest.chords]
     if k > complex.dim:
         return []
     return [
@@ -162,7 +162,7 @@ def homology_generators(complex, k):
         return cycle_basis(complex, k)
     forest = complex.forest
     return [
-        Chain(complex, 1, forest.cycle(a), INTEGER)
+        Chain.of_integers(complex, 1, forest.cycle(a))
         for a in _faces(complex).h1_chords()
     ]
 
@@ -362,7 +362,7 @@ class _Faces:
         n, r2 = len(self.critical), len(self.faces)
         lifted = []
         for vec in exact.back_substitute(self.rows, self.pivots, n)[0]:
-            z = {f: v for f, v in zip(self.critical, vec) if v}
+            z = {self.critical[c]: v for c, v in vec.items()}
             rest = self._take_boundary({}, z)
             z.update((f, x) for f, x in self._sweep(rest).items())
             if any(rest.values()):

@@ -5,6 +5,13 @@ relies on dict insertion order or platform float repr: keys are sorted,
 floats are printed with 17 significant digits, exact values are printed as
 integer or fraction strings of any length.  JSON output writes non-finite
 floats as the strings "inf", "-inf" and "nan".
+
+The text formatter dispatches on a value's exact type first: int,
+Fraction, float, then dicts and lists (tuples too), then by isinstance
+None, bools and other numbers, and strings.  JSON tests dicts and lists
+first, then None, bool, int, float, Fraction and str.  Inside a dict or
+list a plain int, and in text a Fraction, is written by its ``str`` in one
+call.  Anything else is normalized by ``jsonable`` and formatted again.
 """
 
 from __future__ import annotations
@@ -16,6 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
+
+# json.dumps of a str, without its per-call dispatch
+_json_string = json.encoder.encode_basestring_ascii
+# exact types whose str is their report text, in text and in JSON
+_EXACT, _INT = (int, Fraction), (int,)
 
 
 @dataclass
@@ -100,53 +112,47 @@ def format_number(x):
         return "true" if x else "false"
     if isinstance(x, int):
         return _int_text(x)
+    if isinstance(x, float):
+        return format(x, ".17g") if x else "0"  # -0.0 prints as 0
     if isinstance(x, Fraction):
         return _fraction_text(x)
-    if isinstance(x, float):
-        if x == 0.0:
-            x = 0.0  # collapse -0.0
-        return format(x, ".17g")
     raise TypeError(f"not a number: {x!r}")
 
 
-def _render(value, out):
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(_int_text(value))
-    elif isinstance(value, float):
-        text = format_number(value)
-        out.append(text if math.isfinite(value) else f'"{text}"')
-    elif isinstance(value, Fraction):
-        out.append(f'"{_fraction_text(value)}"')
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for k, v in enumerate(value):
-            if k:
-                out.append(",")
-            _render(v, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for k, key in enumerate(sorted(value, key=str)):
-            if k:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _render(value[key], out)
-        out.append("}")
-    else:
-        _render(jsonable(value), out)
-
-
 def canonical_json(value):
-    out = []
-    _render(jsonable(value), out)
-    return "".join(out)
+    if isinstance(value, dict):
+        keyed = {str(k): v for k, v in value.items()}
+        keys = sorted(keyed)
+        texts = _texts([keyed[k] for k in keys], canonical_json, _INT)
+        return "{" + ",".join(
+            [f"{_json_string(k)}:{x}" for k, x in zip(keys, texts)]
+        ) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_texts(value, canonical_json, _INT)) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        text = format_number(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    if isinstance(value, Fraction):
+        return f'"{_fraction_text(value)}"'
+    if isinstance(value, str):
+        return _json_string(value)
+    return canonical_json(jsonable(value))
+
+
+def _texts(values, fmt, by_str):
+    """``fmt`` of each value, one whose exact type is in ``by_str`` by its
+    ``str`` in one call; ``str`` refuses an int past the digit limit, and
+    then every value takes ``fmt``."""
+    try:
+        return [str(x) if type(x) in by_str else fmt(x) for x in values]
+    except ValueError:
+        return [fmt(x) for x in values]
 
 
 def report_payload(report):
@@ -179,19 +185,25 @@ def emit(reports, format="text"):
 
 
 def _fmt_scalar(v):
+    t = type(v)
+    if t is int:
+        return _int_text(v)
+    if t is Fraction:
+        return _fraction_text(v)
+    if t is float:
+        return format_number(v)
+    if isinstance(v, dict):
+        keys = sorted(v, key=str)
+        texts = _texts([v[k] for k in keys], _fmt_scalar, _EXACT)
+        return "{" + ", ".join([f"{k}: {x}" for k, x in zip(keys, texts)]) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_texts(v, _fmt_scalar, _EXACT)) + "]"
     if v is None:
         return "null"
     if isinstance(v, (bool, int, float, Fraction)):
         return format_number(v)
     if isinstance(v, str):
         return v
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_fmt_scalar(x) for x in v) + "]"
-    if isinstance(v, dict):
-        inner = ", ".join(
-            f"{k}: {_fmt_scalar(v[k])}" for k in sorted(v, key=str)
-        )
-        return "{" + inner + "}"
     return _fmt_scalar(jsonable(v))
 
 

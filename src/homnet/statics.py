@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import exact
 from .chains import Chain, Cochain, augmented_boundary, boundary, evaluate
 from .coeffs import (
-    DEFAULT_TOL, INTEGER, REAL64, Bivector, bivector, covector, vector, vnorm,
+    DEFAULT_TOL, REAL64, Bivector, bivector, covector, vector, vnorm,
     vscale,
 )
 from .complexes import Complex, cone, fresh_label
@@ -277,10 +277,7 @@ def solve_statics(g, f_ext):
     mat = equilibrium_matrix(g, vectors)
     rhs = [-f_ext[i][c] for i in range(cx.r[0]) for c in range(g.n)]
     solution, null_vecs = exact.solve(mat, rhs)
-    basis = [
-        Chain(cx, 1, {a: v for a, v in enumerate(vec) if v}, INTEGER)
-        for vec in null_vecs
-    ]
+    basis = [Chain.of_integers(cx, 1, vec) for vec in null_vecs]
     if solution is None:
         return StaticsSolution(
             classification="infeasible",

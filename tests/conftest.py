@@ -96,6 +96,11 @@ def tetrahedron_surface():
     )
 
 
+def dense(vec, n):
+    """A sparse vector ``{column: value}`` as the list of its n entries."""
+    return [vec.get(c, 0) for c in range(n)]
+
+
 def boundary_test(cx, coeffs):
     test = hn.is_boundary(hn.Chain(cx, 1, coeffs, hn.RATIONAL))
     if not test.bounds:
@@ -146,15 +151,9 @@ def dense_face_answers(cx, chains):
     generators = []
     if cx.dim >= 1:
         boundary_1 = [list(col) for col in zip(*cx.incidence_1)]
-        cycles = [
-            {a: v for a, v in enumerate(vec) if v} for vec in exact.nullspace(boundary_1)
-        ]
+        cycles = exact.nullspace(boundary_1)
         generators = greedy_generators(cx, cycles)
-    two_cycles = []
-    if r2:
-        two_cycles = [
-            {f: v for f, v in enumerate(vec) if v} for vec in exact.nullspace(boundary_2)
-        ]
+    two_cycles = exact.nullspace(boundary_2) if r2 else []
     tests = []
     for coeffs in chains:
         if not r2:
@@ -210,6 +209,22 @@ def triangulated_grid(k, holes=()):
     holes = set(holes)
     faces = [f for t, f in enumerate(faces) if t not in holes]
     return hn.build_complex(nodes, branches, faces=faces)
+
+
+def jittered_grid_truss(k):
+    """The triangulated k x k grid at integer positions jittered by up to 3
+    from a lattice of pitch 10, with no triangle degenerate."""
+    cx = triangulated_grid(k)
+    positions = {
+        f"n{i}_{j}": (10 * i + (i * i + 3 * j) % 7 - 3, 10 * j + (5 * i + j * j) % 7 - 3)
+        for i in range(k)
+        for j in range(k)
+    }
+    g = geo.realize(cx, 2, positions)
+    for edges in cx.faces:
+        p, q, r = (g.positions[v] for v in {v for b, _ in edges for v in cx.branches[b]})
+        assert (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0])
+    return g
 
 
 def closed_surface(k, twist=False):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,3 +342,29 @@ def test_analysis_options_of_their_type_are_kept():
     options = {"tolerance": 0, "t0": 0, "t1": 3, "origin": "A", "note": [1]}
     doc = documents.parse(doc_text(analyses=[{"command": "momentum", **options}]))
     assert doc.analyses[0].options == options
+
+
+BOUNDARY_VALUES = {
+    "2**1023-1": 2**1023 - 1, "2**1023": 2**1023, "int(float-max)": int(sys.float_info.max),
+    "2**1024": 2**1024, "true": True, "1.5": 1.5, "'1/3'": "1/3", "'x'": "x",
+}
+
+
+@pytest.mark.parametrize("attr", ["pos", "force"])
+@pytest.mark.parametrize("value", BOUNDARY_VALUES.values(), ids=BOUNDARY_VALUES.keys())
+def test_fixed_list_parse_equals_per_entry_parse_scalar(attr, value):
+    """A coordinate list of plain ints within +-2**1023 is taken in one
+    scan; around that bound and for every other entry the parsed tuple, or
+    the error's path and message, are what parse_scalar gives per entry."""
+    path = f"nodes[0].{attr}"
+    try:
+        want = [(type(x), x) for x in (documents.parse_scalar(v, path) for v in (value, 0))]
+    except ValidationError as exc:
+        want = (exc.path, str(exc))
+    node = {"id": "A", "pos": [0, 0], attr: [value, 0]}
+    text = doc_text(nodes=[node, {"id": "B", "pos": [1, 0]}, {"id": "C", "pos": [0, 1]}])
+    try:
+        got = [(type(x), x) for x in documents.parse(text).nodes[0][attr]]
+    except ValidationError as exc:
+        got = (exc.path, str(exc))
+    assert got == want

@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from homnet import _kernel, exact
+from conftest import dense
 
 
 # -- independent oracle -------------------------------------------------------
@@ -144,7 +145,7 @@ def test_nullspace_members_and_dimension():
         basis = exact.nullspace(mat)
         _, pivots = rref_oracle(mat)
         assert len(basis) == n - len(pivots)
-        for vec in basis:
+        for vec in (dense(v, n) for v in basis):
             assert any(vec)
             assert all(
                 sum(row[j] * vec[j] for j in range(n)) == 0 for row in mat
@@ -193,14 +194,16 @@ def linear_systems(draw):
 def test_solve_matches_oracle(system):
     mat, rhs = system
     x, basis = exact.solve(mat, rhs)
-    assert (x, basis) == solve_oracle(mat, rhs)
+    n = len(mat[0])
+    assert (x, [dense(v, n) for v in basis]) == solve_oracle(mat, rhs)
     assert exact.nullspace(mat) == basis
     assert exact.pivot_columns(mat) == rref_oracle(mat)[1]
     if x is not None:
         assert all(isinstance(v, Fraction) for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(mat, rhs))
-    for vec in basis:
-        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in mat)
+    for vec in basis:  # the nonzeros, column-sorted
+        assert list(vec) == sorted(vec) and all(vec.values())
+        assert all(sum(row[c] * v for c, v in vec.items()) == 0 for row in mat)
 
 
 def scaled_rows_reference(matrix):
@@ -248,7 +251,7 @@ def test_float_entries_are_exact_dyadic_rationals():
 def test_nullspace_of_rationals():
     mat = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
     basis = exact.nullspace(mat)
-    assert basis == [[2, -3]]
+    assert basis == [{0: 2, 1: -3}]
 
 
 # -- Smith normal form --------------------------------------------------------
@@ -320,3 +323,19 @@ def test_normalize_primitive():
     assert exact.normalize_primitive(ints) == [0, 3, -2, 0]
     assert ints == [0, -6, 4, 0]
     assert exact.normalize_primitive([0, 0]) == [0, 0]
+
+
+def test_normalize_primitive_reads_floats_as_dyadic_rationals():
+    # a float counts as the exact rational it is: no truncation to an int
+    assert exact.normalize_primitive([0.5, 1]) == [1, 2]
+    assert exact.normalize_primitive([Fraction(1, 3), 0.5]) == [2, 3]
+    assert exact.normalize_primitive([-0.75, 0.0, 2**-60]) == [3 * 2**58, 0, -1]
+
+
+@given(st.lists(
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12),
+              st.floats(-9, 9, allow_nan=False)),
+    min_size=1, max_size=6,
+).filter(any))
+def test_normalize_primitive_matches_the_oracle(vec):
+    assert exact.normalize_primitive(vec) == primitive_oracle([Fraction(v) for v in vec])

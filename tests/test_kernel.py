@@ -2,27 +2,31 @@
 it keeps primitive, and the answers read from it against the row order and
 the row rule."""
 
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import homnet as hn
-from homnet import _kernel, exact, geometry, statics
+from homnet import _kernel, cli, documents, exact, reports, statics
 from homnet._kernel import pure
 from conftest import (
     closed_surface,
     complexes,
+    dense,
     disjoint_union,
     face_answers,
     fresh_copy,
     frameworks,
+    jittered_grid_truss,
     random_complex,
     real_projective_plane,
     tetrahedron_surface,
     triangulated_disc,
-    triangulated_grid,
 )
 
 GUARD = 2**62  # entries around a machine word's bound
@@ -226,24 +230,11 @@ def test_answers_do_not_depend_on_row_order(rows, data):
     shuffled = [list(rows[i]) for i in order]
     moved = [rhs[i] for i in order]
     assert exact.pivot_columns(shuffled) == exact.pivot_columns(rows)
-    assert exact.nullspace(shuffled) == exact.nullspace(rows)
+    n = len(rows[0]) if rows else 0
+    assert [dense(v, n) for v in exact.nullspace(shuffled)] == [
+        dense(v, n) for v in exact.nullspace(rows)
+    ]
     assert exact.solve(shuffled, moved) == exact.solve(rows, rhs)
-
-
-def jittered_grid_truss(k):
-    """The triangulated k x k grid at integer positions jittered by up to 3
-    from a lattice of pitch 10, with no triangle degenerate."""
-    cx = triangulated_grid(k)
-    positions = {
-        f"n{i}_{j}": (10 * i + (i * i + 3 * j) % 7 - 3, 10 * j + (5 * i + j * j) % 7 - 3)
-        for i in range(k)
-        for j in range(k)
-    }
-    g = geometry.realize(cx, 2, positions)
-    for edges in cx.faces:
-        p, q, r = (g.positions[v] for v in {v for b, _ in edges for v in cx.branches[b]})
-        assert (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0])
-    return g
 
 
 def test_grid_truss_echelon_keeps_its_fill_small():
@@ -334,3 +325,39 @@ def test_smith_form_sees_only_the_morse_boundary(monkeypatch):
         "projective-plane": [1], "tetrahedron-surface": [],
         "disc+projective-plane": [1], "torus": [], "klein-bottle": [1],
     }
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded from its file under a name
+    of its own, so the harness is exercised exactly as committed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_replays_the_kernel_inputs():
+    """The traced benchmark copies each kernel input row with list() and
+    replays the copies through the pure kernel: that needs the kernel's
+    dense (rows, ncols) contract, checked here on one k = 5 grid-statics
+    document run the way report-all runs it."""
+    spans, replay, workloads = map(load_perfbench, ("spans", "replay", "workloads"))
+    case = workloads.grid_statics_case(random.Random(5), 5)
+    tracer = spans.Tracer()
+    tracer.capture = []
+    tracer.install()
+    try:
+        doc = documents.parse(case.text)
+        out = [cli.run(doc, r.command, dict(r.options)) for r in doc.analyses]
+        reports.emit(out)
+    finally:
+        tracer.uninstall()
+    captured = tracer.capture
+    assert captured
+    for rows, ncols in captured:
+        assert all(type(row) is list and len(row) == ncols for row in rows)
+    result = replay.replay(captured, pure, pure)
+    assert result["kernel.replay_matrices"] == len(captured)
+    assert result["kernel.replay_mismatches"] == 0

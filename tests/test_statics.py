@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from homnet import errors, exact
 from homnet import geometry as geo
 from homnet import statics as st
 from homnet.coeffs import vneg
-from conftest import complexes, frameworks, random_complex
+from conftest import complexes, frameworks, jittered_grid_truss, random_complex
 
 
 def equilibrated_complex(g, coefficients):
@@ -220,6 +221,44 @@ def test_self_stress_basis_has_zero_boundary(cx, data):
         assert all(c == 0 for v in residual.coeffs.values() for c in v)
     if sol.tension_coefficients is not None:
         assert (f_ext + hn.boundary(sol.internal_force_chain())).is_zero(0)
+
+
+def assert_plain_int_self_stresses(g):
+    """Each self-stress basis vector is a column-sorted {branch: int} of
+    nonzeros with gcd 1 and a positive lowest entry, and A v = 0 holds in
+    integer arithmetic, each row of A scaled to integers by the lcm of its
+    denominators (floats as the dyadic rationals they are)."""
+    cx = g.complex
+    sol = st.solve_statics(g, hn.Chain(cx, 0, {}, hn.covector(g.n)))
+    rows = []
+    for row in st.equilibrium_matrix(g):
+        row = [Fraction(x) for x in row]
+        m = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * m) for x in row])
+    assert len(sol.self_stress_basis) == sol.self_stress_dim
+    for chain in sol.self_stress_basis:
+        vec = chain.coeffs
+        assert vec and list(vec) == sorted(vec)
+        assert all(type(v) is int and v for v in vec.values())
+        assert math.gcd(*vec.values()) == 1 and vec[min(vec)] > 0
+        assert all(sum(row[a] * v for a, v in vec.items()) == 0 for row in rows)
+    return sol
+
+
+@settings(deadline=None)
+@given(frameworks(hst.one_of(
+    hst.integers(-6, 6),
+    hst.fractions(-6, 6, max_denominator=5),
+    hst.floats(-6, 6, allow_nan=False),
+)))
+def test_self_stress_basis_is_a_plain_int_certificate(g):
+    assert_plain_int_self_stresses(g)
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_grid_truss_self_stresses_are_plain_int_certificates(k):
+    # one self-stress per interior node of the triangulated grid
+    assert assert_plain_int_self_stresses(jittered_grid_truss(k)).self_stress_dim == (k - 2) ** 2
 
 
 # -- the reconstruction certificate --------------------------------------------------
