@@ -8,7 +8,7 @@ coboundaries, which this package verifies exactly where the input is exact.
 """
 
 from ._kernel import BACKEND as KERNEL_BACKEND
-from .complexes import Complex, ConeResult, SimplexId, build_complex, cone, path_components
+from .complexes import Complex, ConeResult, build_complex, cone, path_components
 from .chains import (
     COLLAPSED,
     Chain,
@@ -51,7 +51,6 @@ __all__ = [
     "KERNEL_BACKEND",
     "Complex",
     "ConeResult",
-    "SimplexId",
     "build_complex",
     "cone",
     "path_components",

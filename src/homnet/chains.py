@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import coeffs
+from .complexes import cone, fresh_label
 from .errors import (
     DimensionMismatch,
     EmptyChain,
@@ -201,6 +202,20 @@ def coboundary(cochain):
                 acc = mod.add(acc, term)
             out[f] = acc
     return Cochain(cx, cochain.dim + 1, out, mod)
+
+
+def cone_chain(chain, star_values, apex):
+    """A 1-chain carried over to the cone of its complex on a fresh vertex
+    (``apex``, primed until it is new): every branch keeps its value, and
+    the branch joining node i to the apex carries ``star_values[i]``.
+    Returns the ``ConeResult`` and the chain on its complex.  Its boundary
+    is the chain's boundary minus the star values at the old nodes, and
+    their sum at the apex."""
+    ext = cone(chain.complex, fresh_label(chain.complex, apex))
+    values = {ext.branch_map[a]: v for a, v in chain.coeffs.items()}
+    for i, v in star_values.items():
+        values[ext.star[i]] = v
+    return ext, Chain(ext.complex, 1, values, chain.module)
 
 
 def _sum_terms(x, y):

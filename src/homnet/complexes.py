@@ -94,14 +94,6 @@ def spanning_chords(node_count, branches):
     return chords
 
 
-@dataclass(frozen=True)
-class SimplexId:
-    """Reference to one simplex: its dimension (0, 1 or 2) and ordinal index."""
-
-    dim: int
-    index: int
-
-
 class Complex:
     """Inventory of nodes, branches and faces plus the boundary operator."""
 
@@ -352,7 +344,6 @@ class ConeResult:
 
     complex: Complex
     apex: int
-    node_map: list
     branch_map: list
     star: list  # star[i] = index of the new branch joining node i to the apex
 
@@ -381,7 +372,6 @@ def cone(complex, apex_label):
     return ConeResult(
         complex=out,
         apex=r0,
-        node_map=list(range(r0)),
         branch_map=list(range(r1)),
         star=star,
     )

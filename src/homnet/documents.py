@@ -65,11 +65,9 @@ class NetworkDocument:
     signal: dict | None
     nodes: list
     branches: list
-    faces: list
     analyses: list
     complex: Complex
-    source_text: str = ""
-    source_sha256: str = ""  # hex digest of source_text, hashed once in parse
+    source_sha256: str = ""  # of the document text, hashed once in parse
     floats: bool = False  # some node or branch value is a float or float array
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -269,10 +267,8 @@ def parse(text):
         signal=signal,
         nodes=nodes,
         branches=branches,
-        faces=faces,
         analyses=analyses,
         complex=complex,
-        source_text=text,
         source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         floats=_holds_floats(itertools.chain(nodes, branches)),
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import Cochain, evaluate
-from .coeffs import DEFAULT_TOL, REAL64, series_derivative
+from .coeffs import DEFAULT_TOL, REAL64, series_derivative, wedge_components
 from .errors import (
     HypothesesUnmet,
     KindMismatch,
@@ -111,9 +111,9 @@ class DynamicsState:
             "momentum_rate", i, lambda: series_derivative(self.momentum(i), self.dt)
         )
 
-    def check_convective(self, tol=1e-6):
-        """Momentum must be mass times velocity wherever it was given
-        explicitly; angular-momentum balance assumes that form."""
+    def check_convective(self):
+        """Momentum must be mass times velocity, within 1e-6, wherever it
+        was given explicitly; angular-momentum balance assumes that form."""
         import numpy as np
 
         if self.momenta is None:
@@ -121,7 +121,7 @@ class DynamicsState:
         for i in self.momenta:
             expected = self.mass_series(i)[:, None] * self.velocity(i)
             err = float(np.max(np.abs(self.momentum(i) - expected), initial=0.0))
-            if err > tol:
+            if err > 1e-6:
                 raise NonConvectiveMomentum(
                     f"momentum at node {i} deviates from m*v by {err:.3e}"
                 )
@@ -304,14 +304,12 @@ def impulse_momentum_gap(d, forces, t0, t1):
     its gap is its momentum change."""
     import numpy as np
 
-    if not (0 <= t0 < t1 < d.samples):
-        raise RangeError(f"window [{t0}, {t1}] outside 0..{d.samples - 1}")
-    imp = impulse(forces, d.dt, t0, t1)
+    zero = np.zeros((d.samples, d.n))
+    every = {i: forces.get(i, zero) for i in range(d.complex.r[0])}
     worst = 0.0
-    for i in range(d.complex.r[0]):
+    for i, j in impulse(every, d.dt, t0, t1).items():
         p = d.momentum(i)
-        gap = imp.get(i, 0.0) - (p[t1] - p[t0])
-        worst = nan_max(worst, np.max(np.abs(gap), initial=0.0))
+        worst = nan_max(worst, np.max(np.abs(j - (p[t1] - p[t0])), initial=0.0))
     return worst
 
 
@@ -329,18 +327,15 @@ class AngularMomentumReport:
 
 
 def _wedge_series(r, f):
+    """r wedge f at every sample of two (N, n) arrays, an (N, n(n-1)/2)
+    array: ``wedge_components`` of their coordinate columns."""
     import numpy as np
 
-    n = r.shape[1]
-    cols = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append(r[:, i] * f[:, j] - r[:, j] * f[:, i])
-    return np.stack(cols, axis=1) if cols else np.zeros((r.shape[0], 0))
+    cols = wedge_components(r.T, f.T)
+    return np.stack(cols, axis=1) if cols else np.zeros((len(r), 0))
 
 
-def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
-                             convective_tol=1e-6):
+def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL):
     """Orbital angular momentum L(i) = r(i) wedge p(i) about the origin and
     its balance dL/dt = r wedge F against the supplied resultant forces.
 
@@ -351,10 +346,10 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
     estimators and are reported separately."""
     import numpy as np
 
-    d.check_convective(convective_tol)
+    d.check_convective()
     for i in range(d.complex.r[0]):
         m = d.mass_series(i)
-        if float(np.max(m) - np.min(m)) > convective_tol:
+        if float(np.max(m) - np.min(m)) > 1e-6:
             raise HypothesesUnmet("angular-momentum balance needs constant masses")
     N = d.samples
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
@@ -383,24 +378,23 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL,
 
 
 def moment_impulse_gap(d, forces, origin, t0, t1):
-    """Max norm of the integrated force moment minus the angular-momentum
-    change over the window (the moment-impulse theorem)."""
+    """Max norm over the moving nodes of the integrated force moment
+    (``impulse`` of the moment series) minus the angular-momentum change
+    over the window [t0, t1], the moment-impulse theorem.  A node without
+    a force has zero moment, so its gap is its angular-momentum change."""
     import numpy as np
 
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
-    worst = 0.0
+    zero = np.zeros((d.samples, d.n))
+    arms, moments = {}, {}
     for i in range(d.complex.r[0]):
-        if i not in d.trajectories or i not in forces:
-            continue
-        r = d.trajectory(i) - x0
-        f = np.asarray(forces[i], dtype=float)
-        m_series = _wedge_series(r, f)
-        if not (0 <= t0 < t1 < m_series.shape[0]):
-            raise RangeError(f"window [{t0}, {t1}] out of range")
-        integral = np.trapezoid(m_series[t0 : t1 + 1], dx=d.dt, axis=0)
-        L = _wedge_series(r, d.momentum(i))
-        gap = integral - (L[t1] - L[t0])
-        worst = nan_max(worst, np.max(np.abs(gap), initial=0.0))
+        if i in d.trajectories:
+            arms[i] = r = d.trajectory(i) - x0
+            moments[i] = _wedge_series(r, np.asarray(forces.get(i, zero), dtype=float))
+    worst = 0.0
+    for i, integral in impulse(moments, d.dt, t0, t1).items():
+        L = _wedge_series(arms[i], d.momentum(i))
+        worst = nan_max(worst, np.max(np.abs(integral - (L[t1] - L[t0])), initial=0.0))
     return worst
 
 
@@ -408,11 +402,9 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
 # kinetic energy
 # ---------------------------------------------------------------------------
 
-def kinetic_energy(d, t_index=None):
-    """Per-node kinetic energy and the total (their augmented sum).
-
-    With ``t_index`` given, returns (per-node dict of floats, total float);
-    otherwise per-node (N,) arrays and an (N,) total."""
+def kinetic_energy(d):
+    """Per-node kinetic energy and the total (their augmented sum): a dict
+    of (N,) arrays over the nodes with a trajectory, and an (N,) array."""
     import numpy as np
 
     per_node = {}
@@ -427,11 +419,6 @@ def kinetic_energy(d, t_index=None):
         total = ke.copy() if total is None else total + ke
     if total is None:
         total = np.zeros(d.samples)
-    if t_index is not None:
-        return (
-            {i: float(ke[t_index]) for i, ke in per_node.items()},
-            float(total[t_index]),
-        )
     return per_node, total
 
 

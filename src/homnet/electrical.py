@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, Cochain, augmented_boundary, boundary, coboundary
+from .chains import Chain, Cochain, augmented_boundary, boundary, coboundary, cone_chain
 from .coeffs import DEFAULT_TOL, INTEGER, RATIONAL, REAL64, TimeSeriesModule
-from .complexes import cone, fresh_label
 from .errors import KindMismatch
 from .homology import is_coboundary
 
@@ -153,16 +152,11 @@ def kcl_check(state, tol=DEFAULT_TOL):
 
 
 def extended_current_chain(state):
-    """Current chain on the cone extension, each new branch carrying its
-    node's charging rate; its boundary is the residual at the old nodes and
-    the total charging rate at the apex, which ``kcl_check`` reads."""
-    ext = cone(state.complex, fresh_label(state.complex, "@apex"))
-    mod = state.module
-    rate = state.charging_rate()
-    values = {ext.branch_map[a]: v for a, v in state.current.coeffs.items()}
-    for i, v in rate.coeffs.items():
-        values[ext.star[i]] = v
-    return ext, Chain(ext.complex, 1, values, mod)
+    """Current chain on the cone extension (``chains.cone_chain``), each
+    new branch carrying its node's charging rate; its boundary is the
+    residual at the old nodes and the total charging rate at the apex,
+    which ``kcl_check`` reads."""
+    return cone_chain(state.current, state.charging_rate().coeffs, "@apex")
 
 
 # ---------------------------------------------------------------------------

@@ -189,16 +189,6 @@ def nullspace(matrix):
     return solve(matrix, [0] * len(matrix))[1]
 
 
-def normalize_primitive(vec):
-    """Scale a rational vector to coprime integers with positive leading
-    sign; a float counts as the exact dyadic rational it is."""
-    ints = list(scaled_to_integers(vec)[0])
-    g = math.gcd(*ints)
-    if next((v for v in ints if v), 0) < 0:
-        g = -g
-    return ints if g in (0, 1) else [v // g for v in ints]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ class GeometricComplex:
     complex: object
     n: int
     positions: list  # one coordinate tuple per node; None marks a point at infinity
-    origin_label: str | None = None
-
-    def position(self, i):
-        return self.positions[i]
 
     def branch_vector(self, a):
         """Displacement along branch a: head position minus tail position."""
@@ -87,18 +83,12 @@ def shift_origin(g, a):
 # ---------------------------------------------------------------------------
 
 def wedge(a, b):
-    """Exterior product of two vectors (or two covectors) of equal dimension."""
+    """Exterior product of two vectors (or two covectors) of equal
+    dimension.  The moment of a force covector f applied at offset r is
+    r wedge f, to which the radial part of f contributes nothing."""
     if len(a) != len(b):
         raise DimensionMismatch("wedge needs equal dimensions")
     return Bivector(len(a), wedge_components(a, b))
-
-
-def moment(r, f):
-    """Moment 2-form r wedge f of a force covector f applied at offset r;
-    the radial part of f contributes nothing."""
-    if len(r) != len(f):
-        raise DimensionMismatch("moment needs equal dimensions")
-    return Bivector(len(r), wedge_components(r, f))
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,8 @@ def cycle_basis(complex, k=1):
     it equals the exact nullspace basis vector for vector.  In dimension two
     it is the exact nullspace of the boundary map on faces: empty when the
     collapse leaves no critical face, else the kernel of their Morse
-    boundary, lifted and made canonical (see ``_Faces._cycles``).
+    boundary, lifted and made canonical (see ``_Faces._cycles``), each a
+    copy of a face-sorted primitive ``{face: int}``.
     """
     if k == 0:
         return [Chain(complex, 0, {i: 1}, INTEGER) for i in range(complex.r[0])]
@@ -145,10 +146,7 @@ def cycle_basis(complex, k=1):
         return [Chain.of_integers(complex, 1, forest.cycle(a)) for a in forest.chords]
     if k > complex.dim:
         return []
-    return [
-        Chain(complex, k, {i: v for i, v in enumerate(vec) if v}, INTEGER)
-        for vec in _faces(complex).cycles
-    ]
+    return [Chain.of_integers(complex, k, dict(z)) for z in _faces(complex).cycles]
 
 
 def homology_generators(complex, k):
@@ -251,7 +249,9 @@ class _Faces:
     b x |C| Morse matrix D, the rank of the boundary on faces is the pair
     count plus the rank of D, and each 2-cycle is a vector of the kernel of
     D lifted to the matched faces.  With C empty there are no 2-cycles and
-    no H1 torsion.
+    no H1 torsion.  ``cycles`` holds the 2-cycles as face-sorted
+    ``{face: int}`` of their nonzeros, primitive with the lowest face
+    positive.
     """
 
     def __init__(self, complex):
@@ -358,7 +358,8 @@ class _Faces:
         """The basis ``exact.nullspace`` gives the boundary on faces: the
         kernel of D lifted by the sweep, in reduced echelon form read from
         the highest face down, so each vector is 1 at its free face (its
-        pivot) and 0 at the others; one solve by the pivot block gives it."""
+        pivot) and 0 at the others; one solve by the pivot block gives it,
+        and each is scaled to a primitive ``{face: int}``."""
         n, r2 = len(self.critical), len(self.faces)
         lifted = []
         for vec in exact.back_substitute(self.rows, self.pivots, n)[0]:
@@ -372,10 +373,12 @@ class _Faces:
         k = len(pivots)
         block = [[row[p] for p in pivots] + row for row in rows]
         _, columns = exact.back_substitute(block, range(k), k, range(k, k + r2))
-        return [
-            exact.normalize_primitive([columns[r2 - 1 - f][i] for f in range(r2)])
-            for i in reversed(range(k))
-        ]
+        cycles = []
+        for i in reversed(range(k)):
+            z = {f: x for f in range(r2) if (x := columns[r2 - 1 - f][i])}
+            ints, _ = exact.scaled_to_integers(list(z.values()))
+            cycles.append(exact._primitive(dict(zip(z, ints))))
+        return cycles
 
     def _take_boundary(self, rest, chain):
         """``rest`` less the boundary of a 2-chain {face: coefficient}."""
@@ -412,10 +415,10 @@ class _Faces:
         if any(rest.values()):
             raise InternalMismatch("the sweep leaves part of a cycle the echelon bounds")
         for z in self.cycles:
-            free = max(f for f, v in enumerate(z) if v)
+            free = max(z)
             q = Fraction(witness.get(free, 0), z[free])
-            for f, v in enumerate(z):
-                if q and v:
+            if q:
+                for f, v in z.items():
                     witness[f] = witness.get(f, 0) - q * v
         return {f: Fraction(v) / scale for f, v in witness.items()}
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chains import Chain, Cochain
-from .coeffs import INTEGER, series_derivative, vector, vsub
+from .chains import Chain, Cochain, coboundary
+from .coeffs import INTEGER, series_derivative, vector
 from .complexes import Complex
-from .errors import SnapshotMismatch, TooFewSamples
+from .errors import RangeError, SnapshotMismatch, TooFewSamples
 
 
 @dataclass
@@ -249,8 +249,11 @@ def kinematical_state(complex, trajectories, dt, t_index):
     """Differentiate sampled node trajectories and assemble the state.
 
     ``trajectories`` maps node index -> array of shape (samples, n).  The
-    relative state is the coboundary of the absolute one, so differentiation
-    and coboundary commute by construction.
+    relative state is the coboundary (``chains.coboundary``) of the
+    absolute one, so differentiation and coboundary commute by
+    construction; a complex without branches has none, and raises
+    ``DimensionMismatch``.  A sample index outside the series raises
+    ``RangeError``.
     """
     import numpy as np
 
@@ -264,7 +267,7 @@ def kinematical_state(complex, trajectories, dt, t_index):
         if arr.shape != (samples, n):
             raise SnapshotMismatch("trajectories must share shape")
     if not (0 <= t_index < samples):
-        raise TooFewSamples(f"sample index {t_index} out of range")
+        raise RangeError(f"sample index {t_index} outside 0..{samples - 1}")
 
     vel = [series_derivative(arr, dt) for arr in arrays]
     acc = [series_derivative(v, dt) for v in vel]
@@ -274,15 +277,10 @@ def kinematical_state(complex, trajectories, dt, t_index):
         values = {i: tuple(source[i][t_index].tolist()) for i in range(r0)}
         return Cochain(complex, 0, values, mod, prune=False)
 
-    def delta(c0):
-        values = {}
-        for a, (tail, head) in enumerate(complex.branches):
-            values[a] = vsub(c0[head], c0[tail])
-        return Cochain(complex, 1, values, mod, prune=False)
-
     x = cochain0(arrays)
     v = cochain0(vel)
     a = cochain0(acc)
     return KinematicalState(
-        t=t_index * dt, x=x, v=v, a=a, s=delta(x), s_dot=delta(v), s_ddot=delta(a)
+        t=t_index * dt, x=x, v=v, a=a,
+        s=coboundary(x), s_dot=coboundary(v), s_ddot=coboundary(a),
     )

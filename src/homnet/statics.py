@@ -20,18 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exact
-from .chains import Chain, Cochain, augmented_boundary, boundary, evaluate
+from .chains import Chain, Cochain, augmented_boundary, boundary, cone_chain, evaluate
 from .coeffs import (
     DEFAULT_TOL, REAL64, Bivector, bivector, covector, vector, vnorm,
     vscale,
 )
-from .complexes import Complex, cone, fresh_label
+from .complexes import Complex
 from .errors import (
     DegenerateBranch,
     DimensionMismatch,
     InvalidPartition,
 )
-from .geometry import GeometricComplex, moment
+from .geometry import GeometricComplex, wedge
 
 
 @dataclass
@@ -103,16 +103,15 @@ def force_complex(g, external=None, internal=None, axial=None):
     )
 
 
-def tension_force_chain(g, coefficients, module=None):
+def tension_force_chain(g, coefficients):
     """Covector-valued internal force chain F(a) = q(a) * s(a) from tension
     coefficients; exact whenever the positions and coefficients are exact."""
-    mod = module or covector(g.n)
     values = {}
     for a, q in coefficients.items():
         if not q:
             continue
         values[a] = vscale(q, g.branch_vector(a))
-    return Chain(g.complex, 1, values, mod)
+    return Chain(g.complex, 1, values, covector(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +132,15 @@ def nodal_residual(fc):
 
 
 def extended_force_chain(fc):
-    """Internal force chain on the one-point extension: every node is joined
-    to a fresh infinity vertex whose link carries that node's external force.
-
-    Oriented so that the boundary of the extension reproduces the nodal
-    residual at the original nodes and minus the resultant at infinity;
-    the chain is a 1-cycle exactly when the system is in equilibrium.
-    """
-    ext = cone(fc.g.complex, fresh_label(fc.g.complex, "@infinity"))
-    mod = fc.f_int.module
-    values = {ext.branch_map[a]: v for a, v in fc.f_int.coeffs.items()}
-    for i, v in fc.f_ext.coeffs.items():
-        # the star branch runs node -> infinity; carrying -F_ext(i) is the
-        # same chain as +F_ext(i) on the reversed orientation
-        values[ext.star[i]] = mod.neg(v)
-    return ext, Chain(ext.complex, 1, values, mod)
+    """Internal force chain on the one-point extension
+    (``chains.cone_chain``): every node is joined to a fresh infinity
+    vertex whose link, run node -> infinity, carries minus the node's
+    external force, the same chain as +F_ext(i) on the reversed link.  Its
+    boundary is the nodal residual at the original nodes and minus the
+    resultant at infinity, so it is a 1-cycle exactly in equilibrium."""
+    neg = fc.f_int.module.neg
+    loads = {i: neg(v) for i, v in fc.f_ext.coeffs.items()}
+    return cone_chain(fc.f_int, loads, "@infinity")
 
 
 def equilibrium_check(fc, tol=DEFAULT_TOL):
@@ -329,7 +322,7 @@ def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
         if xi is None:
             continue  # forces absorbed at infinity have no moment arm here
         r = tuple(p - q for p, q in zip(xi, x0))
-        total = total + moment(r, f)
+        total = total + wedge(r, f)
     for m in (applied_moments or {}).values():
         total = total + m
     passed = bivector(fc.n).is_zero(total, tol)

@@ -5,6 +5,7 @@ witnesses and report bytes as dense eliminations of the incidence
 matrices."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +73,12 @@ def test_face_answers_match_the_dense_oracle(cx, cycle_weights, face_weights):
     got = face_answers(cx, chains)
     assert got == dense_face_answers(cx, chains)
     assert got[-1][0] is not None
+    # each 2-cycle is a face-sorted primitive {face: int}, lowest face positive
+    for z in hn.cycle_basis(cx, 2):
+        faces, values = list(z.coeffs), list(z.coeffs.values())
+        assert faces == sorted(faces)
+        assert all(type(v) is int and v for v in values)
+        assert math.gcd(*values) == 1 and values[0] > 0
 
 
 def removal_order(cx):

@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import homnet as hn
 from homnet import errors
+from homnet.chains import cone_chain
 from conftest import complexes, random_chain, random_complex
 
 
@@ -176,6 +177,20 @@ def test_cone_preserves_original_incidence(disc):
 def test_cone_duplicate_apex_rejected(circle):
     with pytest.raises(errors.DuplicateLabel):
         hn.cone(circle, "A")
+
+
+def test_cone_chain_boundary(circle):
+    # the apex label is taken, so the apex is primed; the boundary is the
+    # chain's boundary less the star values, and their sum at the apex
+    chain = hn.Chain(circle, 1, {0: 2, 1: -1}, hn.INTEGER)
+    star = {0: 3, 2: 5}
+    ext, extended = cone_chain(chain, star, "A")
+    assert ext.complex.node_labels[ext.apex] == "A'"
+    b = hn.boundary(extended)
+    old = hn.boundary(chain)
+    for i in range(circle.r[0]):
+        assert b[i] == old[i] - star.get(i, 0)
+    assert b[ext.apex] == 8
 
 
 # -- paths and components -----------------------------------------------------

@@ -10,6 +10,7 @@ from homnet import errors
 from homnet import geometry as geo
 from homnet import homology
 from homnet import kinematics as kin
+from homnet.coeffs import wedge_components
 from conftest import EXACT_COORDINATES, motions
 
 
@@ -52,6 +53,20 @@ def test_constant_masses_with_cycle_flow():
     assert report.max_residual <= 1e-12
     assert report.flow_is_cycle
     assert report.total_mass_constant
+
+
+def test_total_mass_is_constant_per_sample_on_a_cycle_flow():
+    triangle = hn.build_complex(["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")])
+    dt, samples = 0.1, 11
+    circulation = 1.0 + np.arange(samples) * dt  # the same on every branch
+    d = dyn.DynamicsState(
+        complex=triangle, n=2, dt=dt,
+        masses={0: 2.0, 1: 3.0, 2: 0.5},
+        flows={a: circulation for a in range(3)},
+    )
+    report = dyn.mass_balance_check(d)
+    assert report.flow_is_cycle
+    assert report.total_mass.tolist() == [5.5] * samples
 
 
 def test_pumping_mass_between_nodes(pair):
@@ -298,6 +313,46 @@ def test_moment_impulse_matches_angular_momentum_change(single_node):
     assert gap <= 1e-6
 
 
+def test_moment_gap_reads_a_missing_force_as_zero():
+    # A accelerates with no force entry, B coasts under an explicit zero
+    # force: both gaps see A's unbalanced change, as a zero force would
+    pair = hn.build_complex(["A", "B"], [])
+    dt, samples = 0.1, 21
+    t = np.arange(samples) * dt
+    d = dyn.DynamicsState(
+        complex=pair, n=2, dt=dt, masses={0: 1.0, 1: 1.0},
+        trajectories={
+            0: np.stack([1 + t**2 / 2, np.ones(samples)], axis=1),
+            1: np.stack([t, np.full(samples, 2.0)], axis=1),
+        },
+    )
+    forces = {1: np.zeros((samples, 2))}
+    explicit = {0: np.zeros((samples, 2)), **forces}
+    gap = dyn.moment_impulse_gap(d, forces, None, 0, samples - 1)
+    assert gap == pytest.approx(2.0)
+    assert gap == dyn.moment_impulse_gap(d, explicit, None, 0, samples - 1)
+    assert dyn.impulse_momentum_gap(d, forces, 0, samples - 1) == pytest.approx(2.0)
+
+
+def test_moment_gap_window_is_the_impulse_window(single_node):
+    d, t, x = orbit_state(single_node, samples=11)
+    for forces in ({}, {0: -x}):
+        with pytest.raises(errors.RangeError, match=r"^window \[5, 11\] outside 0..10$"):
+            dyn.moment_impulse_gap(d, forces, None, 5, 11)
+        with pytest.raises(errors.RangeError, match=r"^window \[5, 11\] outside 0..10$"):
+            dyn.impulse_momentum_gap(d, forces, 5, 11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_array_wedge_is_wedge_components_per_sample(n):
+    rng = np.random.default_rng(n)
+    r, f = rng.standard_normal((2, 7, n))
+    got = dyn._wedge_series(r, f)
+    assert got.shape == (7, n * (n - 1) // 2)
+    for a in range(7):
+        assert tuple(got[a].tolist()) == wedge_components(r[a].tolist(), f[a].tolist())
+
+
 # -- kinetic energy -----------------------------------------------------------------------
 
 def test_kinetic_energy_of_single_mass(single_node):
@@ -307,9 +362,9 @@ def test_kinetic_energy_of_single_mass(single_node):
     d = dyn.DynamicsState(
         complex=single_node, n=2, dt=dt, trajectories={0: x}, masses={0: 2.0}
     )
-    per_node, total = dyn.kinetic_energy(d, t_index=5)
-    assert per_node[0] == pytest.approx(9.0)
-    assert total == pytest.approx(9.0)
+    per_node, total = dyn.kinetic_energy(d)
+    assert per_node[0][5] == pytest.approx(9.0)
+    assert total[5] == pytest.approx(9.0)
 
 
 def test_kinetic_energy_at_rest(single_node):
@@ -317,8 +372,8 @@ def test_kinetic_energy_at_rest(single_node):
         complex=single_node, n=2, dt=0.1,
         trajectories={0: np.tile([1.0, 1.0], (11, 1))}, masses={0: 5.0},
     )
-    _, total = dyn.kinetic_energy(d, t_index=3)
-    assert total == 0.0
+    _, total = dyn.kinetic_energy(d)
+    assert total[3] == 0.0
 
 
 def test_total_is_sum_of_nodes(pair, rng):

@@ -313,29 +313,3 @@ def test_snf_random_matrices():
         result = check_snf_postconditions(mat)
         # one nonzero invariant factor per pivot of the echelon
         assert len(result.d) == len(exact.echelon(mat)[1])
-
-
-def test_normalize_primitive():
-    vec = [Fraction(2, 3), Fraction(-4, 3), Fraction(0)]
-    assert exact.normalize_primitive(vec) == [1, -2, 0]
-    assert exact.normalize_primitive([Fraction(-1, 2)]) == [1]
-    ints = [0, -6, 4, 0]
-    assert exact.normalize_primitive(ints) == [0, 3, -2, 0]
-    assert ints == [0, -6, 4, 0]
-    assert exact.normalize_primitive([0, 0]) == [0, 0]
-
-
-def test_normalize_primitive_reads_floats_as_dyadic_rationals():
-    # a float counts as the exact rational it is: no truncation to an int
-    assert exact.normalize_primitive([0.5, 1]) == [1, 2]
-    assert exact.normalize_primitive([Fraction(1, 3), 0.5]) == [2, 3]
-    assert exact.normalize_primitive([-0.75, 0.0, 2**-60]) == [3 * 2**58, 0, -1]
-
-
-@given(st.lists(
-    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12),
-              st.floats(-9, 9, allow_nan=False)),
-    min_size=1, max_size=6,
-).filter(any))
-def test_normalize_primitive_matches_the_oracle(vec):
-    assert exact.normalize_primitive(vec) == primitive_oracle([Fraction(v) for v in vec])

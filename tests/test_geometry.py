@@ -105,18 +105,18 @@ def test_wedge_two_dimensional():
 
 
 def test_moment_perpendicular():
-    assert geo.moment((1, 0), (0, 1)).comps == (1,)
+    assert geo.wedge((1, 0), (0, 1)).comps == (1,)
 
 
 def test_moment_of_radial_force_vanishes():
     r = (2, 3)
     for alpha in (1, -2, Fraction(1, 2)):
         f = tuple(alpha * c for c in r)
-        assert geo.moment(r, f).comps == (0,)
+        assert geo.wedge(r, f).comps == (0,)
 
 
 def test_moment_at_origin_vanishes():
-    assert geo.moment((0, 0), (5, 7)).comps == (0,)
+    assert geo.wedge((0, 0), (5, 7)).comps == (0,)
 
 
 # -- rigidity --------------------------------------------------------------------

@@ -235,6 +235,31 @@ def test_kinematical_state_needs_three_samples(triangle):
         kin.kinematical_state(triangle, traj, 0.1, 0)
 
 
+@pytest.mark.parametrize("t_index", [-1, 5, 6])
+def test_kinematical_state_index_outside_the_series(triangle, t_index):
+    # a sample index is checked like a sample window, not like a sample count
+    traj = {i: np.zeros((5, 2)) + i for i in range(3)}
+    with pytest.raises(errors.RangeError, match="outside 0..4"):
+        kin.kinematical_state(triangle, traj, 0.1, t_index)
+
+
+def test_kinematical_state_is_taken_at_its_sample(triangle):
+    n_samples, dt = 9, 0.25
+    t = np.arange(n_samples) * dt
+    traj = {i: np.stack([t**2 + i, np.sin(t) - i], axis=1) for i in range(3)}
+    state = kin.kinematical_state(triangle, traj, dt, 6)
+    assert state.t == 6 * dt
+    for i in range(3):
+        assert state.x[i] == tuple(traj[i][6].tolist())
+
+
+def test_kinematical_state_needs_branches():
+    # the relative state is a coboundary, which needs 1-simplexes to live on
+    lone = hn.build_complex(["P"], [])
+    with pytest.raises(errors.DimensionMismatch):
+        kin.kinematical_state(lone, {0: np.zeros((4, 2))}, 0.1, 1)
+
+
 def test_relative_state_is_coboundary_of_absolute(triangle):
     # d/dt commutes with the difference operator: check delta(v) == s_dot
     n_samples, dt = 31, 0.02
