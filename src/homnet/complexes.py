@@ -100,53 +100,60 @@ class Complex:
     def __init__(self, node_labels, branch_endpoints, face_edges=(),
                  branch_labels=None, face_labels=None):
         self.node_labels = list(node_labels)
-        if len(set(self.node_labels)) != len(self.node_labels):
+        r0 = len(self.node_labels)
+        self._node_index = dict(zip(self.node_labels, range(r0)))
+        if len(self._node_index) != r0:
             raise DuplicateLabel("node labels are not unique")
-        self.branches = []
+        self.branches = branches = []
         for tail, head in branch_endpoints:
             if tail == head:
                 raise SelfLoopBranch(
                     f"branch with identical endpoints (node {tail})"
                 )
-            if not (0 <= tail < len(self.node_labels)) or not (0 <= head < len(self.node_labels)):
+            if not (0 <= tail < r0 and 0 <= head < r0):
                 raise UnknownLabel(f"branch endpoint out of range: ({tail}, {head})")
-            self.branches.append((tail, head))
+            branches.append((tail, head))
 
+        r1 = len(branches)
         self.faces = []
         for edges in face_edges:
             edges = tuple(edges)
             if len(edges) != 3:
                 raise NonClosingFace("a face must consist of exactly three branches")
-            bal = {}
+            # the face closes when its oriented branches leave each node
+            # as often as they enter it
+            tails, heads = [], []
             for b, s in edges:
-                if not (0 <= b < len(self.branches)) or s not in (-1, 1):
+                if not (0 <= b < r1) or s not in (-1, 1):
                     raise UnknownLabel(f"bad signed branch ({b}, {s}) in face")
-                tail, head = self.branches[b]
-                bal[head] = bal.get(head, 0) + s
-                bal[tail] = bal.get(tail, 0) - s
-            if any(v != 0 for v in bal.values()):
+                tail, head = branches[b]
+                if s < 0:
+                    tail, head = head, tail
+                tails.append(tail)
+                heads.append(head)
+            tails.sort()
+            heads.sort()
+            if tails != heads:
                 raise NonClosingFace(f"face {edges} does not close")
             self.faces.append(edges)
 
         if branch_labels is None:
             branch_labels = [
-                f"{self.node_labels[t]}{self.node_labels[h]}" for t, h in self.branches
+                f"{self.node_labels[t]}{self.node_labels[h]}" for t, h in branches
             ]
         if face_labels is None:
             face_labels = [f"f{k}" for k in range(len(self.faces))]
         self.branch_labels = list(branch_labels)
         self.face_labels = list(face_labels)
-        if len(self.branch_labels) != len(self.branches):
+        if len(self.branch_labels) != r1:
             raise DuplicateLabel("one label per branch required")
-        if len(set(self.branch_labels)) != len(self.branch_labels):
+        self._branch_index = dict(zip(self.branch_labels, range(r1)))
+        if len(self._branch_index) != r1:
             raise DuplicateLabel("branch labels are not unique")
         if len(self.face_labels) != len(self.faces):
             raise DuplicateLabel("one label per face required")
         if len(set(self.face_labels)) != len(self.face_labels):
             raise DuplicateLabel("face labels are not unique")
-
-        self._node_index = {lab: i for i, lab in enumerate(self.node_labels)}
-        self._branch_index = {lab: a for a, lab in enumerate(self.branch_labels)}
 
     # -- inventory ---------------------------------------------------------
 
@@ -291,9 +298,9 @@ def build_complex(nodes, branches, faces=None, branch_labels=None, face_labels=N
     an existing branch in either orientation, otherwise the face cannot close.
     """
     node_labels = list(nodes)
-    if len(set(node_labels)) != len(node_labels):
+    index = dict(zip(node_labels, range(len(node_labels))))
+    if len(index) != len(node_labels):
         raise DuplicateLabel("node labels are not unique")
-    index = {lab: i for i, lab in enumerate(node_labels)}
 
     endpoint_pairs = []
     for tail, head in branches:

@@ -14,6 +14,24 @@ them exact.
 numpy is imported only to build float arrays, so a document without sample
 lists parses without it; ``NetworkDocument.floats`` records whether any
 value came out as a float.
+
+``parse`` reads a document in one pass and checks, in this order: the
+JSON, ``dimension`` (a positive integer, not a boolean), the signal
+block, the nodes, the branches, the shape of each face, the analyses,
+each face's branch references, and last the complex.  A document with two
+faults names the one checked first.  Each error is a ``ValidationError``
+naming the path of the value at fault (``nodes[3].id``,
+``branches[0].head``), formatted only when it is raised.  Node, branch and
+face ids are unique per kind; the node and branch duplicate checks build
+the {id: index} maps that resolve branch endpoints and face references.
+A value that is a plain int, or a list of them, within floats' range is
+taken in one scan; when every value is, the document holds no float and
+``floats`` needs no further look.
+
+``Complex.__init__`` owns the checks every caller needs, a parsed document
+or not: unique labels, branch endpoints in range and distinct, and faces of
+three signed branches that close.  Of these, only a face that does not
+close can reach it from ``parse``, which names it at ``$``.
 """
 
 from __future__ import annotations
@@ -118,7 +136,13 @@ class NetworkDocument:
         return self._memo[key]
 
     def geometric_complex(self):
-        return realize(self.complex, self.dimension, self.static_positions())
+        """The complex realized at the static positions, built once and
+        shared by every analysis (a realization that raises is not kept,
+        so it raises on every call)."""
+        return self.memo(
+            "geometric",
+            lambda: realize(self.complex, self.dimension, self.static_positions()),
+        )
 
     def trajectories(self):
         """Node trajectories as float arrays of shape (samples, n), keyed by
@@ -198,7 +222,8 @@ def _holds_floats(specs):
 # ---------------------------------------------------------------------------
 
 def parse(text):
-    """Parse and validate a network document."""
+    """Parse and validate a network document (see the module docstring for
+    the order of its checks)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -213,55 +238,34 @@ def parse(text):
         raise ValidationError("$", "document must be a JSON object")
 
     dimension = raw.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ValidationError("dimension", "a positive integer dimension is required")
 
     signal = raw.get("signal")
     if signal is not None:
         signal = _parse_signal(signal)
 
-    nodes = _parse_nodes(raw.get("nodes"), dimension, signal)
-    node_ids = [n["id"] for n in nodes]
-    branches = _parse_branches(raw.get("branches"), set(node_ids), dimension, signal)
-    faces = _parse_faces(raw.get("faces"))
+    nodes, node_index, plain_nodes = _parse_nodes(raw.get("nodes"), dimension, signal)
+    branches, branch_index, endpoints, plain_branches = _parse_branches(
+        raw.get("branches"), node_index, dimension, signal
+    )
+    face_labels, face_edges, unknown_branch = _parse_faces(raw.get("faces"), branch_index)
     analyses = _parse_analyses(raw.get("analyses"))
-
-    branch_ids = [b["id"] for b in branches]
-    node_index = {lab: i for i, lab in enumerate(node_ids)}
-    endpoint_pairs = [
-        (node_index[b["tail"]], node_index[b["head"]]) for b in branches
-    ]
-    branch_index = {lab: a for a, lab in enumerate(branch_ids)}
-    face_edges = []
-    face_labels = []
-    for k, f in enumerate(faces):
-        edges = []
-        for ref in f["edges"]:
-            sign = 1
-            name = ref
-            if ref.startswith("-"):
-                sign, name = -1, ref[1:]
-            elif ref.startswith("+"):
-                name = ref[1:]
-            if name not in branch_index:
-                raise ValidationError(
-                    f"faces[{k}].edges", f"unknown branch {name!r}"
-                )
-            edges.append((branch_index[name], sign))
-        face_edges.append(tuple(edges))
-        face_labels.append(f["id"])
+    if unknown_branch is not None:
+        raise unknown_branch
 
     try:
         complex = Complex(
-            node_ids,
-            endpoint_pairs,
+            list(node_index),
+            endpoints,
             face_edges,
-            branch_labels=branch_ids,
+            branch_labels=list(branch_index),
             face_labels=face_labels,
         )
     except HomnetError as exc:
         raise ValidationError("$", str(exc)) from None
 
+    plain = plain_nodes and plain_branches
     return NetworkDocument(
         dimension=dimension,
         signal=signal,
@@ -270,102 +274,148 @@ def parse(text):
         analyses=analyses,
         complex=complex,
         source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        floats=_holds_floats(itertools.chain(nodes, branches)),
+        floats=not plain and _holds_floats(itertools.chain(nodes, branches)),
     )
 
 
 def _parse_nodes(raw, dimension, signal):
+    """The nodes, the {id: index} map that their duplicate check builds,
+    and whether every value was plain (``_plain``)."""
     if not isinstance(raw, list) or not raw:
         raise ValidationError("nodes", "a nonempty node list is required")
-    seen = set()
+    # each value with the list length that makes it plain (None: an int)
+    lengths = (("pos", dimension), ("mass", None), ("charge", None),
+               ("voltage", None), ("force", dimension),
+               ("moment", dimension * (dimension - 1) // 2))
+    index = {}
     out = []
+    plain = True
     for k, spec in enumerate(raw):
-        path = f"nodes[{k}]"
         if not isinstance(spec, dict) or "id" not in spec:
-            raise ValidationError(path, "each node needs an id")
+            raise ValidationError(f"nodes[{k}]", "each node needs an id")
         nid = str(spec["id"])
-        if nid in seen:
-            raise ValidationError(f"{path}.id", f"duplicate node id {nid!r}")
-        seen.add(nid)
+        if index.setdefault(nid, k) != k:
+            raise ValidationError(f"nodes[{k}].id", f"duplicate node id {nid!r}")
         node = {"id": nid}
-        if "pos" in spec:
-            node["pos"] = _parse_vectors(
-                spec["pos"], dimension, signal, f"{path}.pos", "position"
-            )
-        for attr in ("mass", "charge", "voltage"):
-            if attr in spec:
-                node[attr] = _parse_quantity(spec[attr], signal, f"{path}.{attr}")
-        if "force" in spec:
-            node["force"] = _parse_vectors(
-                spec["force"], dimension, signal, f"{path}.force", "force"
-            )
-        if "moment" in spec:
-            comps = dimension * (dimension - 1) // 2
-            node["moment"] = _parse_fixed_list(
-                spec["moment"], comps, f"{path}.moment"
-            )
+        for attr, length in lengths:
+            if attr not in spec:
+                continue
+            value = _plain(spec[attr], length)
+            if value is None:
+                plain = False
+                value = _parse_node_value(
+                    attr, spec[attr], dimension, signal, f"nodes[{k}].{attr}"
+                )
+            node[attr] = value
         out.append(node)
-    return out
+    return out, index, plain
 
 
-def _parse_branches(raw, node_ids, dimension, signal):
+def _parse_node_value(attr, value, dimension, signal, path):
+    """A node value that is not plain, by the parser of its kind."""
+    if attr == "pos":
+        return _parse_vectors(value, dimension, signal, path, "position")
+    if attr == "force":
+        return _parse_vectors(value, dimension, signal, path, "force")
+    if attr == "moment":
+        return _parse_fixed_list(value, dimension * (dimension - 1) // 2, path)
+    return _parse_quantity(value, signal, path)
+
+
+def _parse_branches(raw, node_index, dimension, signal):
+    """The branches, the {id: index} map that their duplicate check
+    builds, their (tail, head) node index pairs, and whether every value
+    was plain (``_plain``)."""
     if not isinstance(raw, list):
         raise ValidationError("branches", "a branch list is required")
-    seen = set()
+    index = {}
+    endpoints = []
     out = []
+    plain = True
     for k, spec in enumerate(raw):
-        path = f"branches[{k}]"
         if not isinstance(spec, dict) or "id" not in spec:
-            raise ValidationError(path, "each branch needs an id")
+            raise ValidationError(f"branches[{k}]", "each branch needs an id")
         bid = str(spec["id"])
-        if bid in seen:
-            raise ValidationError(f"{path}.id", f"duplicate branch id {bid!r}")
-        seen.add(bid)
-        branch = {"id": bid}
-        for end in ("tail", "head"):
-            if end not in spec:
-                raise ValidationError(f"{path}.{end}", "tail and head are required")
-            ref = str(spec[end])
-            if ref not in node_ids:
-                raise ValidationError(f"{path}.{end}", f"unknown node {ref!r}")
-            branch[end] = ref
-        if branch["tail"] == branch["head"]:
-            raise ValidationError(path, "tail and head must differ")
+        if index.setdefault(bid, k) != k:
+            raise ValidationError(f"branches[{k}].id", f"duplicate branch id {bid!r}")
+        try:
+            ends = str(spec["tail"]), str(spec["head"])
+            tail, head = node_index[ends[0]], node_index[ends[1]]
+        except KeyError:
+            raise _endpoint_error(spec, node_index, f"branches[{k}]") from None
+        if tail == head:
+            raise ValidationError(f"branches[{k}]", "tail and head must differ")
+        endpoints.append((tail, head))
+        branch = {"id": bid, "tail": ends[0], "head": ends[1]}
         for attr in ("current", "mass_flow"):
             if attr in spec:
-                branch[attr] = _parse_quantity(spec[attr], signal, f"{path}.{attr}")
+                value = _plain(spec[attr], None)
+                if value is None:
+                    plain = False
+                    value = _parse_quantity(spec[attr], signal, f"branches[{k}].{attr}")
+                branch[attr] = value
         if "internal_force" in spec:
             # an axial scalar, or a vector of the document's dimension
-            value, where = spec["internal_force"], f"{path}.internal_force"
+            plain = False
+            value, where = spec["internal_force"], f"branches[{k}].internal_force"
             branch["internal_force"] = (
                 _parse_fixed_list(value, dimension, where)
                 if isinstance(value, list)
                 else parse_scalar(value, where)
             )
         out.append(branch)
-    return out
+    return out, index, endpoints, plain
 
 
-def _parse_faces(raw):
+def _endpoint_error(spec, node_index, path):
+    """The error naming a branch's first missing or unknown endpoint."""
+    for end in ("tail", "head"):
+        if end not in spec:
+            return ValidationError(f"{path}.{end}", "tail and head are required")
+        ref = str(spec[end])
+        if ref not in node_index:
+            return ValidationError(f"{path}.{end}", f"unknown node {ref!r}")
+    raise AssertionError("both endpoints are known nodes")
+
+
+def _parse_faces(raw, branch_index):
+    """The face ids, each face's edges as (branch index, sign) pairs, and
+    the error naming the first reference to an unknown branch, or None.
+    That error is returned, not raised: ``parse`` raises it after reading
+    the analyses, so a bad face shape names itself before a bad analysis,
+    and a bad analysis before a bad reference."""
     if raw is None:
-        return []
+        return [], [], None
     if not isinstance(raw, list):
         raise ValidationError("faces", "faces must be a list")
-    seen = set()
+    index = {}
     out = []
+    unknown = None
     for k, spec in enumerate(raw):
-        path = f"faces[{k}]"
         if not isinstance(spec, dict) or "id" not in spec or "edges" not in spec:
-            raise ValidationError(path, "each face needs an id and 3 signed edges")
+            raise ValidationError(f"faces[{k}]", "each face needs an id and 3 signed edges")
         fid = str(spec["id"])
-        if fid in seen:
-            raise ValidationError(f"{path}.id", f"duplicate face id {fid!r}")
-        seen.add(fid)
-        edges = spec["edges"]
-        if not isinstance(edges, list) or len(edges) != 3:
-            raise ValidationError(f"{path}.edges", "exactly three signed branch ids")
-        out.append({"id": fid, "edges": [str(e) for e in edges]})
-    return out
+        if index.setdefault(fid, k) != k:
+            raise ValidationError(f"faces[{k}].id", f"duplicate face id {fid!r}")
+        refs = spec["edges"]
+        if not isinstance(refs, list) or len(refs) != 3:
+            raise ValidationError(f"faces[{k}].edges", "exactly three signed branch ids")
+        edges = []
+        for ref in refs:
+            name = str(ref)
+            first = name[:1]
+            if first == "-":
+                sign, name = -1, name[1:]
+            elif first == "+":
+                sign, name = 1, name[1:]
+            else:
+                sign = 1
+            b = branch_index.get(name)
+            if b is None and unknown is None:
+                unknown = ValidationError(f"faces[{k}].edges", f"unknown branch {name!r}")
+            edges.append((b, sign))
+        out.append(tuple(edges))
+    return list(index), out, unknown
 
 
 def _parse_analyses(raw):
@@ -544,14 +594,31 @@ def _parse_quantity(value, signal, path):
 _FLOAT_INT = 2**1023  # an int of at most this size is a finite float
 
 
+def _plain(value, length):
+    """VALUE as it parses when it is plain, else None.  A plain value is
+    an int within +-2**1023 (``length`` None) or a list of ``length`` of
+    them (parsed as a tuple): it is within floats' range and holds no
+    float, so it is taken in one scan, with no path to name."""
+    if length is None:
+        if type(value) is int and -_FLOAT_INT <= value <= _FLOAT_INT:
+            return value
+        return None
+    if type(value) is not list or len(value) != length:
+        return None
+    for v in value:
+        if type(v) is not int or not -_FLOAT_INT <= v <= _FLOAT_INT:
+            return None
+    return tuple(value)
+
+
 def _parse_fixed_list(value, length, path):
-    """A list of ``length`` scalars as a tuple.  Plain ints within
-    +-2**1023 are floats' range, so a list of only those is taken in one
-    scan; any other list goes through ``parse_scalar`` entry by entry."""
+    """A list of ``length`` scalars as a tuple: a plain one (``_plain``) as
+    it is, any other entry by entry through ``parse_scalar``."""
+    plain = _plain(value, length)
+    if plain is not None:
+        return plain
     if not isinstance(value, list) or len(value) != length:
         raise ValidationError(path, f"expected a list of {length} numbers")
-    if all(type(v) is int and -_FLOAT_INT <= v <= _FLOAT_INT for v in value):
-        return tuple(value)
     return tuple(parse_scalar(v, path) for v in value)
 
 

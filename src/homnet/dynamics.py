@@ -284,18 +284,31 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def impulse(forces, dt, t0, t1):
-    """Trapezoid integral of each node force over the sample window
-    [t0, t1]; exact on piecewise-linear force data."""
+    """Integral of each node force over the sample window [t0, t1]: the
+    trapezoid rule on a series of shape (N, n), exact on piecewise-linear
+    force data, which must hold the window; a static force of shape (n,)
+    is constant, so its integral is F (t1 - t0) dt."""
     import numpy as np
 
     out = {}
-    for i, series in forces.items():
-        series = np.asarray(series, dtype=float)
-        if not (0 <= t0 < t1 < series.shape[0]):
-            raise RangeError(f"window [{t0}, {t1}] outside 0..{series.shape[0] - 1}")
-        window = series[t0 : t1 + 1]
-        out[i] = np.trapezoid(window, dx=dt, axis=0)
+    for i, force in forces.items():
+        force = np.asarray(force, dtype=float)
+        if force.ndim == 1:
+            _check_window(t0, t1)
+            out[i] = force * ((t1 - t0) * dt)
+        else:
+            _check_window(t0, t1, force.shape[0])
+            out[i] = np.trapezoid(force[t0 : t1 + 1], dx=dt, axis=0)
     return out
+
+
+def _check_window(t0, t1, samples=None):
+    """Raise RangeError unless 0 <= t0 < t1, and t1 < samples when a
+    sample count is given."""
+    if samples is not None and not (0 <= t0 < t1 < samples):
+        raise RangeError(f"window [{t0}, {t1}] outside 0..{samples - 1}")
+    if not (0 <= t0 < t1):
+        raise RangeError(f"window [{t0}, {t1}] is not 0 <= t0 < t1")
 
 
 def impulse_momentum_gap(d, forces, t0, t1):
@@ -304,7 +317,8 @@ def impulse_momentum_gap(d, forces, t0, t1):
     its gap is its momentum change."""
     import numpy as np
 
-    zero = np.zeros((d.samples, d.n))
+    _check_window(t0, t1, d.samples)
+    zero = np.zeros(d.n)
     every = {i: forces.get(i, zero) for i in range(d.complex.r[0])}
     worst = 0.0
     for i, j in impulse(every, d.dt, t0, t1).items():

@@ -1,8 +1,11 @@
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +425,14 @@ def random_cochain(rng, cx, dim, module=None, span=9):
 @pytest.fixture
 def rng():
     return random.Random(180451)
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded from its file under a name
+    of its own, so the harness is exercised exactly as committed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -6,8 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homnet import documents
-from homnet.errors import DocumentSyntaxError, ValidationError
+from homnet import cli, documents
+from homnet.errors import (
+    CoincidentNodes,
+    DocumentSyntaxError,
+    MissingData,
+    ValidationError,
+)
+from conftest import load_perfbench
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -368,3 +375,109 @@ def test_fixed_list_parse_equals_per_entry_parse_scalar(attr, value):
     except ValidationError as exc:
         got = (exc.path, str(exc))
     assert got == want
+
+
+NODES = [{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [1, 0]}, {"id": "C", "pos": [0, 1]}]
+FACE = {"id": "F", "edges": ["AB", "BC", "-AC"]}
+
+
+@pytest.mark.parametrize(
+    "overrides, path, message",
+    [
+        (dict(nodes=NODES + [{"id": "B", "pos": [1, 1]}]),
+         "nodes[3].id", "duplicate node id 'B'"),
+        (dict(branches=[{"id": "AB", "tail": "A", "head": "B"},
+                        {"id": "AB", "tail": "B", "head": "C"}]),
+         "branches[1].id", "duplicate branch id 'AB'"),
+        (dict(faces=[FACE, dict(FACE)]), "faces[1].id", "duplicate face id 'F'"),
+        (dict(branches=[{"id": "AB", "head": "B"}]),
+         "branches[0].tail", "tail and head are required"),
+        (dict(branches=[{"id": "AB", "tail": "A"}]),
+         "branches[0].head", "tail and head are required"),
+        (dict(branches=[{"id": "AZ", "tail": "Z", "head": "A"}]),
+         "branches[0].tail", "unknown node 'Z'"),
+        (dict(branches=[{"id": "AZ", "tail": "A", "head": "Z"}]),
+         "branches[0].head", "unknown node 'Z'"),
+        (dict(branches=[{"id": "AA", "tail": "A", "head": "A"}]),
+         "branches[0]", "tail and head must differ"),
+        (dict(faces=[{"id": "F", "edges": ["AB", "BC", "ZZ"]}]),
+         "faces[0].edges", "unknown branch 'ZZ'"),
+        (dict(faces=[{"id": "F", "edges": ["AB", "BC", "-ZZ"]}]),
+         "faces[0].edges", "unknown branch 'ZZ'"),
+        (dict(faces=[{"id": "F", "edges": ["+ZZ", "BC", "-AC"]}]),
+         "faces[0].edges", "unknown branch 'ZZ'"),
+        (dict(faces=[{"id": "F", "edges": ["AB", "BC"]}]),
+         "faces[0].edges", "exactly three signed branch ids"),
+        (dict(faces=[{"id": "F", "edges": ["AB", "BC", "AC"]}]),
+         "$", "face ((0, 1), (2, 1), (1, 1)) does not close"),
+        (dict(analyses=["kcl", {"command": "frobnicate"}]),
+         "analyses[1].command", "unknown command 'frobnicate'"),
+    ],
+    ids=["dup-node", "dup-branch", "dup-face", "no-tail", "no-head", "unknown-tail",
+         "unknown-head", "self-loop", "unknown-face-branch", "unknown-face-branch-minus",
+         "unknown-face-branch-plus", "two-edge-face", "non-closing-face",
+         "unknown-command"],
+)
+def test_each_single_fault_document_names_its_path(tmp_path, capsys, overrides, path,
+                                                   message):
+    text = doc_text(**overrides)
+    with pytest.raises(ValidationError) as err:
+        documents.parse(text)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+    source = tmp_path / "bad.json"
+    source.write_text(text)
+    assert cli.main(["report-all", "--input", str(source)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_a_two_fault_document_names_the_fault_checked_first():
+    # faces are shaped before the analyses are read, and their branch
+    # references resolved after: the unknown branch of faces[0] loses to
+    # the unknown command, which loses to the bad shape of faces[1]
+    faces = [{"id": "F", "edges": ["AB", "BC", "ZZ"]}, {"id": "G", "edges": []}]
+    analyses = [{"command": "frobnicate"}]
+    with pytest.raises(ValidationError) as err:
+        documents.parse(doc_text(faces=faces[:1], analyses=analyses))
+    assert err.value.path == "analyses[0].command"
+    with pytest.raises(ValidationError) as err:
+        documents.parse(doc_text(faces=faces, analyses=analyses))
+    assert err.value.path == "faces[1].edges"
+
+
+@pytest.mark.parametrize("dimension", [True, False, 0, -1, 1.0, "1", None])
+def test_dimension_must_be_a_positive_integer(dimension):
+    # the positions are one-dimensional, so only the dimension is at fault
+    nodes = [{"id": "A", "pos": [0]}, {"id": "B", "pos": [1]}, {"id": "C", "pos": [3]}]
+    with pytest.raises(ValidationError) as err:
+        documents.parse(doc_text(dimension=dimension, nodes=nodes))
+    assert str(err.value) == "dimension: a positive integer dimension is required"
+    assert documents.parse(doc_text(dimension=1, nodes=nodes)).dimension == 1
+
+
+@pytest.mark.parametrize(
+    "workload, floats",
+    [("grid-homology", False), ("grid-statics", False), ("trajectory", True)],
+)
+def test_benchmark_documents_record_whether_they_hold_floats(workload, floats):
+    # the grid generators write integer coordinates, loads, voltages and
+    # currents; the trajectories float samples
+    workloads = load_perfbench("workloads")
+    for case in workloads.corpus(workload, random.Random(3)):
+        assert documents.parse(case.text).floats is floats
+
+
+def test_geometric_complex_is_realized_once_and_a_failure_every_time():
+    doc = documents.parse(doc_text())
+    g = doc.geometric_complex()
+    assert doc.geometric_complex() is g
+    assert g.positions == [(0, 0), (1, 0), (0, 1)]
+    for nodes, error in (
+        ([{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [0, 0]}, {"id": "C"}],
+         MissingData),
+        ([{"id": "A", "pos": [0, 0]}, {"id": "B", "pos": [0, 0]},
+          {"id": "C", "pos": [0, 1]}], CoincidentNodes),
+    ):
+        doc = documents.parse(doc_text(nodes=nodes))
+        for _ in range(2):
+            with pytest.raises(error):
+                doc.geometric_complex()

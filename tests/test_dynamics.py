@@ -220,6 +220,20 @@ def test_impulse_matches_momentum_change_on_linear_data(single_node):
 def test_impulse_window_validated(single_node):
     with pytest.raises(errors.RangeError):
         dyn.impulse({0: np.zeros((11, 2))}, 0.1, 5, 20)
+    # a static force has no sample count, but its window still runs forward
+    for t0, t1 in ((1, 1), (2, 1), (-1, 1)):
+        with pytest.raises(errors.RangeError):
+            dyn.impulse({0: np.ones(2)}, 0.1, t0, t1)
+
+
+def test_static_force_impulse_is_force_times_window(single_node):
+    # a static (n,) force is constant over the window, not an n-sample series
+    imp = dyn.impulse({0: np.array([1.0, 2.0])}, 0.1, 0, 1)
+    assert np.allclose(imp[0], [0.1, 0.2])
+    # the window may run past n samples, and matches the broadcast series
+    static = dyn.impulse({0: np.array([2.0, 1.0])}, 0.1, 3, 10)
+    series = dyn.impulse({0: np.tile([2.0, 1.0], (11, 1))}, 0.1, 3, 10)
+    assert np.allclose(static[0], [1.4, 0.7]) and np.allclose(static[0], series[0])
 
 
 def test_gap_without_a_force_is_the_momentum_change(single_node):

@@ -2,11 +2,8 @@
 it keeps primitive, and the answers read from it against the row order and
 the row rule."""
 
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +20,7 @@ from conftest import (
     fresh_copy,
     frameworks,
     jittered_grid_truss,
+    load_perfbench,
     random_complex,
     real_projective_plane,
     tetrahedron_surface,
@@ -325,17 +323,6 @@ def test_smith_form_sees_only_the_morse_boundary(monkeypatch):
         "projective-plane": [1], "tetrahedron-surface": [],
         "disc+projective-plane": [1], "torus": [], "klein-bottle": [1],
     }
-
-
-def load_perfbench(name):
-    """A module of the benchmark harness, loaded from its file under a name
-    of its own, so the harness is exercised exactly as committed."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_traced_benchmark_replays_the_kernel_inputs():
