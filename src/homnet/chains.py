@@ -1,9 +1,12 @@
 """Chains, cochains, the boundary/coboundary operators and chain maps.
 
-A chain is sparse: it keeps only its nonzero entries.  An entry is dropped
-when it is exactly zero (``Module.is_zero`` at tolerance 0), never because
-it is small, so a float residual reaches every check as it was computed and
-is judged at the tolerance the check is given.
+The zero rule is the type's.  A chain is sparse: it keeps only its nonzero
+entries.  An entry is dropped when it is exactly zero (``Module.is_zero``
+at tolerance 0), never because it is small, so a float residual reaches
+every check as it was computed and is judged at the tolerance the check is
+given.  A cochain keeps every value it is given, zeros included, so a
+potential or a field reads the same at every node or branch it was given
+for; ``coboundary`` drops the exact zeros it computes itself.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ def _convert_scalar(value, module):
 
 
 class _Valued:
-    """Shared behaviour of chains and cochains: a sparse simplex->value map."""
+    """Shared behaviour of chains and cochains: a simplex->value map that
+    drops exact zeros when its type's ``_drops_zeros`` says so."""
 
-    def __init__(self, complex, dim, values, module, prune=True):
+    _drops_zeros = True
+
+    def __init__(self, complex, dim, values, module):
         if dim not in (0, 1, 2):
             raise DimensionMismatch(f"dimension {dim} out of range")
         if dim > complex.dim and values:
@@ -41,17 +47,22 @@ class _Valued:
                 f"complex has no {dim}-simplexes to carry coefficients"
             )
         r = complex.r[dim]
+        drop = self._drops_zeros
         coeffs_map = {}
         for idx, val in values.items():
             if not (0 <= idx < r):
                 raise DimensionMismatch(f"simplex index {idx} out of range for dim {dim}")
-            if prune and module.is_zero(val):
+            if drop and module.is_zero(val):
                 continue
             coeffs_map[idx] = val
         self.complex = complex
         self.dim = dim
         self.module = module
         self.coeffs = coeffs_map
+
+    @classmethod
+    def zero(cls, complex, dim, module):
+        return cls(complex, dim, {}, module)
 
     def __getitem__(self, idx):
         return self.coeffs.get(idx, self.module.zero())
@@ -125,10 +136,6 @@ class Chain(_Valued):
     """Formal sum of same-dimension simplexes with module coefficients."""
 
     @classmethod
-    def zero(cls, complex, dim, module):
-        return cls(complex, dim, {}, module)
-
-    @classmethod
     def of_integers(cls, complex, dim, values):
         """An integer chain over ``{index: int}`` already known to hold
         only nonzero ints at indices of ``dim``-simplexes, such as a
@@ -143,9 +150,7 @@ class Chain(_Valued):
 class Cochain(_Valued):
     """Linear functional on chains, stored by its values on the generators."""
 
-    @classmethod
-    def zero(cls, complex, dim, module):
-        return cls(complex, dim, {}, module)
+    _drops_zeros = False
 
 
 def boundary(chain):
@@ -193,14 +198,16 @@ def coboundary(cochain):
     if cochain.dim == 0:
         for a, (tail, head) in enumerate(cx.branches):
             val = mod.add(cochain[head], mod.neg(cochain[tail]))
-            out[a] = val
+            if not mod.is_zero(val):
+                out[a] = val
     else:
         for f, edges in enumerate(cx.faces):
             acc = mod.zero()
             for b, s in edges:
                 term = cochain[b] if s == 1 else mod.neg(cochain[b])
                 acc = mod.add(acc, term)
-            out[f] = acc
+            if not mod.is_zero(acc):
+                out[f] = acc
     return Cochain(cx, cochain.dim + 1, out, mod)
 
 

@@ -4,8 +4,9 @@ deterministic text or JSON reports.
 Exit status is 0 when every requested analysis passes, 1 when any of them
 fails, and 2 on a usage or document error.
 
-numpy is imported only by the analyses that do float work, so an exact
-document runs without it.
+numpy is imported only to parse sample lists and by the sampled analyses
+(``_SAMPLED``), so a document without sample lists runs its other analyses
+without it, whether its values are exact or floats.
 """
 
 from __future__ import annotations
@@ -422,15 +423,16 @@ _RUNNERS = {
 _SAMPLED = frozenset({"mass", "momentum", "angular", "energy", "dalembert"})
 
 
-def _float_errors_ignored(doc, command):
-    """numpy's error state ignoring every floating-point error, for an
-    analysis that can do float work: one on a document with float values,
-    or a sampled one.  Any other analysis runs on exact values only and
-    never imports numpy."""
-    if not (doc.floats or command in _SAMPLED):
-        return contextlib.nullcontext()
-    import numpy as np
-
+def _float_errors_ignored(command):
+    """numpy's error state ignoring every floating-point error, whenever
+    numpy can run: it is loaded already, or the analysis is a sampled one,
+    which imports it.  Otherwise the analysis never imports numpy, and its
+    float work, in plain Python, warns about nothing."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        if command not in _SAMPLED:
+            return contextlib.nullcontext()
+        import numpy as np
     return np.errstate(all="ignore")
 
 
@@ -446,7 +448,7 @@ def run(doc, command, options=None):
     if command not in _RUNNERS:
         raise UnknownCommand(f"unknown command {command!r}")
     try:
-        with _float_errors_ignored(doc, command):
+        with _float_errors_ignored(command):
             report = _RUNNERS[command](doc, options)
     except MissingData as exc:
         report = AnalysisReport(

@@ -12,8 +12,7 @@ current, mass flow) is a real signal, so its int and "p/q" samples become
 floats of one read-only array too; only sampled positions and forces keep
 them exact.
 numpy is imported only to build float arrays, so a document without sample
-lists parses without it; ``NetworkDocument.floats`` records whether any
-value came out as a float.
+lists parses without it.
 
 ``parse`` reads a document in one pass and checks, in this order: the
 JSON, ``dimension`` (a positive integer, not a boolean), the signal
@@ -25,8 +24,7 @@ naming the path of the value at fault (``nodes[3].id``,
 face ids are unique per kind; the node and branch duplicate checks build
 the {id: index} maps that resolve branch endpoints and face references.
 A value that is a plain int, or a list of them, within floats' range is
-taken in one scan; when every value is, the document holds no float and
-``floats`` needs no further look.
+taken in one scan, without its value parser.
 
 ``Complex.__init__`` owns the checks every caller needs, a parsed document
 or not: unique labels, branch endpoints in range and distinct, and faces of
@@ -86,7 +84,6 @@ class NetworkDocument:
     analyses: list
     complex: Complex
     source_sha256: str = ""  # of the document text, hashed once in parse
-    floats: bool = False  # some node or branch value is a float or float array
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -167,11 +164,10 @@ class NetworkDocument:
         if self.signal is None:
             raise MissingData("signal", "sampled series need a signal block")
         out = {}
-        for spec in self.nodes:
+        for i, spec in enumerate(self.nodes):
             if name not in spec:
                 continue
             value = spec[name]
-            i = self.complex.node_index(spec["id"])
             if is_array(value):
                 out[i] = value
                 continue
@@ -196,25 +192,6 @@ def is_array(value):
     no value can be an array."""
     np = sys.modules.get("numpy")
     return np is not None and isinstance(value, np.ndarray)
-
-
-def _holds_floats(specs):
-    """Some parsed node or branch value is a float, a vector or sample list
-    holding one, or a float array (the only other type a value can have)."""
-    for spec in specs:
-        for value in spec.values():
-            kind = type(value)
-            if kind is str or kind is int or kind is Fraction:
-                continue
-            if kind is tuple:
-                if float in map(type, value):
-                    return True
-            elif kind is list:
-                if any(float in map(type, row) for row in value):
-                    return True
-            else:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +222,8 @@ def parse(text):
     if signal is not None:
         signal = _parse_signal(signal)
 
-    nodes, node_index, plain_nodes = _parse_nodes(raw.get("nodes"), dimension, signal)
-    branches, branch_index, endpoints, plain_branches = _parse_branches(
+    nodes, node_index = _parse_nodes(raw.get("nodes"), dimension, signal)
+    branches, branch_index, endpoints = _parse_branches(
         raw.get("branches"), node_index, dimension, signal
     )
     face_labels, face_edges, unknown_branch = _parse_faces(raw.get("faces"), branch_index)
@@ -265,7 +242,6 @@ def parse(text):
     except HomnetError as exc:
         raise ValidationError("$", str(exc)) from None
 
-    plain = plain_nodes and plain_branches
     return NetworkDocument(
         dimension=dimension,
         signal=signal,
@@ -274,13 +250,12 @@ def parse(text):
         analyses=analyses,
         complex=complex,
         source_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        floats=not plain and _holds_floats(itertools.chain(nodes, branches)),
     )
 
 
 def _parse_nodes(raw, dimension, signal):
-    """The nodes, the {id: index} map that their duplicate check builds,
-    and whether every value was plain (``_plain``)."""
+    """The nodes and the {id: index} map that their duplicate check
+    builds; a plain value (``_plain``) is taken as it is."""
     if not isinstance(raw, list) or not raw:
         raise ValidationError("nodes", "a nonempty node list is required")
     # each value with the list length that makes it plain (None: an int)
@@ -289,7 +264,6 @@ def _parse_nodes(raw, dimension, signal):
                ("moment", dimension * (dimension - 1) // 2))
     index = {}
     out = []
-    plain = True
     for k, spec in enumerate(raw):
         if not isinstance(spec, dict) or "id" not in spec:
             raise ValidationError(f"nodes[{k}]", "each node needs an id")
@@ -302,13 +276,12 @@ def _parse_nodes(raw, dimension, signal):
                 continue
             value = _plain(spec[attr], length)
             if value is None:
-                plain = False
                 value = _parse_node_value(
                     attr, spec[attr], dimension, signal, f"nodes[{k}].{attr}"
                 )
             node[attr] = value
         out.append(node)
-    return out, index, plain
+    return out, index
 
 
 def _parse_node_value(attr, value, dimension, signal, path):
@@ -324,14 +297,13 @@ def _parse_node_value(attr, value, dimension, signal, path):
 
 def _parse_branches(raw, node_index, dimension, signal):
     """The branches, the {id: index} map that their duplicate check
-    builds, their (tail, head) node index pairs, and whether every value
-    was plain (``_plain``)."""
+    builds, and their (tail, head) node index pairs, which the complex
+    keeps: a parsed branch holds its id and values, not its endpoints."""
     if not isinstance(raw, list):
         raise ValidationError("branches", "a branch list is required")
     index = {}
     endpoints = []
     out = []
-    plain = True
     for k, spec in enumerate(raw):
         if not isinstance(spec, dict) or "id" not in spec:
             raise ValidationError(f"branches[{k}]", "each branch needs an id")
@@ -339,24 +311,21 @@ def _parse_branches(raw, node_index, dimension, signal):
         if index.setdefault(bid, k) != k:
             raise ValidationError(f"branches[{k}].id", f"duplicate branch id {bid!r}")
         try:
-            ends = str(spec["tail"]), str(spec["head"])
-            tail, head = node_index[ends[0]], node_index[ends[1]]
+            tail, head = node_index[str(spec["tail"])], node_index[str(spec["head"])]
         except KeyError:
             raise _endpoint_error(spec, node_index, f"branches[{k}]") from None
         if tail == head:
             raise ValidationError(f"branches[{k}]", "tail and head must differ")
         endpoints.append((tail, head))
-        branch = {"id": bid, "tail": ends[0], "head": ends[1]}
+        branch = {"id": bid}
         for attr in ("current", "mass_flow"):
             if attr in spec:
                 value = _plain(spec[attr], None)
                 if value is None:
-                    plain = False
                     value = _parse_quantity(spec[attr], signal, f"branches[{k}].{attr}")
                 branch[attr] = value
         if "internal_force" in spec:
             # an axial scalar, or a vector of the document's dimension
-            plain = False
             value, where = spec["internal_force"], f"branches[{k}].internal_force"
             branch["internal_force"] = (
                 _parse_fixed_list(value, dimension, where)
@@ -364,7 +333,7 @@ def _parse_branches(raw, node_index, dimension, signal):
                 else parse_scalar(value, where)
             )
         out.append(branch)
-    return out, index, endpoints, plain
+    return out, index, endpoints
 
 
 def _endpoint_error(spec, node_index, path):

@@ -31,6 +31,10 @@ from .errors import (
 from .homology import cycle_basis
 from .kinematics import spatial_trace
 
+# How far momentum may be from m*v, and a node's mass samples from one
+# another, for a balance law that assumes them equal
+_HYPOTHESIS_TOL = 1e-6
+
 
 @dataclass
 class DynamicsState:
@@ -112,8 +116,9 @@ class DynamicsState:
         )
 
     def check_convective(self):
-        """Momentum must be mass times velocity, within 1e-6, wherever it
-        was given explicitly; angular-momentum balance assumes that form."""
+        """Momentum must be mass times velocity, within ``_HYPOTHESIS_TOL``,
+        wherever it was given explicitly; angular-momentum balance assumes
+        that form."""
         import numpy as np
 
         if self.momenta is None:
@@ -121,10 +126,20 @@ class DynamicsState:
         for i in self.momenta:
             expected = self.mass_series(i)[:, None] * self.velocity(i)
             err = float(np.max(np.abs(self.momentum(i) - expected), initial=0.0))
-            if err > 1e-6:
+            if err > _HYPOTHESIS_TOL:
                 raise NonConvectiveMomentum(
                     f"momentum at node {i} deviates from m*v by {err:.3e}"
                 )
+
+    def check_constant_masses(self, law):
+        """Every node's mass samples must spread by at most
+        ``_HYPOTHESIS_TOL``; the error names the balance LAW that assumes it."""
+        import numpy as np
+
+        for i in range(self.complex.r[0]):
+            m = self.mass_series(i)
+            if float(np.max(m) - np.min(m)) > _HYPOTHESIS_TOL:
+                raise HypothesesUnmet(f"{law} needs constant masses")
 
 
 def nan_max(a, b):
@@ -361,10 +376,7 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL):
     import numpy as np
 
     d.check_convective()
-    for i in range(d.complex.r[0]):
-        m = d.mass_series(i)
-        if float(np.max(m) - np.min(m)) > 1e-6:
-            raise HypothesesUnmet("angular-momentum balance needs constant masses")
+    d.check_constant_masses("angular-momentum balance")
     N = d.samples
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
     worst = 0.0
@@ -465,7 +477,7 @@ def work_cochain(k, forces):
     for i, w in work_values(k, forces).items():
         for a in range(k.steps):
             values[k.motion_link(i, a)] = float(w[a])
-    return Cochain(k.complex, 1, values, REAL64, prune=False)
+    return Cochain(k.complex, 1, values, REAL64)
 
 
 def path_work(k, forces, i):
@@ -519,7 +531,7 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
         values = {
             edge: float(w[i][a]) for (i, a), edge in trace.step_edges.items()
         }
-        work = Cochain(trace.complex, 1, values, REAL64, prune=False)
+        work = Cochain(trace.complex, 1, values, REAL64)
         for z in cycle_basis(trace.complex, 1):
             total = evaluate(work, z)
             if abs(float(total)) > tol:
@@ -584,10 +596,7 @@ def work_energy_check(d, k, forces, tol=1e-6):
             f"force system does non-vanishing work {report.cycle_work!r} on a cycle"
         )
     d.check_convective()
-    for i in range(d.complex.r[0]):
-        m = d.mass_series(i)
-        if float(np.max(m) - np.min(m)) > 1e-12:
-            raise HypothesesUnmet("work-energy theorem needs constant masses")
+    d.check_constant_masses("work-energy theorem")
     if d.samples != k.steps + 1:
         raise HypothesesUnmet(
             "trajectory samples must coincide with the kinematical snapshots"

@@ -110,7 +110,6 @@ def circuit_state(complex, currents, charges=None, voltages=None, dt=None,
             0,
             {complex.node_index(k): conv(v) for k, v in voltages.items()},
             mod,
-            prune=False,
         )
     return CircuitState(complex=complex, current=current, charge=charge,
                         voltage=voltage)

@@ -68,7 +68,7 @@ def displacement_cochain(g):
     """Branch-wise position differences; evaluating on a path gives the
     displacement from its start to its end."""
     values = {a: g.branch_vector(a) for a in range(g.complex.r[1])}
-    return Cochain(g.complex, 1, values, vector(g.n), prune=False)
+    return Cochain(g.complex, 1, values, vector(g.n))
 
 
 def shift_origin(g, a):
@@ -176,7 +176,7 @@ def rotation_velocity_field(omega, g, center=None):
     for i in range(g.complex.r[0]):
         x = np.asarray(g.positions[i], dtype=float)
         values[i] = tuple((w @ (x - c)).tolist())
-    return Cochain(g.complex, 0, values, vector(g.n), prune=False)
+    return Cochain(g.complex, 0, values, vector(g.n))
 
 
 def best_fit_orthogonal_map(g0, g1):

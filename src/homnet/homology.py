@@ -449,7 +449,7 @@ def integrate(cochain):
         else:
             drop = cochain[a] if forest.sign[v] == 1 else mod.neg(cochain[a])
             values[v] = mod.add(values[forest.parent[v]], drop)
-    return Cochain(cx, 0, values, mod, prune=False)
+    return Cochain(cx, 0, values, mod)
 
 
 def is_coboundary(cochain, tol=DEFAULT_TOL):
@@ -483,4 +483,4 @@ def is_coboundary(cochain, tol=DEFAULT_TOL):
         top = mod.neg(potential[comp[-1]])
         for v in comp:
             values[v] = mod.add(potential[v], top)
-    return CoboundaryTest(True, potential=Cochain(cx, 0, values, mod, prune=False))
+    return CoboundaryTest(True, potential=Cochain(cx, 0, values, mod))

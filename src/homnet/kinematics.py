@@ -82,7 +82,7 @@ class KinematicalComplex:
             for a in range(self.steps)
             for i in range(self.base.r[0])
         }
-        return Cochain(self.complex, 1, values, vector(self.n), prune=False)
+        return Cochain(self.complex, 1, values, vector(self.n))
 
     def snapshot_cycle(self, chain, a):
         """Copy a 1-chain of the base structural complex into snapshot a."""
@@ -275,7 +275,7 @@ def kinematical_state(complex, trajectories, dt, t_index):
 
     def cochain0(source):
         values = {i: tuple(source[i][t_index].tolist()) for i in range(r0)}
-        return Cochain(complex, 0, values, mod, prune=False)
+        return Cochain(complex, 0, values, mod)
 
     x = cochain0(arrays)
     v = cochain0(vel)

@@ -116,7 +116,7 @@ def test_criterion_2_kirchhoff():
     voltage = hn.Cochain(
         cx, 0,
         {i: Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for i in range(6)},
-        hn.RATIONAL, prune=False,
+        hn.RATIONAL,
     )
     dv = hn.coboundary(voltage)
     verdict = el.kvl_check(dv)

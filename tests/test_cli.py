@@ -10,7 +10,7 @@ import pytest
 
 from homnet import chains, cli, documents, electrical, reports
 from homnet.complexes import Complex
-from homnet.errors import RangeError, TooFewSamples, ValidationError
+from homnet.errors import HypothesesUnmet, RangeError, TooFewSamples, ValidationError
 from conftest import trajectory_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,21 +174,38 @@ def test_emit_writes_exact_values_past_the_digit_limit():
     assert f'"tiny":"1/{digits}"' in payload
 
 
+def charging_text(dt, charge):
+    """A two-node circuit with no current whose node A charges by the
+    given samples."""
+    return json.dumps({
+        "dimension": 1,
+        "signal": {"dt": dt, "samples": len(charge)},
+        "nodes": [{"id": "A", "pos": [0], "charge": charge}, {"id": "B", "pos": [1]}],
+        "branches": [{"id": "AB", "tail": "A", "head": "B", "current": 0.0}],
+    })
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "command, dt, pos",
+    "command, text",
     [
-        ("angular", 0.001, [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]),
-        ("momentum", 0.1, [[1e307 * (-1) ** a] for a in range(6)]),
-        ("dalembert", 0.1, [[1e307 * (-1) ** a] for a in range(6)]),
+        ("angular", trajectory_text(
+            0.001, [[1e170 * (a + 1), 1e170 * (a + 1) ** 2] for a in range(7)]
+        )),
+        ("momentum", trajectory_text(0.1, [[1e307 * (-1) ** a] for a in range(6)])),
+        ("dalembert", trajectory_text(0.1, [[1e307 * (-1) ** a] for a in range(6)])),
+        # not a sampled analysis: numpy runs because parsing the charge
+        # samples loaded it
+        ("kcl", charging_text(0.1, [1e307 * (-1) ** a for a in range(6)])),
     ],
-    ids=["wedge-overflow", "derivative-overflow", "dalembert-overflow"],
+    ids=["wedge-overflow", "derivative-overflow", "dalembert-overflow",
+         "charging-overflow"],
 )
-def test_overflowing_analysis_fails_without_a_warning(tmp_path, capsys, command, dt, pos):
+def test_overflowing_analysis_fails_without_a_warning(tmp_path, capsys, command, text):
     # any numpy RuntimeWarning raises under the "error" filter; the
     # non-finite residual is reported and fails the verdict instead
     source = tmp_path / "overflow.json"
-    source.write_text(trajectory_text(dt, pos))
+    source.write_text(text)
     assert cli.main([command, "--input", str(source)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -286,6 +303,27 @@ def test_trajectory_document_converts_its_samples_once(monkeypatch):
     ]
     for fmt in ("text", "json"):
         assert reports.emit(shared, fmt) == reports.emit(alone, fmt)
+
+
+def test_angular_and_energy_share_one_constant_mass_hypothesis(tmp_path, capsys):
+    # freefall with its mass as samples rising by 1e-9 each: both laws
+    # read a spread of 4e-8 as a constant mass, and one past 1e-6 as none
+    raw = json.loads((FIXTURES / "freefall.json").read_text())
+    samples = raw["signal"]["samples"]
+    raw["nodes"][0]["mass"] = [2.0 + 1e-9 * a for a in range(samples)]
+    raw["analyses"].append({"command": "angular", "tolerance": 1e-6})
+    source = tmp_path / "freefall_rising_mass.json"
+    source.write_text(json.dumps(raw))
+    assert cli.main(["report-all", "--input", str(source)]) == 0
+    out = capsys.readouterr().out
+    assert "== energy: PASS ==" in out and "== angular: PASS ==" in out
+    raw["nodes"][0]["mass"] = [2.0 + 1e-7 * a for a in range(samples)]
+    doc = documents.parse(json.dumps(raw))
+    for command, law in (
+        ("angular", "angular-momentum balance"), ("energy", "work-energy theorem")
+    ):
+        with pytest.raises(HypothesesUnmet, match=f"^{law} needs constant masses$"):
+            cli.run(doc, command)
 
 
 def test_virtual_work_zero_tolerance():

@@ -1,5 +1,4 @@
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +13,6 @@ from homnet.errors import (
     MissingData,
     ValidationError,
 )
-from conftest import load_perfbench
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -133,8 +131,7 @@ def test_rational_strings_stay_exact():
 
 
 def test_sampled_scalars_are_float_signals():
-    # a sampled scalar is a real signal: "p/q" samples parse to floats, and
-    # the document counts as holding floats
+    # a sampled scalar is a real signal: "p/q" samples parse to floats
     doc = documents.parse(
         doc_text(
             signal={"dt": 0.5, "samples": 3},
@@ -150,7 +147,6 @@ def test_sampled_scalars_are_float_signals():
         assert isinstance(value, np.ndarray) and value.dtype == float
         assert value.tolist() == want
         assert not value.flags.writeable
-    assert doc.floats
 
 
 def test_position_trajectories():
@@ -254,29 +250,6 @@ def test_float_samples_parse_into_one_shared_read_only_array():
         doc.trajectories()[0][0, 0] = 1.0
     masses = documents.parse(track_text(mass=[2.0] * 6)).node_attr("mass")["A"]
     assert masses.tolist() == [2.0] * 6 and not masses.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "text, floats",
-    [
-        (doc_text(), False),
-        (doc_text(nodes=[{"id": "A", "pos": [0, "1/2"], "voltage": "3"}],
-                  branches=[]), False),
-        (doc_text(nodes=[{"id": "A", "pos": [0, 0.5]}], branches=[]), True),
-        (doc_text(nodes=[{"id": "A", "pos": [0, 0], "charge": 1.5}],
-                  branches=[]), True),
-        (track_text(pos=[[1, 1]] * 6, force=[[0, "1/2"]] * 6, mass=2), False),
-        (track_text(pos=[[1, 1]] * 5 + [[1, 1.5]], force=[[0, 0]] * 6, mass=2),
-         True),
-        (track_text(pos=[[1, 1]] * 6, force=[[0, 0]] * 6, mass=[2] * 6), True),
-        (track_text(), True),
-    ],
-    ids=["plain", "exact", "float-pos", "float-charge", "exact-samples",
-         "one-float-sample", "int-mass-series", "float-samples"],
-)
-def test_floats_records_any_float_value(text, floats):
-    # an int mass series is parsed into a float array
-    assert documents.parse(text).floats is floats
 
 
 def test_unknown_analysis_command():
@@ -452,18 +425,6 @@ def test_dimension_must_be_a_positive_integer(dimension):
         documents.parse(doc_text(dimension=dimension, nodes=nodes))
     assert str(err.value) == "dimension: a positive integer dimension is required"
     assert documents.parse(doc_text(dimension=1, nodes=nodes)).dimension == 1
-
-
-@pytest.mark.parametrize(
-    "workload, floats",
-    [("grid-homology", False), ("grid-statics", False), ("trajectory", True)],
-)
-def test_benchmark_documents_record_whether_they_hold_floats(workload, floats):
-    # the grid generators write integer coordinates, loads, voltages and
-    # currents; the trajectories float samples
-    workloads = load_perfbench("workloads")
-    for case in workloads.corpus(workload, random.Random(3)):
-        assert documents.parse(case.text).floats is floats
 
 
 def test_geometric_complex_is_realized_once_and_a_failure_every_time():

@@ -513,7 +513,7 @@ def trace_complex_oracle(k, forces, tol):
                 endpoints.append((walk[a], walk[a + 1]))
                 steps.append(f"{i}@{a}")
     trace = hn.Complex(labels, endpoints, branch_labels=steps)
-    work = hn.Cochain(trace, 1, values, hn.REAL64, prune=False)
+    work = hn.Cochain(trace, 1, values, hn.REAL64)
     for z in hn.cycle_basis(trace, 1):
         total = hn.evaluate(work, z)
         if abs(float(total)) > tol:

@@ -487,7 +487,7 @@ def cycle_sum_coboundary(cochain, tol=DEFAULT_TOL):
         for v in comp:
             values[v] = mod.add(potential[v], top)
     return homology.CoboundaryTest(
-        True, potential=hn.Cochain(cx, 0, values, mod, prune=False)
+        True, potential=hn.Cochain(cx, 0, values, mod)
     )
 
 

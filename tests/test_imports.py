@@ -1,5 +1,6 @@
-"""numpy stays off the exact path: no module imports it at load time, and an
-exact document goes from parse to emitted report without loading it."""
+"""numpy stays off the exact path: no module imports it at load time, and a
+document without sample lists goes from parse to emitted report without
+loading it, whether its values are exact or floats."""
 
 import ast
 import importlib.util
@@ -90,6 +91,27 @@ def test_exact_documents_never_load_numpy():
     # every module the tracer patches is loaded by the cli import
     assert seen["missing"] == []
     assert set(seen["codes"].values()) <= {0, 1}
+
+
+def test_float_documents_without_samples_never_load_numpy(tmp_path):
+    # float positions on the truss, float currents and voltages on the
+    # circuit: their analyses compute in plain Python floats
+    truss = json.loads((ROOT / "fixtures" / "triangle_truss.json").read_text())
+    for node in truss["nodes"]:
+        node["pos"] = [float(c) for c in node["pos"]]
+    circle = json.loads((ROOT / "fixtures" / "circle.json").read_text())
+    for node in circle["nodes"]:
+        node["voltage"] = float(node["voltage"])
+    for branch in circle["branches"]:
+        branch["current"] = float(branch["current"])
+    paths = [tmp_path / "triangle_truss.json", tmp_path / "circle.json"]
+    for path, document in zip(paths, (truss, circle)):
+        path.write_text(json.dumps(document))
+    result = run_python(EXACT_RUN, "[]", *map(str, paths))
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout)
+    assert seen["numpy"] is False
+    assert list(seen["codes"].values()) == [0, 0]
 
 
 OVERFLOW_RUN = """

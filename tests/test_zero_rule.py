@@ -68,11 +68,22 @@ def test_time_series_is_never_exact():
 
 
 def test_equality_compares_values_not_stored_entries(circle):
-    padded = hn.Cochain(circle, 0, {0: 0, 1: 2}, coeffs.INTEGER, prune=False)
-    pruned = hn.Cochain(circle, 0, {1: 2}, coeffs.INTEGER)
-    assert (padded - pruned).is_zero()
-    assert padded == pruned and pruned == padded
+    padded = hn.Cochain(circle, 0, {0: 0, 1: 2}, coeffs.INTEGER)
+    sparse = hn.Cochain(circle, 0, {1: 2}, coeffs.INTEGER)
+    assert (padded - sparse).is_zero()
+    assert padded == sparse and sparse == padded
     assert padded != hn.Cochain(circle, 0, {0: 1, 1: 2}, coeffs.INTEGER)
+
+
+def test_a_cochain_keeps_a_given_zero_and_a_chain_drops_it(circle):
+    for zero in (0, 0.0, -0.0, Fraction(0)):
+        values = {0: zero, 1: 2}
+        assert hn.Cochain(circle, 0, values, coeffs.INTEGER).coeffs == values
+        assert hn.Chain(circle, 0, values, coeffs.INTEGER).coeffs == {1: 2}
+    # the coboundary drops the exact zeros it computes: a constant
+    # potential has no drop on any branch
+    flat = hn.Cochain(circle, 0, dict.fromkeys(range(circle.r[0]), 3), coeffs.INTEGER)
+    assert hn.coboundary(flat).coeffs == {}
 
 
 # -- verdicts that a tolerance on exact data got wrong ------------------------------
