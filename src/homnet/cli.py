@@ -56,8 +56,8 @@ def _branch_internal_vectors(doc):
 
 def _dynamics_state(doc):
     """The document's dynamics state, built once and shared by `momentum`,
-    `angular`, `dalembert` and `energy`, so each node's velocity, momentum
-    and momentum rate are computed once per document."""
+    `angular`, `dalembert` and `energy`, so the stacked velocity, momentum
+    and momentum rate of all nodes are computed once per document."""
     return doc.memo("dynamics", lambda: _build_dynamics_state(doc))
 
 
@@ -355,10 +355,7 @@ def _run_energy(doc, options):
     import numpy as np
 
     d = _dynamics_state(doc)
-    k = KinematicalComplex(
-        base=doc.complex,
-        positions=np.stack([d.trajectory(i) for i in range(doc.complex.r[0])], axis=1),
-    )
+    k = KinematicalComplex(base=doc.complex, positions=d.positions)
     series = doc.node_series("force")
     if not series:
         raise MissingData("nodes[*].force")

@@ -3,21 +3,26 @@
 Masses live on nodes, mass flows on branches, momenta on nodes; each balance
 law states that a time derivative equals a boundary (or a resultant), and
 each conservation corollary states that the relevant chain is a cycle.
-Trajectory data is handled as numpy arrays keyed by node or branch index;
-derivatives use the central/one-sided sampling rule shared with time-series
-chains, which is exact on quadratic samples.  A ``DynamicsState`` computes
-each node's velocity, momentum and momentum rate once; ``homnet.cli`` keeps
-one state per document, so the momentum, angular, d'Alembert and energy
-checks differentiate each trajectory once between them.  The potential of a
-walk that revisits no position is one running sum over the whole array,
-bit-identical to integrating it step by step.  Each function imports numpy
-itself: ``homnet.cli`` loads this module, and an exact document must not
-pay for numpy.
+Trajectory data is stacked over the nodes: one (samples, nodes, n) array per
+vector quantity and one (samples, nodes) array of masses, so each law is one
+whole-array expression over every node and sample.  Derivatives use the
+central/one-sided sampling rule shared with time-series chains, which is
+exact on quadratic samples.  A ``DynamicsState`` differentiates each
+quantity once per document, every node in one call; ``homnet.cli`` keeps one
+state per document, so the momentum, angular, d'Alembert and energy checks
+share one velocity and one momentum rate.  A sum over the nodes adds them in
+node order (``_node_sum``), as a loop over the nodes would, so every printed
+float is the one a per-node loop gives.  The potential of a walk that
+revisits no position is one running sum over the whole array, bit-identical
+to integrating it step by step.  Each function imports numpy itself:
+``homnet.cli`` loads this module, and an exact document must not pay for
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .chains import Cochain, evaluate
 from .coeffs import DEFAULT_TOL, REAL64, series_derivative, wedge_components
@@ -36,14 +41,21 @@ from .kinematics import spatial_trace
 _HYPOTHESIS_TOL = 1e-6
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class DynamicsState:
     """Sampled dynamical data of a network: trajectories, masses, flows and
     (optionally) an explicit momentum history.
 
-    Each node's velocity, convective momentum and momentum rate are
-    computed once, on first use, and shared as read-only arrays; the data
-    fields are not meant to change after that."""
+    The stacked arrays ``positions``, ``mass``, ``velocity``, ``momentum``
+    and ``momentum_rate`` hold every node, in node order; each is built
+    once, on first use, and shared read-only, so each derivative is one
+    ``series_derivative`` call per quantity per document.  The data fields
+    are not meant to change after that."""
 
     complex: object
     n: int
@@ -52,18 +64,8 @@ class DynamicsState:
     masses: dict = field(default_factory=dict)  # node -> scalar or (N,) array
     flows: dict = field(default_factory=dict)  # branch -> (N,) array
     momenta: dict | None = None  # node -> (N, n) array, convective if omitted
-    _derived: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)  # (quantity, node) -> array
 
-    def _cached(self, quantity, i, compute):
-        key = (quantity, i)
-        if key not in self._derived:
-            value = compute()
-            value.setflags(write=False)
-            self._derived[key] = value
-        return self._derived[key]
-
-    @property
+    @cached_property
     def samples(self):
         import numpy as np
 
@@ -77,55 +79,77 @@ class DynamicsState:
                 return m.shape[0]
         return 1
 
-    def trajectory(self, i):
+    @cached_property
+    def moving(self):
+        """The index of the nodes with a trajectory along the node axis, in
+        node order: a slice of them all when every node moves, so indexing
+        by it copies nothing.  Every other node is stationary, and the
+        angular and kinetic sums leave it out."""
+        moving = [i for i in range(self.complex.r[0]) if i in self.trajectories]
+        return slice(None) if len(moving) == self.complex.r[0] else moving
+
+    @cached_property
+    def positions(self):
+        """(N, nodes, n): each node's trajectory; a stationary node reads
+        zero."""
         import numpy as np
 
-        return np.asarray(self.trajectories[i], dtype=float)
+        zero = np.zeros((self.samples, self.n))
+        rows = [self.trajectories.get(i, zero) for i in range(self.complex.r[0])]
+        return _frozen(np.stack(rows, axis=1).astype(float, copy=False))
 
-    def mass_series(self, i):
+    @cached_property
+    def mass(self):
+        """(N, nodes): each node's mass samples; a scalar mass is constant
+        and a node without one has mass zero.  It is the transpose of a
+        (nodes, N) array, so the spread of each node's samples
+        (``check_constant_masses``) reads one contiguous row per node."""
         import numpy as np
 
-        m = np.asarray(self.masses.get(i, 0.0), dtype=float)
-        if m.ndim == 0:
-            return np.full(self.samples, float(m))
-        return m
+        m = np.empty((self.complex.r[0], self.samples))
+        for i in range(self.complex.r[0]):
+            m[i] = self.masses.get(i, 0.0)
+        return _frozen(m.T)
 
-    def velocity(self, i):
+    @cached_property
+    def velocity(self):
+        """(N, nodes, n): the sampled derivative of ``positions``."""
         if self.dt is None:
             raise KindMismatch("velocities need a sampling interval dt")
-        return self._cached(
-            "velocity", i, lambda: series_derivative(self.trajectory(i), self.dt)
-        )
+        return _frozen(series_derivative(self.positions, self.dt))
 
-    def momentum(self, i):
+    @cached_property
+    def momentum(self):
+        """(N, nodes, n): the explicit momentum where one is given, m v at
+        every other moving node, and zero at a stationary one."""
         import numpy as np
 
-        if self.momenta is not None and i in self.momenta:
-            return np.asarray(self.momenta[i], dtype=float)
-        if i not in self.trajectories:
-            # a node with no trajectory data is stationary
-            return np.zeros((self.samples, self.n))
-        return self._cached(
-            "momentum", i, lambda: self.mass_series(i)[:, None] * self.velocity(i)
-        )
+        moving = self.moving
+        p = np.zeros((self.samples, self.complex.r[0], self.n))
+        if moving:
+            p[:, moving] = self.mass[:, moving, None] * self.velocity[:, moving]
+        for i, given in (self.momenta or {}).items():
+            p[:, i] = given
+        return _frozen(p)
 
-    def momentum_rate(self, i):
-        """dp/dt at node i, by the same sampling rule as the velocity."""
-        return self._cached(
-            "momentum_rate", i, lambda: series_derivative(self.momentum(i), self.dt)
-        )
+    @cached_property
+    def momentum_rate(self):
+        """(N, nodes, n): dp/dt, by the same sampling rule as the velocity."""
+        return _frozen(series_derivative(self.momentum, self.dt))
 
     def check_convective(self):
         """Momentum must be mass times velocity, within ``_HYPOTHESIS_TOL``,
         wherever it was given explicitly; angular-momentum balance assumes
-        that form."""
+        that form.  The error names the first such node in ``momenta``."""
         import numpy as np
 
-        if self.momenta is None:
+        if not self.momenta:
             return
-        for i in self.momenta:
-            expected = self.mass_series(i)[:, None] * self.velocity(i)
-            err = float(np.max(np.abs(self.momentum(i) - expected), initial=0.0))
+        given = list(self.momenta)
+        expected = self.mass[:, given, None] * self.velocity[:, given]
+        errs = np.max(np.abs(self.momentum[:, given] - expected), axis=(0, 2),
+                      initial=0.0)
+        for i, err in zip(given, errs.tolist()):
             if err > _HYPOTHESIS_TOL:
                 raise NonConvectiveMomentum(
                     f"momentum at node {i} deviates from m*v by {err:.3e}"
@@ -134,33 +158,60 @@ class DynamicsState:
     def check_constant_masses(self, law):
         """Every node's mass samples must spread by at most
         ``_HYPOTHESIS_TOL``; the error names the balance LAW that assumes it."""
-        import numpy as np
-
-        for i in range(self.complex.r[0]):
-            m = self.mass_series(i)
-            if float(np.max(m) - np.min(m)) > _HYPOTHESIS_TOL:
-                raise HypothesesUnmet(f"{law} needs constant masses")
+        m = self.mass
+        if (m.max(axis=0) - m.min(axis=0) > _HYPOTHESIS_TOL).any():
+            raise HypothesesUnmet(f"{law} needs constant masses")
 
 
-def nan_max(a, b):
-    """The larger of two floats, NaN when either is NaN; the builtin ``max``
-    drops a NaN second argument, so a NaN residual would pass its check."""
+def _worst(a, floor=0.0):
+    """The largest |entry| of A and FLOOR, a float; NaN when any entry is
+    NaN, where the builtin ``max`` would drop it and pass the check."""
     import numpy as np
 
-    return float(np.maximum(a, b))
+    return float(np.abs(a).max(initial=floor))
 
 
-def _node_boundary(complex, values, shape):
-    """The boundary of branch values at every node, as arrays of ``shape``:
-    each value, a series or a static one, enters its head and leaves its tail."""
+def _central(d):
+    """The samples whose difference stencils are fully central, once there
+    are more than five; every sample otherwise."""
+    return slice(2, -2) if d.samples > 5 else slice(None)
+
+
+def _node_sum(a):
+    """The sum over the node axis (1) of a stacked array, adding the nodes
+    in order: ``np.sum`` may pair the terms, and ``np.cumsum`` along a short
+    axis costs more than one addition per node."""
     import numpy as np
 
-    out = {i: np.zeros(shape) for i in range(complex.r[0])}
-    for a, series in (values or {}).items():
-        series = np.asarray(series, dtype=float)
-        tail, head = complex.branches[a]
-        out[head] += series
-        out[tail] -= series
+    total = np.zeros(a.shape[:1] + a.shape[2:])
+    for j in range(a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _node_array(d, values):
+    """Node vectors as one (N, nodes, n) array: a static (n,) vector
+    broadcasts over the samples and a missing one reads zero."""
+    import numpy as np
+
+    out = np.zeros((d.samples, d.complex.r[0], d.n))
+    for i, value in (values or {}).items():
+        out[:, i] = value
+    return out
+
+
+def _node_boundary(d, values, shape=()):
+    """The boundary of branch values at every node, one (N, nodes, *shape)
+    array: each value, a series or a static one, enters its head and leaves
+    its tail, branch by branch in order."""
+    import numpy as np
+
+    out = np.zeros((d.samples, d.complex.r[0]) + shape)
+    for a, value in (values or {}).items():
+        value = np.asarray(value, dtype=float)
+        tail, head = d.complex.branches[a]
+        out[:, head] += value
+        out[:, tail] -= value
     return out
 
 
@@ -183,29 +234,17 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
     mass is constant exactly when the flow chain is a 1-cycle."""
     import numpy as np
 
-    cx = d.complex
-    N = d.samples
     if d.flows and d.dt is None:
         raise KindMismatch("mass flows need a sampling interval dt")
-    incident = _node_boundary(cx, d.flows, N)
-
-    worst = 0.0
-    for i in range(cx.r[0]):
-        m = d.mass_series(i)
-        mdot = series_derivative(m, d.dt) if d.dt is not None else np.zeros(N)
-        res = mdot - incident[i]
-        worst = nan_max(worst, np.max(np.abs(res), initial=0.0))
-
-    total = sum(d.mass_series(i) for i in range(cx.r[0]))
-    total = np.asarray(total, dtype=float)
-    flow_cycle = all(
-        float(np.max(np.abs(sum_incident), initial=0.0)) <= tol
-        for sum_incident in incident.values()
-    )
+    incident = _node_boundary(d, d.flows)
+    m = d.mass
+    mdot = series_derivative(m, d.dt) if d.dt is not None else np.zeros_like(m)
+    worst = _worst(mdot - incident)
+    total = _node_sum(m)
     return MassBalanceReport(
         max_residual=worst,
         total_mass=total,
-        flow_is_cycle=flow_cycle,
+        flow_is_cycle=_worst(incident) <= tol,
         total_mass_constant=float(np.max(total) - np.min(total)) <= tol,
         passed=worst <= tol,
     )
@@ -263,32 +302,17 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     As with the angular balance, the residual verdict is taken over the
     samples whose difference stencils are fully central; the endpoint
     samples are reported separately."""
-    import numpy as np
-
     if d.dt is None:
         raise KindMismatch("momentum balance needs a sampling interval dt")
-    cx = d.complex
-    N = d.samples
-    boundary_forces = _node_boundary(cx, f_int, (N, d.n))
-    worst = 0.0
-    worst_full = 0.0
-    trim = slice(2, -2) if N > 5 else slice(None)
-    total_pdot = np.zeros((N, d.n))
-    total_fext = np.zeros((N, d.n))
-    for i in range(cx.r[0]):
-        pdot = d.momentum_rate(i)
-        # a static force (n,) or a missing one (0.0) broadcasts over samples
-        ext = np.asarray((f_ext or {}).get(i, 0.0), dtype=float)
-        res = pdot - ext - boundary_forces[i]
-        worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
-        worst_full = nan_max(worst_full, np.max(np.abs(res), initial=0.0))
-        total_pdot += pdot
-        total_fext += ext
-    collective = total_pdot - total_fext
-    max_collective = float(np.max(np.abs(collective), initial=0.0))
+    pdot = d.momentum_rate
+    ext = _node_array(d, f_ext)
+    res = pdot - ext
+    res -= _node_boundary(d, f_int, (d.n,))
+    worst = _worst(res[_central(d)])
+    max_collective = _worst(_node_sum(pdot) - _node_sum(ext))
     return MomentumBalanceReport(
         max_residual=worst,
-        max_residual_full=worst_full,
+        max_residual_full=_worst(res),
         max_collective=max_collective,
         passed=worst <= tol and max_collective <= tol,
     )
@@ -335,11 +359,8 @@ def impulse_momentum_gap(d, forces, t0, t1):
     _check_window(t0, t1, d.samples)
     zero = np.zeros(d.n)
     every = {i: forces.get(i, zero) for i in range(d.complex.r[0])}
-    worst = 0.0
-    for i, j in impulse(every, d.dt, t0, t1).items():
-        p = d.momentum(i)
-        worst = nan_max(worst, np.max(np.abs(j - (p[t1] - p[t0])), initial=0.0))
-    return worst
+    impulses = impulse(every, d.dt, t0, t1)
+    return _worst(np.array(list(impulses.values())) - (d.momentum[t1] - d.momentum[t0]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +377,14 @@ class AngularMomentumReport:
 
 
 def _wedge_series(r, f):
-    """r wedge f at every sample of two (N, n) arrays, an (N, n(n-1)/2)
-    array: ``wedge_components`` of their coordinate columns."""
+    """r wedge f for two arrays of vectors along their last axis, an array
+    of n(n-1)/2 components per pair: ``wedge_components`` of their
+    coordinates."""
     import numpy as np
 
-    cols = wedge_components(r.T, f.T)
-    return np.stack(cols, axis=1) if cols else np.zeros((len(r), 0))
+    n = r.shape[-1]
+    cols = wedge_components([r[..., c] for c in range(n)], [f[..., c] for c in range(n)])
+    return np.stack(cols, axis=-1) if cols else np.zeros(r.shape[:-1] + (0,))
 
 
 def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL):
@@ -377,28 +400,17 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL):
 
     d.check_convective()
     d.check_constant_masses("angular-momentum balance")
-    N = d.samples
+    moving = d.moving
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
-    worst = 0.0
-    worst_full = 0.0
-    drift = 0.0
-    trim = slice(2, -2) if N > 5 else slice(None)
-    for i in range(d.complex.r[0]):
-        if i not in d.trajectories:
-            continue
-        r = d.trajectory(i) - x0
-        p = d.momentum(i)
-        L = _wedge_series(r, p)
-        drift = nan_max(drift, np.max(np.abs(L - L[0]), initial=0.0))
-        ldot = series_derivative(L, d.dt)
-        f = np.asarray((forces or {}).get(i, np.zeros((N, d.n))), dtype=float)
-        res = ldot - _wedge_series(r, f)
-        worst = nan_max(worst, np.max(np.abs(res[trim]), initial=0.0))
-        worst_full = nan_max(worst_full, np.max(np.abs(res), initial=0.0))
+    r = d.positions[:, moving] - x0
+    L = _wedge_series(r, d.momentum[:, moving])
+    ldot = series_derivative(L, d.dt)
+    res = ldot - _wedge_series(r, _node_array(d, forces)[:, moving])
+    worst = _worst(res[_central(d)])
     return AngularMomentumReport(
         max_residual=worst,
-        max_residual_full=worst_full,
-        max_drift=drift,
+        max_residual_full=_worst(res),
+        max_drift=_worst(L - L[0]),
         passed=worst <= tol,
     )
 
@@ -411,17 +423,14 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
     import numpy as np
 
     x0 = np.zeros(d.n) if origin is None else np.asarray(origin, dtype=float)
-    zero = np.zeros((d.samples, d.n))
-    arms, moments = {}, {}
-    for i in range(d.complex.r[0]):
-        if i in d.trajectories:
-            arms[i] = r = d.trajectory(i) - x0
-            moments[i] = _wedge_series(r, np.asarray(forces.get(i, zero), dtype=float))
-    worst = 0.0
-    for i, integral in impulse(moments, d.dt, t0, t1).items():
-        L = _wedge_series(arms[i], d.momentum(i))
-        worst = nan_max(worst, np.max(np.abs(integral - (L[t1] - L[t0])), initial=0.0))
-    return worst
+    moving = d.moving
+    r = d.positions[:, moving] - x0
+    moments = _wedge_series(r, _node_array(d, forces)[:, moving])
+    integrals = impulse(dict(enumerate(moments.swapaxes(0, 1))), d.dt, t0, t1)
+    L = _wedge_series(r, d.momentum[:, moving])
+    change = L[t1] - L[t0]
+    # the shape holds when no node moves and there is no integral
+    return _worst(np.reshape(list(integrals.values()), change.shape) - change)
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +438,14 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
 # ---------------------------------------------------------------------------
 
 def kinetic_energy(d):
-    """Per-node kinetic energy and the total (their augmented sum): a dict
-    of (N,) arrays over the nodes with a trajectory, and an (N,) array."""
+    """The kinetic energy of each moving node and their total: an (N, k)
+    array with one column per moving node, in node order, and an (N,)
+    array."""
     import numpy as np
 
-    per_node = {}
-    total = None
-    for i in range(d.complex.r[0]):
-        if i not in d.trajectories:
-            continue
-        v = d.velocity(i)
-        p = d.momentum(i)
-        ke = 0.5 * np.sum(p * v, axis=1)
-        per_node[i] = ke
-        total = ke.copy() if total is None else total + ke
-    if total is None:
-        total = np.zeros(d.samples)
-    return per_node, total
+    moving = d.moving
+    ke = 0.5 * np.sum(d.momentum[:, moving] * d.velocity[:, moving], axis=2)
+    return ke, _node_sum(ke)
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +454,26 @@ def kinetic_energy(d):
 
 def work_values(k, forces):
     """Work of per-step node forces along their motion links:
-    w(i)(A) = <F(i)(A), x_{A+1}(i) - x_A(i)>.  Forces are per node arrays of
-    shape (steps, n) and must be constant along each link."""
+    w(i)(A) = <F(i)(A), x_{A+1}(i) - x_A(i)>, one (nodes, steps) array whose
+    row i is node i.  Forces are per node arrays of shape (steps, n) and
+    must be constant along each link."""
     import numpy as np
 
-    out = {}
-    for i in range(k.base.r[0]):
-        f = np.asarray(forces[i], dtype=float)
-        if f.shape[0] != k.steps:
+    f = [np.asarray(forces[i], dtype=float) for i in range(k.base.r[0])]
+    for fi in f:
+        if fi.shape[0] != k.steps:
             raise KindMismatch(
-                f"need one force per step ({k.steps}), got {f.shape[0]}"
+                f"need one force per step ({k.steps}), got {fi.shape[0]}"
             )
-        # exact positions are differenced exactly, then rounded once
-        disp = np.diff(k.positions[:, i], axis=0).astype(float)
-        out[i] = np.vecdot(f, disp)
-    return out
+    # exact positions are differenced exactly, then rounded once
+    disp = np.diff(k.positions, axis=0).astype(float)
+    return np.vecdot(np.stack(f), disp.swapaxes(0, 1))
 
 
 def work_cochain(k, forces):
     """The work 1-cochain on the kinematical complex's motion links."""
     values = {}
-    for i, w in work_values(k, forces).items():
+    for i, w in enumerate(work_values(k, forces)):
         for a in range(k.steps):
             values[k.motion_link(i, a)] = float(w[a])
     return Cochain(k.complex, 1, values, REAL64)
@@ -502,10 +501,10 @@ def constant_field_potential(k, field):
 @dataclass
 class ConservativeReport:
     conservative: bool
-    potential: dict | None = None  # node -> (steps+1,) potential samples
+    potential: object = None  # (nodes, steps+1) array, row i node i
     witness_cycle: object = None  # trace 1-chain with nonzero work
     cycle_work: float | None = None
-    work: dict | None = None  # node -> (steps,) work per motion link
+    work: object = None  # (nodes, steps) array of work per motion link
 
 
 def conservative_check(k, forces, tol=DEFAULT_TOL):
@@ -549,23 +548,20 @@ def conservative_check(k, forces, tol=DEFAULT_TOL):
     vertices = trace.vertices
     r0, times = vertices.shape
     moved = vertices[:, 1:] != vertices[:, :-1]
-    work = np.array([w[i] for i in range(r0)]).reshape(moved.shape)
     steps = np.zeros((r0, times))
-    steps[:, 1:] = np.where(moved, work, -0.0)
-    running = -steps.cumsum(axis=1)
+    steps[:, 1:] = np.where(moved, w, -0.0)
+    potential = -steps.cumsum(axis=1)
     # a walk has no chord when each move reaches a vertex of its own
     chord_free = moved.sum(axis=1) == vertices.max(axis=1) - vertices[:, 0]
-    potential = {}
     for i in range(r0):
         if chord_free[i]:
-            potential[i] = running[i]
             continue
         per_time = trace.node_vertices[i]
         integrated = {per_time[0]: 0.0}
         for tail, head, step in zip(per_time, per_time[1:], w[i].tolist()):
             if head not in integrated:
                 integrated[head] = integrated[tail] + step
-        potential[i] = -np.array([integrated[v] for v in per_time])
+        potential[i] = [-integrated[v] for v in per_time]
     return ConservativeReport(conservative=True, potential=potential, work=w)
 
 
@@ -578,7 +574,7 @@ class WorkEnergyReport:
     passed: bool
     max_work_energy_gap: float
     max_energy_drift: float
-    potential: dict
+    potential: object  # (nodes, samples) array, row i node i
 
 
 def work_energy_check(d, k, forces, tol=1e-6):
@@ -602,20 +598,14 @@ def work_energy_check(d, k, forces, tol=1e-6):
             "trajectory samples must coincide with the kinematical snapshots"
         )
 
+    moving = d.moving
     ke, _ = kinetic_energy(d)
-    works = report.work
-    worst_gap = 0.0
-    worst_drift = 0.0
-    scale = 1.0
-    for i in range(d.complex.r[0]):
-        if i not in d.trajectories:
-            continue
-        w_path = float(np.sum(works[i]))
-        delta_ke = float(ke[i][-1] - ke[i][0])
-        worst_gap = nan_max(worst_gap, abs(w_path - delta_ke))
-        scale = nan_max(scale, abs(delta_ke))
-        e_tot = ke[i] + report.potential[i]
-        worst_drift = nan_max(worst_drift, np.max(e_tot) - np.min(e_tot))
+    delta_ke = ke[-1] - ke[0]
+    worst_gap = _worst(np.sum(report.work[moving], axis=1) - delta_ke)
+    scale = _worst(delta_ke, floor=1.0)
+    # one contiguous row per node, so each node's spread reads one row
+    e_tot = report.potential[moving] + ke.T
+    worst_drift = _worst(np.max(e_tot, axis=1) - np.min(e_tot, axis=1))
     passed = worst_gap <= tol * scale and worst_drift <= tol * scale
     return WorkEnergyReport(
         passed=passed,
@@ -629,13 +619,14 @@ def work_energy_check(d, k, forces, tol=1e-6):
 # d'Alembert
 # ---------------------------------------------------------------------------
 
-def _applied_minus_inertial(d, i, f_ext, boundary_forces):
-    """F_ext(i) + boundary(F_int)(i) - dp(i)/dt, an (N, n) array; a static
-    or missing external force broadcasts over the samples."""
-    import numpy as np
-
-    ext = np.asarray((f_ext or {}).get(i, 0.0), dtype=float)
-    return ext + boundary_forces[i] - d.momentum_rate(i)
+def _applied_minus_inertial(d, f_ext, f_int):
+    """F_ext + boundary(F_int) - dp/dt at every node, an (N, nodes, n)
+    array; a static or missing external force broadcasts over the
+    samples."""
+    net = _node_array(d, f_ext)
+    net += _node_boundary(d, f_int, (d.n,))
+    net -= d.momentum_rate
+    return net
 
 
 def dalembert_residual(d, delta_x, f_ext=None, f_int=None):
@@ -644,13 +635,13 @@ def dalembert_residual(d, delta_x, f_ext=None, f_int=None):
     motion for every virtual displacement."""
     import numpy as np
 
-    boundary_forces = _node_boundary(d.complex, f_int, (d.samples, d.n))
+    net = _applied_minus_inertial(d, f_ext, f_int)
     total = np.zeros(d.samples)
     for i in range(d.complex.r[0]):
         dx = np.asarray(delta_x.get(i, np.zeros(d.n)), dtype=float)
         if dx.any():
-            total += _applied_minus_inertial(d, i, f_ext, boundary_forces) @ dx
-    return float(np.max(np.abs(total), initial=0.0))
+            total += net[:, i] @ dx
+    return _worst(total)
 
 
 @dataclass
@@ -662,15 +653,15 @@ class DalembertReport:
 def dalembert_check(d, f_ext=None, f_int=None, tol=1e-6):
     """d'Alembert's principle for every unit virtual displacement of one
     node along one coordinate: the largest ``dalembert_residual`` over them
-    all must be within tol.  Each node's applied-minus-inertial force is
-    formed once and paired with each unit vector, so a non-finite entry
-    poisons the same pairings as it does there."""
+    all must be within tol.  The applied-minus-inertial force of every node
+    is formed once and paired with each unit vector, so an infinite
+    component makes the other pairings NaN, as it does there.  Each
+    pairing is one matrix-vector product over all nodes and samples: one
+    product with the identity matrix gives the same numbers, but loads the
+    BLAS matrix-matrix kernels, which raised peak memory by about 0.3 MB
+    (OpenBLAS on x86-64)."""
     import numpy as np
 
-    boundary_forces = _node_boundary(d.complex, f_int, (d.samples, d.n))
-    worst = 0.0
-    for i in range(d.complex.r[0]):
-        net = _applied_minus_inertial(d, i, f_ext, boundary_forces)
-        for unit in np.eye(d.n):
-            worst = nan_max(worst, np.max(np.abs(net @ unit), initial=0.0))
+    net = _applied_minus_inertial(d, f_ext, f_int).reshape(-1, d.n)
+    worst = _worst([net @ unit for unit in np.eye(d.n)])
     return DalembertReport(max_residual=worst, passed=worst <= tol)

@@ -836,13 +836,14 @@ def test_dalembert_differentiates_each_node_once(monkeypatch):
     assert doc.dimension > 1  # one residual per node and coordinate
     report = cli.run(doc, "dalembert", dict(doc.analyses[2].options))
     assert report.verdict == "pass"
-    # one velocity and one momentum derivative per node
-    assert len(calls) <= 2 * nodes
+    # one velocity and one momentum-rate derivative, each of every node
+    assert calls == [(doc.samples, nodes, doc.dimension)] * 2
 
     state = cli._dynamics_state(doc)
-    assert state.velocity(0) is state.velocity(0)
-    assert state.momentum_rate(0) is state.momentum_rate(0)
-    for array in (state.velocity(0), state.momentum(0), state.momentum_rate(0)):
+    assert state.velocity is state.velocity
+    assert state.momentum_rate is state.momentum_rate
+    for array in (state.positions, state.mass, state.velocity, state.momentum,
+                  state.momentum_rate):
         assert not array.flags.writeable
 
 
@@ -850,7 +851,8 @@ def test_report_all_on_a_long_free_fall_differentiates_each_trajectory_once(
     monkeypatch,
 ):
     # momentum, angular, dalembert and energy share one dynamics state, so
-    # each trajectory and each momentum is differentiated once per document
+    # the stacked positions and momenta of all nodes are differentiated
+    # once per document, in one call each
     from homnet import dynamics
 
     inputs = []
@@ -864,11 +866,10 @@ def test_report_all_on_a_long_free_fall_differentiates_each_trajectory_once(
     doc = documents.parse(trajectory_document(random.Random(4), "freefall", 4, 700))
     assert [r.verdict for r in cli.run_all(doc)] == ["pass"] * 5
     state = cli._dynamics_state(doc)
-    for i, trajectory in doc.trajectories().items():
-        assert sum(x is trajectory for x in inputs) == 1
-        assert sum(x is state.momentum(i) for x in inputs) == 1
-    # per node: velocity, momentum rate, angular-momentum rate, mass rate
-    assert len(inputs) == 4 * 4
+    # velocity, momentum rate, angular-momentum rate, mass rate
+    assert len(inputs) == 4
+    assert inputs[0] is state.positions and inputs[1] is state.momentum
+    assert [x.shape for x in inputs[2:]] == [(700, 4, 1), (700, 4)]
 
 
 # every fixture, and seeded trajectory documents of both motions
@@ -894,6 +895,27 @@ def test_report_all_matches_each_command_on_a_fresh_document(text):
     ]
     for fmt in ("text", "json"):
         assert reports.emit(shared, fmt) == reports.emit(alone, fmt)
+
+
+def test_an_infinite_momentum_rate_makes_the_other_dalembert_pairings_nan():
+    # x alternates between +-1e307, so the one-sided end stencils overflow:
+    # the momentum rate is infinite along x at the end samples and zero
+    # along y.  Pairing it with the unit y vector multiplies inf by 0, a NaN
+    # that fails the verdict; the largest |component| alone would read inf
+    text = json.dumps({
+        "dimension": 2,
+        "signal": {"dt": 0.1, "samples": 7},
+        "nodes": [{"id": "P", "mass": 1.0,
+                   "pos": [[1e307 * (-1) ** a, 0.0] for a in range(7)]}],
+        "branches": [],
+    })
+    dalembert = cli.run(documents.parse(text), "dalembert")
+    assert dalembert.verdict == "fail"
+    assert math.isnan(dalembert.numbers["max_residual"])
+    momentum = cli.run(documents.parse(text), "momentum")
+    assert momentum.verdict == "fail"
+    assert momentum.numbers["max_residual_with_ends"] == math.inf
+    assert momentum.numbers["max_residual"] == 0.0
 
 
 def test_sampled_analyses_need_three_samples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import homnet as hn
 from homnet import dynamics as dyn
@@ -10,7 +11,7 @@ from homnet import errors
 from homnet import geometry as geo
 from homnet import homology
 from homnet import kinematics as kin
-from homnet.coeffs import wedge_components
+from homnet.coeffs import series_derivative, wedge_components
 from conftest import EXACT_COORDINATES, motions
 
 
@@ -377,7 +378,7 @@ def test_kinetic_energy_of_single_mass(single_node):
         complex=single_node, n=2, dt=dt, trajectories={0: x}, masses={0: 2.0}
     )
     per_node, total = dyn.kinetic_energy(d)
-    assert per_node[0][5] == pytest.approx(9.0)
+    assert per_node[5, 0] == pytest.approx(9.0)
     assert total[5] == pytest.approx(9.0)
 
 
@@ -402,7 +403,7 @@ def test_total_is_sum_of_nodes(pair, rng):
         masses={0: 1.0, 1: 2.0},
     )
     per_node, total = dyn.kinetic_energy(d)
-    assert np.allclose(per_node[0] + per_node[1], total)
+    assert np.allclose(per_node[:, 0] + per_node[:, 1], total)
 
 
 # -- work ------------------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def test_zero_force_is_conservative(single_node):
     k = kin.build_kinematical_complex(snaps)
     report = dyn.conservative_check(k, {0: np.zeros((4, 2))})
     assert report.conservative
-    assert all(np.allclose(u, u[0]) for u in report.potential.values())
+    assert all(np.allclose(u, u[0]) for u in report.potential)
 
 
 def test_constant_field_potential_matches(single_node):
@@ -531,7 +532,7 @@ def assert_matches_trace_complex_oracle(k, forces, tol):
     assert report.conservative == conservative
     if conservative:
         assert report.witness_cycle is None and report.cycle_work is None
-        assert report.potential.keys() == potential.keys()
+        assert len(report.potential) == len(potential)
         for i, u in potential.items():
             assert report.potential[i].tobytes() == u.tobytes()
     else:
@@ -806,3 +807,197 @@ def test_dalembert_check_sweeps_every_unit_displacement(pair):
     report = dyn.dalembert_check(d, f_ext=f_ext, f_int=f_int)
     assert report.max_residual == swept == 4.0
     assert not report.passed
+
+
+# -- node-stacked arrays against the per-node loop --------------------------------------------
+
+# finite values, signed zeros, and values whose differences overflow to inf
+STATE_VALUES = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from((0.0, -0.0, 1e307, -1e307))
+)
+
+
+@st.composite
+def dynamics_cases(draw):
+    """A ``DynamicsState`` with nodes without trajectories, explicit
+    momenta, scalar and sampled masses, and branch flows, plus static,
+    sampled and missing external forces, branch forces and an origin."""
+    r0, n, N = draw(st.integers(1, 10)), draw(st.integers(1, 3)), draw(st.integers(3, 9))
+    pairs = [(a, b) for a in range(r0) for b in range(r0) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    cx = hn.build_complex([f"v{i}" for i in range(r0)],
+                          [(f"v{a}", f"v{b}") for a, b in edges],
+                          branch_labels=[f"b{a}" for a in range(len(edges))])
+
+    def some(count, at_least=0):
+        if not count:
+            return []
+        return draw(st.lists(st.integers(0, count - 1), min_size=at_least, unique=True))
+
+    def series(*shape):
+        return draw(arrays(float, shape, elements=STATE_VALUES))
+
+    def vector():
+        return series(n) if draw(st.booleans()) else series(N, n)
+
+    masses = {}
+    for i in some(r0):
+        kind = draw(st.sampled_from(("scalar", "constant", "sampled")))
+        m = draw(STATE_VALUES)
+        masses[i] = m if kind == "scalar" else np.full(N, m) if kind == "constant" else series(N)
+    d = dyn.DynamicsState(
+        complex=cx, n=n, dt=draw(st.sampled_from((0.1, 1e-3, 0.25))),
+        # one trajectory at least, which gives the sample count
+        trajectories={i: series(N, n) for i in some(r0, at_least=1)},
+        masses=masses,
+        flows={a: series(N) for a in some(len(edges))},
+    )
+    kind = draw(st.sampled_from(("none", "convective", "free")))
+    if kind != "none":
+        with np.errstate(all="ignore"):
+            mass, vel, _ = per_node_series(d)
+            d.momenta = {
+                i: mass[i][:, None] * vel[i] if kind == "convective" else series(N, n)
+                for i in some(r0)
+            }
+    f_ext = {i: vector() for i in some(r0)}
+    f_int = {a: vector() for a in some(len(edges))}
+    origin = series(n) if draw(st.booleans()) else None
+    return d, f_ext, f_int, origin
+
+
+def per_node_series(d):
+    """Each node's mass samples, velocity and momentum, node by node: the
+    velocity of a node without a trajectory is zero, and so is its
+    momentum unless one is given."""
+    N, n = d.samples, d.n
+    mass, vel, mom = {}, {}, {}
+    for i in range(d.complex.r[0]):
+        m = np.asarray(d.masses.get(i, 0.0), dtype=float)
+        mass[i] = np.full(N, float(m)) if m.ndim == 0 else m
+        moving = i in d.trajectories
+        vel[i] = series_derivative(d.trajectories[i], d.dt) if moving else np.zeros((N, n))
+        if d.momenta is not None and i in d.momenta:
+            mom[i] = np.asarray(d.momenta[i], dtype=float)
+        else:
+            mom[i] = mass[i][:, None] * vel[i] if moving else np.zeros((N, n))
+    return mass, vel, mom
+
+
+def loop_max(arrays):
+    """Largest |entry| over the arrays, one array at a time; NaN when any
+    entry is NaN."""
+    worst = 0.0
+    for a in arrays:
+        worst = float(np.maximum(worst, np.max(np.abs(a), initial=0.0)))
+    return worst
+
+
+def per_node_boundary(d, values, shape):
+    out = {i: np.zeros(shape) for i in range(d.complex.r[0])}
+    for a, value in values.items():
+        tail, head = d.complex.branches[a]
+        out[head] += np.asarray(value, dtype=float)
+        out[tail] -= np.asarray(value, dtype=float)
+    return out
+
+
+def per_node_wedge(r, f):
+    cols = wedge_components(r.T, f.T)
+    return np.stack(cols, axis=1) if cols else np.zeros((len(r), 0))
+
+
+def per_node_numbers(d, f_ext, f_int, origin):
+    """The numbers of the momentum, angular, d'Alembert, mass and kinetic
+    checks from a loop over the nodes; a hypothesis the angular balance
+    finds unmet is its error, raised here as there."""
+    N, n, r0 = d.samples, d.n, d.complex.r[0]
+    trim = slice(2, -2) if N > 5 else slice(None)
+    mass, vel, mom = per_node_series(d)
+    pdot = {i: series_derivative(p, d.dt) for i, p in mom.items()}
+    ext = {i: np.asarray(f_ext.get(i, 0.0), dtype=float) for i in range(r0)}
+    internal = per_node_boundary(d, f_int, (N, n))
+    res = [pdot[i] - ext[i] - internal[i] for i in range(r0)]
+    total_pdot, total_ext = np.zeros((N, n)), np.zeros((N, n))
+    for i in range(r0):
+        total_pdot += pdot[i]
+        total_ext += ext[i]
+    nets = [ext[i] + internal[i] - pdot[i] for i in range(r0)]
+    incident = per_node_boundary(d, d.flows, (N,))
+    total_mass = np.zeros(N)
+    for i in range(r0):
+        total_mass = total_mass + mass[i]
+    moving = [i for i in range(r0) if i in d.trajectories]
+    ke = {i: 0.5 * np.sum(mom[i] * vel[i], axis=1) for i in moving}
+    total_ke = np.zeros(N)
+    for i in moving:
+        total_ke = total_ke + ke[i]
+    numbers = {
+        "momentum": (loop_max(r[trim] for r in res), loop_max(res),
+                     loop_max([total_pdot - total_ext])),
+        "dalembert": loop_max(net @ unit for net in nets for unit in np.eye(n)),
+        "mass": (loop_max(series_derivative(mass[i], d.dt) - incident[i]
+                          for i in range(r0)),
+                 total_mass, loop_max(incident.values())),
+        "kinetic": ([ke[i] for i in moving], total_ke),
+    }
+    try:
+        for i in d.momenta or {}:
+            err = float(np.max(np.abs(mom[i] - mass[i][:, None] * vel[i]), initial=0.0))
+            if err > dyn._HYPOTHESIS_TOL:
+                raise errors.NonConvectiveMomentum(
+                    f"momentum at node {i} deviates from m*v by {err:.3e}"
+                )
+        for i in range(r0):
+            if float(np.max(mass[i]) - np.min(mass[i])) > dyn._HYPOTHESIS_TOL:
+                raise errors.HypothesesUnmet("angular-momentum balance needs constant masses")
+    except errors.HomnetError as exc:
+        numbers["angular"] = (type(exc), str(exc))
+        return numbers
+    x0 = np.zeros(n) if origin is None else origin
+    drift, worst = [], []
+    for i in moving:
+        r = d.trajectories[i] - x0
+        L = per_node_wedge(r, mom[i])
+        f = np.asarray(f_ext.get(i, np.zeros((N, n))), dtype=float)
+        worst.append(series_derivative(L, d.dt) - per_node_wedge(r, f))
+        drift.append(L - L[0])
+    numbers["angular"] = (loop_max(w[trim] for w in worst), loop_max(worst), loop_max(drift))
+    return numbers
+
+
+def bits(x):
+    """The bytes of a float array with every NaN made one NaN."""
+    a = np.asarray(x, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(dynamics_cases())
+def test_stacked_checks_match_the_per_node_loop_bit_for_bit(case):
+    d, f_ext, f_int, origin = case
+    with np.errstate(all="ignore"):
+        want = per_node_numbers(d, f_ext, f_int, origin)
+        momentum = dyn.momentum_balance_check(d, f_ext=f_ext, f_int=f_int)
+        dalembert = dyn.dalembert_check(d, f_ext=f_ext, f_int=f_int)
+        mass = dyn.mass_balance_check(d)
+        ke, total_ke = dyn.kinetic_energy(d)
+        try:
+            angular = dyn.angular_momentum_balance(d, forces=f_ext, origin=origin)
+            got_angular = (angular.max_residual, angular.max_residual_full, angular.max_drift)
+        except errors.HomnetError as exc:
+            got_angular = (type(exc), str(exc))
+    assert bits([momentum.max_residual, momentum.max_residual_full,
+                 momentum.max_collective]) == bits(want["momentum"])
+    assert bits(dalembert.max_residual) == bits(want["dalembert"])
+    residual, total_mass, incident = want["mass"]
+    assert bits(mass.max_residual) == bits(residual)
+    assert bits(mass.total_mass) == bits(total_mass)
+    assert mass.flow_is_cycle == (incident <= dyn.DEFAULT_TOL)
+    per_node_ke, want_total_ke = want["kinetic"]
+    assert [bits(ke[:, j]) for j in range(ke.shape[1])] == list(map(bits, per_node_ke))
+    assert bits(total_ke) == bits(want_total_ke)
+    if isinstance(got_angular[0], float):
+        assert bits(got_angular) == bits(want["angular"])
+    else:
+        assert got_angular == want["angular"]
