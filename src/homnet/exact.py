@@ -2,11 +2,12 @@
 
 Rank, linear solves and nullspaces are reduced to one primitive: the
 fraction-free integer row echelon of the elimination kernel (``_kernel``,
-pure Python over unbounded integers, sparse rows).  Rational input rows are
-scaled to integers first, and floats are taken as the exact dyadic
-rationals they are; neither changes ranks, nullspaces or solution sets.
-Rows of plain ints (incidence and integer-position statics) pass to the
-kernel as they are.
+pure Python over unbounded integers, sparse rows).  Each input row is
+copied once; a row with a nonzero that is not a plain int is scaled to
+integers, floats taken as the exact dyadic rationals they are, which
+changes no rank, nullspace or solution set.  The types of the nonzeros
+alone are checked, so rows of plain ints (incidence, and statics, which
+scales each framework to integers itself) pass to the kernel as they are.
 
 The kernel picks its pivot rows by sparsity, so its echelon rows depend
 on the order of the input rows, but nothing read here does.  Column c is a
@@ -68,12 +69,16 @@ def scaled_to_integers(row):
 
 
 def echelon(matrix, extra=None):
-    """The kernel's ``(rows, pivots)`` of [matrix | extra] after per-row
-    integer scaling."""
+    """The kernel's ``(rows, pivots)`` of [matrix | extra]: one copy of each
+    row, scaled to integers when a nonzero of it is not a plain int (the
+    kernel reads only the nonzeros, so a zero of any type is left as it
+    is)."""
     rows = []
     for i, row in enumerate(matrix):
-        full = list(row) + ([extra[i]] if extra is not None else [])
-        rows.append(scaled_to_integers(full)[0])
+        row = [*row, extra[i]] if extra is not None else list(row)
+        if not _INT.issuperset(map(type, filter(None, row))):
+            row = scaled_to_integers(row)[0]
+        rows.append(row)
     ncols = len(rows[0]) if rows else 0
     return _kernel.echelon(rows, ncols)
 

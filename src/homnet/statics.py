@@ -9,15 +9,23 @@ test, read from the residual and the resultant (the augmented boundary of
 the external forces) without building the extension.  Internal forces act
 along their branches, so the solver's unknowns are per-branch tension
 coefficients q(a) with F(a) = q(a) * s(a); working with q instead of
-force-per-unit-length keeps every quantity rational.  A solution is
-certified in plain integers, row by row of the equilibrium matrix: over
-one denominator for the tensions and loads and one for the branch vectors,
-the loads plus the boundary of the tension chain must vanish.
+force-per-unit-length keeps every quantity rational.
+
+The solver works in plain integers.  Every coordinate is scaled once by P,
+the common denominator of all of them (1 for integer positions, a power of
+two for floats, each the exact dyadic rational it is), so the branch
+vectors P s(a) are exact integer differences.  The loads are scaled once by
+their denominator L, the kernel eliminates the integer system
+(P A) y = -L F_ext, and q = y P / L.  A solution is certified in plain
+integers too, row by row of the equilibrium matrix over the stored vectors
+P s(a): the loads plus the boundary of the tension chain must vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import sub
 
 from . import exact
 from .chains import Chain, Cochain, augmented_boundary, boundary, cone_chain, evaluate
@@ -172,7 +180,8 @@ class StaticsSolution:
     axial_forces: list | None  # f(a) = q(a)*|s(a)|, floats for reporting
     self_stress_basis: list  # list of integer-coefficient axial 1-chains
     g: GeometricComplex
-    branch_vectors: list  # s(a) per branch: the columns that were solved
+    branch_vectors: list  # P s(a) per branch, plain ints: the solved columns
+    denominator: int  # P, the common denominator of the coordinates
 
     def internal_force_chain(self):
         if self.tension_coefficients is None:
@@ -189,62 +198,67 @@ class StaticsSolution:
         boundary(F_int) = 0, decided in plain integers; None when there
         are no tensions (infeasible loads).
 
-        With L the common denominator of the tensions and the loads and P
-        that of the branch vectors, branch a adds +-(L q(a)) (P s(a)) at its
-        head's and tail's rows, the nonzeros of ``equilibrium_matrix``, and
-        L P F_ext must cancel every row: O(r1 n) integer operations.
-        Floats count as the exact dyadic rationals the solver eliminated,
-        so this certifies the system that was solved."""
+        With L the common denominator of the tensions and the loads, branch
+        a adds +-(L q(a)) (P s(a)) at its head's and tail's rows, the
+        nonzeros of ``equilibrium_matrix``, and L P F_ext must cancel every
+        row: O(r1 n) integer operations over the stored integer branch
+        vectors.  Floats count as the exact dyadic rationals the solver
+        eliminated, so this certifies the system that was solved."""
         q = self.tension_coefficients
         if q is None:
             return None
-        n, cx = self.g.n, self.g.complex
-        nodes = list(f_ext.coeffs)
+        n, cx, P = self.g.n, self.g.complex, self.denominator
+        loads = f_ext.coeffs
         scaled, _ = exact.scaled_to_integers(
-            [*q, *(f_ext.coeffs[i][c] for i in nodes for c in range(n))]
-        )
-        s, P = exact.scaled_to_integers(
-            [x for v in self.branch_vectors for x in v]
+            [*q, *(x for v in loads.values() for x in v)]
         )
         rows = [0] * (cx.r[0] * n)
-        loads = iter(scaled[len(q):])
-        for i in nodes:
+        load = iter(scaled[len(q):])
+        for i in loads:
             for c in range(n):
-                rows[i * n + c] = P * next(loads)
-        for a, (tail, head) in enumerate(cx.branches):
-            qa = scaled[a]
+                rows[i * n + c] = P * next(load)
+        for (tail, head), qa, s in zip(cx.branches, scaled, self.branch_vectors):
             if qa:
-                for c in range(n):
-                    t = qa * s[a * n + c]
+                for c, x in enumerate(s):
+                    t = qa * x
                     rows[head * n + c] += t
                     rows[tail * n + c] -= t
         return not any(rows)
 
 
 def branch_vectors(g):
-    """Each branch's vector s(a), head position minus tail position; a
-    branch to the point at infinity or of zero length raises
-    ``DegenerateBranch``."""
-    cx = g.complex
+    """The branch vectors scaled to plain ints, and the scale: ``(vectors,
+    P)`` with P the common denominator of all coordinates (1 for integer
+    positions, a power of two for floats, each the exact dyadic rational
+    it is) and ``vectors[a]`` the tuple P s(a), P times head position minus
+    tail position.  The positions are scaled, in one pass, before they are
+    subtracted, so every difference is exact.  A branch to the point at
+    infinity or of zero length raises ``DegenerateBranch``."""
+    positions, n = g.positions, g.n
+    origin = (0,) * n  # holds the place of the point at infinity
+    flat, P = exact.scaled_to_integers(
+        [x for p in positions for x in (origin if p is None else p)]
+    )
+    points = list(zip(*[iter(flat)] * n))  # one scaled n-tuple per node
     vectors = []
-    for a, (tail, head) in enumerate(cx.branches):
-        if g.positions[tail] is None or g.positions[head] is None:
+    for a, (tail, head) in enumerate(g.complex.branches):
+        if positions[tail] is None or positions[head] is None:
             raise DegenerateBranch("branch to the point at infinity has no direction")
-        s = g.branch_vector(a)
-        if all(c == 0 for c in s):
+        s = tuple(map(sub, points[head], points[tail]))
+        if not any(s):
             raise DegenerateBranch(f"branch {a} has zero length")
         vectors.append(s)
-    return vectors
+    return vectors, P
 
 
 def equilibrium_matrix(g, vectors=None):
-    """Matrix of the axial equilibrium system: one row per node component,
-    one column per branch, entries incidence * branch vector component.
-    Each branch has 2n nonzeros, minus the vector at its tail's rows and
-    plus the vector at its head's.  ``vectors`` are the branch vectors
-    when already computed (``branch_vectors``)."""
+    """P times the matrix of the axial equilibrium system, in plain ints:
+    one row per node component, one column per branch, entries incidence
+    * P s(a) component.  Each branch has 2n nonzeros, minus the vector at
+    its tail's rows and plus the vector at its head's.  ``vectors`` are
+    the scaled branch vectors when already computed (``branch_vectors``)."""
     if vectors is None:
-        vectors = branch_vectors(g)
+        vectors, _ = branch_vectors(g)
     cx = g.complex
     r0, r1, _ = cx.r
     n = g.n
@@ -260,15 +274,23 @@ def solve_statics(g, f_ext):
     """Solve F_ext = -boundary(F_int) for axial internal forces.
 
     Feasibility and the self-stress space are decided exactly over the
-    rationals; the self-stress basis vectors are primitive integer axial
-    chains whose vector-valued chains have exactly zero boundary.  Each
-    branch vector is computed once and shared by the matrix, the lengths
-    and the solution's certificate (``reconstruction_exact``).
+    rationals, in one integer system: with P the coordinates' and L the
+    loads' common denominator, the kernel eliminates P A y = -L F_ext, and
+    the tensions are q = y P / L.  The self-stress basis vectors are
+    primitive integer axial chains whose vector-valued chains have exactly
+    zero boundary.  The scaled branch vectors are computed once and shared
+    by the matrix, the lengths and the solution's certificate
+    (``reconstruction_exact``).
     """
     cx = g.complex
-    vectors = branch_vectors(g)
+    n = g.n
+    vectors, P = branch_vectors(g)
     mat = equilibrium_matrix(g, vectors)
-    rhs = [-f_ext[i][c] for i in range(cx.r[0]) for c in range(g.n)]
+    rhs = [0] * (cx.r[0] * n)
+    for i, v in f_ext.coeffs.items():
+        for c, x in enumerate(v):
+            rhs[i * n + c] = -x
+    rhs, L = exact.scaled_to_integers(rhs)
     solution, null_vecs = exact.solve(mat, rhs)
     basis = [Chain.of_integers(cx, 1, vec) for vec in null_vecs]
     if solution is None:
@@ -280,15 +302,24 @@ def solve_statics(g, f_ext):
             self_stress_basis=basis,
             g=g,
             branch_vectors=vectors,
+            denominator=P,
         )
+    if P != L:
+        scale = Fraction(P, L)
+        solution = [y * scale for y in solution]
     return StaticsSolution(
         classification="indeterminate" if null_vecs else "determinate",
         self_stress_dim=len(null_vecs),
         tension_coefficients=solution,
-        axial_forces=[float(q) * vnorm(s) for q, s in zip(solution, vectors)],
+        # |s(a)| of the exact vector (P s(a)) / P
+        axial_forces=[
+            float(q) * vnorm([Fraction(x, P) for x in s] if P != 1 else s)
+            for q, s in zip(solution, vectors)
+        ],
         self_stress_basis=basis,
         g=g,
         branch_vectors=vectors,
+        denominator=P,
     )
 
 

@@ -230,6 +230,18 @@ def jittered_grid_truss(k):
     return g
 
 
+def float_grid_truss(k):
+    """The triangulated k x k grid of pitch 10, every coordinate jittered by
+    a float in [-0.4, 0.4]: positions whose differences floats round."""
+    rng = random.Random(k)
+    positions = {
+        f"n{i}_{j}": (10 * i + rng.uniform(-0.4, 0.4), 10 * j + rng.uniform(-0.4, 0.4))
+        for i in range(k)
+        for j in range(k)
+    }
+    return geo.realize(triangulated_grid(k), 2, positions)
+
+
 def closed_surface(k, twist=False):
     """The k x k node grid of ``triangulated_grid`` closed up into a torus,
     or, with ``twist``, into a Klein bottle: column k is column 0, and row k

@@ -17,6 +17,7 @@ from conftest import (
     dense,
     disjoint_union,
     face_answers,
+    float_grid_truss,
     fresh_copy,
     frameworks,
     jittered_grid_truss,
@@ -348,3 +349,44 @@ def test_traced_benchmark_replays_the_kernel_inputs():
     result = replay.replay(captured, pure, pure)
     assert result["kernel.replay_matrices"] == len(captured)
     assert result["kernel.replay_mismatches"] == 0
+
+
+@pytest.mark.parametrize("truss", [jittered_grid_truss, float_grid_truss])
+def test_statics_eliminates_one_plain_int_system(truss, monkeypatch):
+    """The traced benchmark times statics by the names equilibrium_matrix,
+    exact.solve and _kernel.echelon: on a k = 5 grid truss, at integer or
+    float positions, solve_statics assembles once and makes one kernel
+    call, inside exact.solve, on r0 * n dense list rows of plain ints of
+    width r1 + 1."""
+    g = truss(5)
+    r0, r1, _ = g.complex.r
+    entered, assembled, kernel_inputs = [], [], []
+
+    def wrap(module, name, record):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            record(args)
+            entered.append(name)
+            try:
+                return fn(*args)
+            finally:
+                entered.pop()
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    q = {a: a % 7 - 3 for a in range(r1)}
+    f_ext = -hn.boundary(statics.tension_force_chain(g, q))
+    wrap(statics, "equilibrium_matrix", assembled.append)
+    wrap(exact, "solve", lambda args: None)
+    wrap(_kernel, "echelon", lambda args: kernel_inputs.append(
+        (list(entered), [list(row) for row in args[0]], args[1])
+    ))
+    sol = statics.solve_statics(g, f_ext)
+    assert sol.self_stress_dim == 9
+    assert len(assembled) == 1
+    [(callers, rows, ncols)] = kernel_inputs
+    assert callers == ["solve"]
+    assert ncols == r1 + 1 and len(rows) == r0 * g.n
+    assert all(type(row) is list and len(row) == ncols for row in rows)
+    assert all(type(x) is int for row in rows for x in row)

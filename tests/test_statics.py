@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -5,11 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import homnet as hn
-from homnet import errors, exact
+from homnet import cli, documents, errors, exact, reports
 from homnet import geometry as geo
 from homnet import statics as st
-from homnet.coeffs import vneg
-from conftest import complexes, frameworks, jittered_grid_truss, random_complex
+from homnet.coeffs import vneg, vnorm
+from conftest import (
+    complexes, float_grid_truss, frameworks, jittered_grid_truss, random_complex,
+)
+
+K4 = hn.build_complex(
+    ["A", "B", "C", "D"],
+    [("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")],
+)
 
 
 def equilibrated_complex(g, coefficients):
@@ -169,8 +178,22 @@ def test_self_stress_dim_matches_rank_deficit(tetra_geo):
     assert tetra_geo.complex.r[1] - exact.rank(mat) == 1
 
 
+def exact_branch_vector(g, a):
+    """Head position minus tail position, each coordinate taken as the
+    exact rational it is (a float as its dyadic value)."""
+    tail, head = g.complex.branches[a]
+    return tuple(
+        Fraction(h) - Fraction(t) for h, t in zip(g.positions[head], g.positions[tail])
+    )
+
+
+def coordinate_denominator(g):
+    """P: the common denominator of every coordinate of the framework."""
+    return math.lcm(*(Fraction(x).denominator for p in g.positions for x in p))
+
+
 def dense_equilibrium_matrix(g):
-    """Row (i, c), column a: incidence of node i on branch a times the
+    """Row (i, c), column a: incidence of node i on branch a times the exact
     branch vector's component c, every one of the r0 * n * r1 cells."""
     cx = g.complex
     rows = []
@@ -180,7 +203,7 @@ def dense_equilibrium_matrix(g):
             for a in range(cx.r[1]):
                 tail, head = cx.branches[a]
                 inc = 1 if head == i else (-1 if tail == i else 0)
-                row.append(inc * g.branch_vector(a)[c] if inc else 0)
+                row.append(inc * exact_branch_vector(g, a)[c] if inc else 0)
             rows.append(row)
     return rows
 
@@ -192,11 +215,13 @@ def dense_equilibrium_matrix(g):
     hst.floats(-6, 6, allow_nan=False),
 )))
 def test_equilibrium_matrix_matches_dense_definition(g):
-    # repr tells int 0 from 0.0 and from -0.0, so the entries' types match too
-    want = dense_equilibrium_matrix(g)
-    assert [list(map(repr, row)) for row in st.equilibrium_matrix(g)] == [
-        list(map(repr, row)) for row in want
-    ]
+    # the matrix is P times the exact one, every entry a plain int: the
+    # positions are scaled before they are subtracted, so float positions
+    # give their exact differences
+    P = coordinate_denominator(g)
+    matrix = st.equilibrium_matrix(g)
+    assert all(type(x) is int for row in matrix for x in row)
+    assert matrix == [[P * x for x in row] for row in dense_equilibrium_matrix(g)]
 
 
 @settings(deadline=None)
@@ -226,16 +251,15 @@ def test_self_stress_basis_has_zero_boundary(cx, data):
 def assert_plain_int_self_stresses(g):
     """Each self-stress basis vector is a column-sorted {branch: int} of
     nonzeros with gcd 1 and a positive lowest entry, and A v = 0 holds in
-    integer arithmetic, each row of A scaled to integers by the lcm of its
-    denominators (floats as the dyadic rationals they are)."""
+    integer arithmetic, A the exact dense matrix (floats as the dyadic
+    rationals they are) scaled to integers by P; the basis spans the
+    nullspace: as many vectors as branches minus the rank of A."""
     cx = g.complex
     sol = st.solve_statics(g, hn.Chain(cx, 0, {}, hn.covector(g.n)))
-    rows = []
-    for row in st.equilibrium_matrix(g):
-        row = [Fraction(x) for x in row]
-        m = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * m) for x in row])
+    P = coordinate_denominator(g)
+    rows = [[int(P * x) for x in row] for row in dense_equilibrium_matrix(g)]
     assert len(sol.self_stress_basis) == sol.self_stress_dim
+    assert sol.self_stress_dim == cx.r[1] - exact.rank(rows)
     for chain in sol.self_stress_basis:
         vec = chain.coeffs
         assert vec and list(vec) == sorted(vec)
@@ -259,6 +283,34 @@ def test_self_stress_basis_is_a_plain_int_certificate(g):
 def test_grid_truss_self_stresses_are_plain_int_certificates(k):
     # one self-stress per interior node of the triangulated grid
     assert assert_plain_int_self_stresses(jittered_grid_truss(k)).self_stress_dim == (k - 2) ** 2
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_float_grid_truss_has_the_generic_self_stresses(k):
+    # rounded differences lose a self-stress (3 and 15); exact ones keep
+    # the generic (k - 2) ** 2
+    assert assert_plain_int_self_stresses(float_grid_truss(k)).self_stress_dim == (k - 2) ** 2
+
+
+def test_k4_across_the_float_range_solves_exactly():
+    # coordinates from the least subnormal to 1e300: P is 2 ** 1074 and
+    # the integer system carries entries of thousands of bits.  The loads
+    # balance tensions 1..5 on the first five bars and none on CD, the free
+    # column, so the solution is those tensions and the certificate has
+    # work to do; the lengths of the long bars overflow to inf, not raise
+    g = geo.realize(K4, 2, [(5e-324, 1e-300), (1e300, 2.25e-200),
+                            (2.25e-200, 1e300), (1e-300, 5e-324)])
+    assert st.branch_vectors(g)[1] == 2**1074
+    q = [1, 2, 3, 4, 5, 0]
+    f_ext = -hn.boundary(hn.Chain(K4, 1, {
+        a: tuple(q[a] * x for x in exact_branch_vector(g, a)) for a in range(6)
+    }, hn.covector(2)))
+    sol = st.solve_statics(g, f_ext)
+    assert (sol.classification, sol.self_stress_dim) == ("indeterminate", 1)
+    assert sol.tension_coefficients == q
+    assert sol.reconstruction_exact(f_ext) is True
+    assert len(sol.axial_forces) == 6
+    assert max(abs(v).bit_length() for v in sol.self_stress_basis[0].coeffs.values()) > 2000
 
 
 # -- the reconstruction certificate --------------------------------------------------
@@ -305,6 +357,20 @@ def test_reconstruction_certificate_matches_the_chain_form(g, data):
     assert sol.reconstruction_exact(f_ext) is chain_reconstruction(sol, f_ext) is False
 
 
+@settings(deadline=None)
+@given(frameworks(hst.fractions(-6, 6, max_denominator=5)), hst.data())
+def test_axial_forces_are_tensions_times_exact_lengths(g, data):
+    # |s(a)| is the norm of the exact difference; the norm of the scaled
+    # integer vector over P rounds differently
+    q = data.draw(hst.lists(exact_values, min_size=g.complex.r[1], max_size=g.complex.r[1]))
+    f_ext = -hn.boundary(st.tension_force_chain(g, dict(enumerate(q))))
+    sol = st.solve_statics(g, f_ext)
+    assert sol.axial_forces == [
+        float(t) * vnorm(exact_branch_vector(g, a))
+        for a, t in enumerate(sol.tension_coefficients)
+    ]
+
+
 def test_perturbed_tension_fails_the_certificate(triangle_geo):
     fc = equilibrated_complex(triangle_geo, {0: 2, 1: -1, 2: Fraction(3, 2)})
     sol = st.solve_statics(triangle_geo, fc.f_ext)
@@ -332,17 +398,86 @@ def test_certificate_reads_floats_as_the_dyadic_system_solved():
 
 
 def test_each_branch_vector_is_computed_once(tetra_geo, monkeypatch):
-    calls = []
-    vector = geo.GeometricComplex.branch_vector
+    # the positions are read in one pass and scaled together; each branch
+    # vector is a difference of two scaled positions, taken once and shared
+    # by the matrix, the lengths and the certificate
+    passes = []
+
+    class Positions(list):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    fc = equilibrated_complex(tetra_geo, {0: 1, 3: 2})
+    g = dataclasses.replace(tetra_geo, positions=Positions(tetra_geo.positions))
     monkeypatch.setattr(
         geo.GeometricComplex, "branch_vector",
-        lambda g, a: calls.append(a) or vector(g, a),
+        lambda g, a: pytest.fail("a branch vector was taken from the complex"),
     )
-    fc = equilibrated_complex(tetra_geo, {0: 1, 3: 2})
-    calls.clear()
-    sol = st.solve_statics(tetra_geo, fc.f_ext)
+    sol = st.solve_statics(g, fc.f_ext)
     assert sol.reconstruction_exact(fc.f_ext) is True
-    assert sorted(calls) == list(range(tetra_geo.complex.r[1]))
+    assert len(passes) == 1
+
+
+def statics_document(g, loads, exact_positions=False):
+    """The text of a statics document of framework g with the given node
+    loads; with ``exact_positions`` each coordinate is written as the
+    "p/q" string of its exact value."""
+    cx = g.complex
+
+    def coordinate(x):
+        return str(Fraction(x)) if exact_positions else x
+
+    return json.dumps({
+        "dimension": g.n,
+        "nodes": [
+            {"id": lab, "pos": [coordinate(x) for x in p], "force": list(f)}
+            for lab, p, f in zip(cx.node_labels, g.positions, loads)
+        ],
+        "branches": [
+            {"id": lab, "tail": cx.node_labels[t], "head": cx.node_labels[h]}
+            for lab, (t, h) in zip(cx.branch_labels, cx.branches)
+        ],
+        "analyses": [{"command": "statics"}],
+    })
+
+
+def statics_bytes(text):
+    """The text and JSON bytes of the statics report on a document, with
+    its provenance (the digest of the text) left out."""
+    report = cli.run(documents.parse(text), "statics")
+    report.provenance = {}
+    return reports.emit(report), reports.emit(report, "json")
+
+
+def test_float_k4_document_prints_its_self_stress():
+    # six bars in the plane have rank at most 2 * 4 - 3 = 5, so a planar K4
+    # always carries one self-stress; rounded differences lost it
+    g = geo.realize(K4, 2, [(0.1, 0.2), (1.3, 0.1), (1.1, 1.7), (0.3, 1.2)])
+    text, _ = statics_bytes(statics_document(g, [(0, 0)] * 4))
+    assert b"classification = indeterminate\n" in text
+    assert b"self_stress_dim = 1\n" in text
+
+
+@settings(deadline=None)
+@given(frameworks(hst.floats(-1e6, 1e6, allow_nan=False)), hst.data())
+def test_statics_reads_float_positions_as_their_exact_fractions(g, data):
+    # loads balancing integer tensions (exact, written as "p/q"), or small
+    # integers drawn anyhow
+    cx = g.complex
+    if data.draw(hst.booleans()):
+        q = data.draw(hst.lists(hst.integers(-3, 3), min_size=cx.r[1], max_size=cx.r[1]))
+        f_ext = -hn.boundary(hn.Chain(cx, 1, {
+            a: tuple(t * x for x in exact_branch_vector(g, a)) for a, t in enumerate(q)
+        }, hn.covector(g.n)))
+        loads = [tuple(map(str, f_ext[i])) for i in range(cx.r[0])]
+    else:
+        loads = data.draw(hst.lists(
+            hst.tuples(*[hst.integers(-3, 3)] * g.n), min_size=cx.r[0], max_size=cx.r[0]
+        ))
+    assert statics_bytes(statics_document(g, loads)) == statics_bytes(
+        statics_document(g, loads, exact_positions=True)
+    )
 
 
 def test_degenerate_branch_rejected(circle):
