@@ -18,6 +18,7 @@ check asks for a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,8 +61,19 @@ def vdot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
+def to_float(x):
+    """float(x), but an exact x past the float range reads as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def vnorm(x):
-    return float(sum(float(a) * float(a) for a in x)) ** 0.5
+    try:
+        return float(sum(float(a) * float(a) for a in x)) ** 0.5
+    except OverflowError:  # an exact component past the float range
+        return math.inf
 
 
 @dataclass(frozen=True)

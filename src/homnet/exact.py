@@ -6,8 +6,8 @@ pure Python over unbounded integers, sparse rows).  Each input row is
 copied once; a row with a nonzero that is not a plain int is scaled to
 integers, floats taken as the exact dyadic rationals they are, which
 changes no rank, nullspace or solution set.  The types of the nonzeros
-alone are checked, so rows of plain ints (incidence, and statics, which
-scales each framework to integers itself) pass to the kernel as they are.
+alone are checked, so rows of plain ints (incidence, and statics, over
+scaled integer branch vectors) pass to the kernel as they are.
 
 The kernel picks its pivot rows by sparsity, so its echelon rows depend
 on the order of the input rows, but nothing read here does.  Column c is a

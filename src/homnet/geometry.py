@@ -1,8 +1,8 @@
 """Geometric realization of complexes in n-dimensional affine space.
 
-Positions are a vector-valued 0-cochain; the displacement 1-cochain is its
-coboundary, so it vanishes on every 1-cycle (the polygon rule).  Bivectors
-carry moments and rotation generators.
+Positions are a vector-valued 0-cochain; its coboundary, the displacement
+1-cochain of exact branch vectors that statics reads too, vanishes on every
+1-cycle (the polygon rule).  Bivectors carry moments and rotation generators.
 """
 
 from __future__ import annotations
@@ -10,11 +10,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
+from operator import sub
 
+from . import exact
 from .chains import Cochain
 from .coeffs import Bivector, vector, vnorm, vsub, wedge_components
 from .errors import (
     CoincidentNodes,
+    DegenerateBranch,
     DimensionMismatch,
     NodeCountMismatch,
     NotAntisymmetric,
@@ -30,10 +35,32 @@ class GeometricComplex:
     n: int
     positions: list  # one coordinate tuple per node; None marks a point at infinity
 
+    @cached_property
+    def scaled_branch_vectors(self):
+        """``(vectors, P)``: P the common denominator of all coordinates and
+        ``vectors[a]`` the plain-int tuple P s(a), exact, as the positions
+        are scaled in one pass before they are subtracted.  A branch to the
+        point at infinity or of zero length raises ``DegenerateBranch``."""
+        positions, n = self.positions, self.n
+        origin = (0,) * n  # holds the place of the point at infinity
+        flat, P = exact.scaled_to_integers(
+            [x for p in positions for x in (origin if p is None else p)]
+        )
+        points = list(zip(*[iter(flat)] * n))  # one scaled n-tuple per node
+        vectors = []
+        for a, (tail, head) in enumerate(self.complex.branches):
+            if positions[tail] is None or positions[head] is None:
+                raise DegenerateBranch("branch to the point at infinity has no direction")
+            s = tuple(map(sub, points[head], points[tail]))
+            if not any(s):
+                raise DegenerateBranch(f"branch {a} has zero length")
+            vectors.append(s)
+        return vectors, P
+
     def branch_vector(self, a):
-        """Displacement along branch a: head position minus tail position."""
-        tail, head = self.complex.branches[a]
-        return vsub(self.positions[head], self.positions[tail])
+        """Head position minus tail position of branch a, exact."""
+        vectors, P = self.scaled_branch_vectors
+        return vectors[a] if P == 1 else tuple(Fraction(x, P) for x in vectors[a])
 
 
 def realize(complex, n, positions):
@@ -65,8 +92,8 @@ def realize(complex, n, positions):
 
 
 def displacement_cochain(g):
-    """Branch-wise position differences; evaluating on a path gives the
-    displacement from its start to its end."""
+    """Branch-wise exact position differences; evaluating on a path gives
+    the displacement from its start to its end."""
     values = {a: g.branch_vector(a) for a in range(g.complex.r[1])}
     return Cochain(g.complex, 1, values, vector(g.n))
 

@@ -11,27 +11,26 @@ along their branches, so the solver's unknowns are per-branch tension
 coefficients q(a) with F(a) = q(a) * s(a); working with q instead of
 force-per-unit-length keeps every quantity rational.
 
-The solver works in plain integers.  Every coordinate is scaled once by P,
-the common denominator of all of them (1 for integer positions, a power of
-two for floats, each the exact dyadic rational it is), so the branch
-vectors P s(a) are exact integer differences.  The loads are scaled once by
-their denominator L, the kernel eliminates the integer system
-(P A) y = -L F_ext, and q = y P / L.  A solution is certified in plain
-integers too, row by row of the equilibrium matrix over the stored vectors
-P s(a): the loads plus the boundary of the tension chain must vanish.
+The solver, axial directions and force chains all read the realization's
+exact branch vectors P s(a), P the coordinates' common denominator.  The
+loads are scaled once by their denominator L, the kernel eliminates the
+integer system (P A) y = -L F_ext, and q = y P / L.  A solution is
+certified in plain integers too, row by row of the equilibrium matrix over
+the same vectors: the loads plus the boundary of the tension chain must
+vanish.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 from . import exact
 from .chains import Chain, Cochain, augmented_boundary, boundary, cone_chain, evaluate
 from .coeffs import (
-    DEFAULT_TOL, REAL64, Bivector, bivector, covector, vector, vnorm,
-    vscale,
+    DEFAULT_TOL, REAL64, Bivector, bivector, covector, to_float, vector,
+    vnorm, vscale, vsub,
 )
 from .complexes import Complex
 from .errors import (
@@ -58,10 +57,8 @@ class ForceComplex:
             raise DimensionMismatch("force dimensions differ")
         if self.axial is not None:
             for a, magnitude in self.axial.items():
-                direction = unit_covector(self.g, a)
-                expected = vscale(magnitude, direction)
-                diff = vnorm(tuple(x - y for x, y in zip(self.f_int[a], expected)))
-                if diff > DEFAULT_TOL:
+                expected = vscale(magnitude, unit_covector(self.g, a))
+                if vnorm(vsub(self.f_int[a], expected)) > DEFAULT_TOL:
                     raise DimensionMismatch(
                         f"declared axial force on branch {a} is not collinear "
                         f"with the branch"
@@ -78,7 +75,7 @@ def unit_covector(g, a):
     length = vnorm(s)
     if length == 0:
         raise DegenerateBranch(f"branch {a} has zero length")
-    return tuple(float(c) / length for c in s)
+    return tuple(to_float(c) / length for c in s)
 
 
 def force_complex(g, external=None, internal=None, axial=None):
@@ -90,17 +87,14 @@ def force_complex(g, external=None, internal=None, axial=None):
     """
     cx = g.complex
     mod = covector(g.n)
-    ext = {}
-    for lab, vec in (external or {}).items():
-        ext[cx.node_index(lab)] = tuple(vec)
-    internal_values = {}
-    axial_by_index = None
-    if axial is not None:
-        axial_by_index = {}
-        for lab, magnitude in axial.items():
-            a = cx.branch_index(lab)
-            axial_by_index[a] = magnitude
-            internal_values[a] = vscale(magnitude, unit_covector(g, a))
+    ext = {cx.node_index(lab): tuple(vec) for lab, vec in (external or {}).items()}
+    axial_by_index = None if axial is None else {
+        cx.branch_index(lab): magnitude for lab, magnitude in axial.items()
+    }
+    internal_values = {
+        a: vscale(magnitude, unit_covector(g, a))
+        for a, magnitude in (axial_by_index or {}).items()
+    }
     for lab, vec in (internal or {}).items():
         internal_values[cx.branch_index(lab)] = tuple(vec)
     return ForceComplex(
@@ -113,12 +107,8 @@ def force_complex(g, external=None, internal=None, axial=None):
 
 def tension_force_chain(g, coefficients):
     """Covector-valued internal force chain F(a) = q(a) * s(a) from tension
-    coefficients; exact whenever the positions and coefficients are exact."""
-    values = {}
-    for a, q in coefficients.items():
-        if not q:
-            continue
-        values[a] = vscale(q, g.branch_vector(a))
+    coefficients; exact whenever they are, as the branch vectors are."""
+    values = {a: vscale(q, g.branch_vector(a)) for a, q in coefficients.items() if q}
     return Chain(g.complex, 1, values, covector(g.n))
 
 
@@ -180,8 +170,6 @@ class StaticsSolution:
     axial_forces: list | None  # f(a) = q(a)*|s(a)|, floats for reporting
     self_stress_basis: list  # list of integer-coefficient axial 1-chains
     g: GeometricComplex
-    branch_vectors: list  # P s(a) per branch, plain ints: the solved columns
-    denominator: int  # P, the common denominator of the coordinates
 
     def internal_force_chain(self):
         if self.tension_coefficients is None:
@@ -201,13 +189,14 @@ class StaticsSolution:
         With L the common denominator of the tensions and the loads, branch
         a adds +-(L q(a)) (P s(a)) at its head's and tail's rows, the
         nonzeros of ``equilibrium_matrix``, and L P F_ext must cancel every
-        row: O(r1 n) integer operations over the stored integer branch
-        vectors.  Floats count as the exact dyadic rationals the solver
-        eliminated, so this certifies the system that was solved."""
+        row: O(r1 n) integer operations over the realization's integer
+        branch vectors.  Floats count as the exact dyadic rationals the
+        solver eliminated, so this certifies the system that was solved."""
         q = self.tension_coefficients
         if q is None:
             return None
-        n, cx, P = self.g.n, self.g.complex, self.denominator
+        n, cx = self.g.n, self.g.complex
+        vectors, P = self.g.scaled_branch_vectors
         loads = f_ext.coeffs
         scaled, _ = exact.scaled_to_integers(
             [*q, *(x for v in loads.values() for x in v)]
@@ -217,7 +206,7 @@ class StaticsSolution:
         for i in loads:
             for c in range(n):
                 rows[i * n + c] = P * next(load)
-        for (tail, head), qa, s in zip(cx.branches, scaled, self.branch_vectors):
+        for (tail, head), qa, s in zip(cx.branches, scaled, vectors):
             if qa:
                 for c, x in enumerate(s):
                     t = qa * x
@@ -226,44 +215,15 @@ class StaticsSolution:
         return not any(rows)
 
 
-def branch_vectors(g):
-    """The branch vectors scaled to plain ints, and the scale: ``(vectors,
-    P)`` with P the common denominator of all coordinates (1 for integer
-    positions, a power of two for floats, each the exact dyadic rational
-    it is) and ``vectors[a]`` the tuple P s(a), P times head position minus
-    tail position.  The positions are scaled, in one pass, before they are
-    subtracted, so every difference is exact.  A branch to the point at
-    infinity or of zero length raises ``DegenerateBranch``."""
-    positions, n = g.positions, g.n
-    origin = (0,) * n  # holds the place of the point at infinity
-    flat, P = exact.scaled_to_integers(
-        [x for p in positions for x in (origin if p is None else p)]
-    )
-    points = list(zip(*[iter(flat)] * n))  # one scaled n-tuple per node
-    vectors = []
-    for a, (tail, head) in enumerate(g.complex.branches):
-        if positions[tail] is None or positions[head] is None:
-            raise DegenerateBranch("branch to the point at infinity has no direction")
-        s = tuple(map(sub, points[head], points[tail]))
-        if not any(s):
-            raise DegenerateBranch(f"branch {a} has zero length")
-        vectors.append(s)
-    return vectors, P
-
-
-def equilibrium_matrix(g, vectors=None):
+def equilibrium_matrix(g):
     """P times the matrix of the axial equilibrium system, in plain ints:
     one row per node component, one column per branch, entries incidence
     * P s(a) component.  Each branch has 2n nonzeros, minus the vector at
-    its tail's rows and plus the vector at its head's.  ``vectors`` are
-    the scaled branch vectors when already computed (``branch_vectors``)."""
-    if vectors is None:
-        vectors, _ = branch_vectors(g)
-    cx = g.complex
-    r0, r1, _ = cx.r
-    n = g.n
+    its tail's rows and plus the vector at its head's."""
+    vectors, _ = g.scaled_branch_vectors
+    n, (r0, r1, _) = g.n, g.complex.r
     rows = [[0] * r1 for _ in range(r0 * n)]
-    for a, (tail, head) in enumerate(cx.branches):
+    for a, (tail, head) in enumerate(g.complex.branches):
         for c, x in enumerate(vectors[a]):
             rows[tail * n + c][a] = -x
             rows[head * n + c][a] = x
@@ -278,49 +238,49 @@ def solve_statics(g, f_ext):
     loads' common denominator, the kernel eliminates P A y = -L F_ext, and
     the tensions are q = y P / L.  The self-stress basis vectors are
     primitive integer axial chains whose vector-valued chains have exactly
-    zero boundary.  The scaled branch vectors are computed once and shared
-    by the matrix, the lengths and the solution's certificate
-    (``reconstruction_exact``).
+    zero boundary.  The matrix, the lengths and the solution's certificate
+    (``reconstruction_exact``) read the realization's branch vectors.
     """
-    cx = g.complex
-    n = g.n
-    vectors, P = branch_vectors(g)
-    mat = equilibrium_matrix(g, vectors)
+    cx, n = g.complex, g.n
+    P = g.scaled_branch_vectors[1]
     rhs = [0] * (cx.r[0] * n)
     for i, v in f_ext.coeffs.items():
         for c, x in enumerate(v):
             rhs[i * n + c] = -x
     rhs, L = exact.scaled_to_integers(rhs)
-    solution, null_vecs = exact.solve(mat, rhs)
-    basis = [Chain.of_integers(cx, 1, vec) for vec in null_vecs]
-    if solution is None:
-        return StaticsSolution(
-            classification="infeasible",
-            self_stress_dim=len(null_vecs),
-            tension_coefficients=None,
-            axial_forces=None,
-            self_stress_basis=basis,
-            g=g,
-            branch_vectors=vectors,
-            denominator=P,
-        )
-    if P != L:
-        scale = Fraction(P, L)
-        solution = [y * scale for y in solution]
+    solution, null_vecs = exact.solve(equilibrium_matrix(g), rhs)
+    forces = None
+    if solution is not None:
+        if P != L:
+            scale = Fraction(P, L)
+            solution = [y * scale for y in solution]
+        forces = [_axial_force(q, g.branch_vector(a)) for a, q in enumerate(solution)]
     return StaticsSolution(
-        classification="indeterminate" if null_vecs else "determinate",
+        classification="infeasible" if solution is None
+        else "indeterminate" if null_vecs else "determinate",
         self_stress_dim=len(null_vecs),
         tension_coefficients=solution,
-        # |s(a)| of the exact vector (P s(a)) / P
-        axial_forces=[
-            float(q) * vnorm([Fraction(x, P) for x in s] if P != 1 else s)
-            for q, s in zip(solution, vectors)
-        ],
-        self_stress_basis=basis,
+        axial_forces=forces,
+        self_stress_basis=[Chain.of_integers(cx, 1, vec) for vec in null_vecs],
         g=g,
-        branch_vectors=vectors,
-        denominator=P,
     )
+
+
+def _axial_force(q, s):
+    """q |s| as a float for exact q, s: float(q) times the float length, 0
+    for q = 0, and the exact q |s| rounded once where float(q) overflows:
+    r = isqrt(q^2 |s|^2 4^k) has 55 bits or more, so no rounding boundary
+    of r / 2^k lies in (r, r + 1), where an inexact root is."""
+    try:
+        return float(q) * vnorm(s) if q else 0.0
+    except OverflowError:
+        t = q * q * sum(Fraction(x) ** 2 for x in s)
+        k = max(0, (110 - t.numerator.bit_length() + t.denominator.bit_length()) // 2)
+        m, rem = divmod(t.numerator << 2 * k, t.denominator)
+        r = math.isqrt(m)
+        if rem or r * r != m:
+            r, k = 2 * r + 1, k + 1
+        return to_float(Fraction(r if q > 0 else -r, 1 << k))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import homnet as hn
 from homnet import errors
 from homnet import geometry as geo
-from conftest import random_complex
+from conftest import frameworks, random_complex
 
 
 # -- realization ---------------------------------------------------------------
@@ -76,6 +77,18 @@ def test_displacement_vanishes_on_every_cycle(rng):
         s = geo.displacement_cochain(g)
         for z in hn.cycle_basis(cx, 1):
             assert hn.evaluate(s, z) == (0, 0)
+
+
+@settings(deadline=None)
+@given(frameworks(hst.floats(-1e6, 1e6, allow_nan=False)))
+def test_float_displacements_are_exact_coboundaries(g):
+    # each branch vector is the exact difference of the float positions, so
+    # the polygon rule holds with no tolerance
+    for a, (tail, head) in enumerate(g.complex.branches):
+        assert g.branch_vector(a) == tuple(
+            Fraction(h) - Fraction(t) for h, t in zip(g.positions[head], g.positions[tail])
+        )
+    assert hn.is_coboundary(geo.displacement_cochain(g), tol=0).is_coboundary
 
 
 def test_shift_origin_keeps_displacements(circle_geo):

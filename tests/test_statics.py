@@ -300,7 +300,7 @@ def test_k4_across_the_float_range_solves_exactly():
     # work to do; the lengths of the long bars overflow to inf, not raise
     g = geo.realize(K4, 2, [(5e-324, 1e-300), (1e300, 2.25e-200),
                             (2.25e-200, 1e300), (1e-300, 5e-324)])
-    assert st.branch_vectors(g)[1] == 2**1074
+    assert g.scaled_branch_vectors[1] == 2**1074
     q = [1, 2, 3, 4, 5, 0]
     f_ext = -hn.boundary(hn.Chain(K4, 1, {
         a: tuple(q[a] * x for x in exact_branch_vector(g, a)) for a in range(6)
@@ -327,11 +327,13 @@ exact_values = hst.one_of(
 
 
 @settings(deadline=None)
-@given(frameworks(exact_values), hst.data())
+@given(frameworks(hst.one_of(exact_values, hst.floats(-6, 6, allow_nan=False))),
+       hst.data())
 def test_reconstruction_certificate_matches_the_chain_form(g, data):
-    # int and rational positions and loads: loads balancing tensions, or
-    # drawn anyhow (often infeasible); then one tension or one load is
-    # perturbed, which both forms must reject
+    # int, rational and float positions, int and rational loads: loads
+    # balancing tensions, or drawn anyhow (often infeasible); then one
+    # tension or one load is perturbed, which both forms must reject.  The
+    # chain form reads the exact branch vectors, floats too
     cx = g.complex
     if data.draw(hst.booleans()):
         q = data.draw(hst.lists(exact_values, min_size=cx.r[1], max_size=cx.r[1]))
@@ -385,7 +387,8 @@ def test_perturbed_tension_fails_the_certificate(triangle_geo):
 def test_certificate_reads_floats_as_the_dyadic_system_solved():
     # a bar of float length 0.22 under float end loads of 7.55e6: the exact
     # tension is the dyadic load over the dyadic length, which balances
-    # exactly; the chain form rounds q * s to a residual near 1e-9
+    # exactly; the chain form multiplies q by the same exact branch vector,
+    # so it balances too (rounded differences left a residual near 1e-9)
     cx = hn.build_complex(["A", "B"], [("A", "B")])
     g = geo.realize(cx, 1, {"A": (0.0,), "B": (0.22,)})
     y = 7.55e6
@@ -394,28 +397,30 @@ def test_certificate_reads_floats_as_the_dyadic_system_solved():
     (q,) = sol.tension_coefficients
     assert Fraction(y) + q * Fraction(0.22) == 0
     assert sol.reconstruction_exact(f_ext) is True
-    assert chain_reconstruction(sol, f_ext) is False
+    assert chain_reconstruction(sol, f_ext) is True
 
 
 def test_each_branch_vector_is_computed_once(tetra_geo, monkeypatch):
-    # the positions are read in one pass and scaled together; each branch
-    # vector is a difference of two scaled positions, taken once and shared
-    # by the matrix, the lengths and the certificate
+    # the positions are read in one pass and scaled together, once per
+    # realization; the force chain, the solve, the certificate, the axial
+    # forces and the declared axial directions all read those vectors, and
+    # no branch difference is taken anew
     passes = []
+    monkeypatch.setattr(
+        geo, "vsub", lambda x, y: pytest.fail("a branch difference was taken again")
+    )
 
     class Positions(list):
         def __iter__(self):
             passes.append(1)
             return super().__iter__()
 
-    fc = equilibrated_complex(tetra_geo, {0: 1, 3: 2})
     g = dataclasses.replace(tetra_geo, positions=Positions(tetra_geo.positions))
-    monkeypatch.setattr(
-        geo.GeometricComplex, "branch_vector",
-        lambda g, a: pytest.fail("a branch vector was taken from the complex"),
-    )
+    fc = equilibrated_complex(g, {0: 1, 3: 2})
     sol = st.solve_statics(g, fc.f_ext)
     assert sol.reconstruction_exact(fc.f_ext) is True
+    assert len(sol.axial_forces) == g.complex.r[1]
+    st.force_complex(g, axial={lab: 1 for lab in g.complex.branch_labels})
     assert len(passes) == 1
 
 
@@ -478,6 +483,89 @@ def test_statics_reads_float_positions_as_their_exact_fractions(g, data):
     assert statics_bytes(statics_document(g, loads)) == statics_bytes(
         statics_document(g, loads, exact_positions=True)
     )
+
+
+def overflow_triangle(positions, forces, internal=None):
+    """The text of a triangle document A, B, C with branches AB, BC, CA
+    at the given positions and node forces, AB with an optional axial
+    internal force."""
+    ab = {"id": "AB", "tail": "A", "head": "B"}
+    if internal is not None:
+        ab["internal_force"] = internal
+    return json.dumps({
+        "dimension": 2,
+        "nodes": [
+            {"id": lab, "pos": list(p), "force": list(f)}
+            for lab, p, f in zip("ABC", positions, forces)
+        ],
+        "branches": [
+            ab,
+            {"id": "BC", "tail": "B", "head": "C"},
+            {"id": "CA", "tail": "C", "head": "A"},
+        ],
+    })
+
+
+def run_main(tmp_path, capsys, text, *args):
+    """Exit code and standard output of ``homnet`` ARGS on the document TEXT."""
+    source = tmp_path / "doc.json"
+    source.write_text(text)
+    code = cli.main([*args, "--input", str(source)])
+    return code, capsys.readouterr().out
+
+
+def test_subnormal_bar_prints_its_axial_force(tmp_path, capsys):
+    # AB is 5e-324 long, so q(AB) = -2 ** 1074 is past the float range
+    # while the force q |s| is -1: the exact product, rounded once
+    text = overflow_triangle(
+        [(0.0, 0.0), (5e-324, 0.0), (0.0, 1.0)], [(-1, 0), (1, 0), (0, 0)]
+    )
+    code, out = run_main(tmp_path, capsys, text, "statics")
+    assert code == 0
+    assert "classification = determinate\n" in out
+    assert "axial_forces = {AB: -1, BC: 0, CA: 0}\n" in out
+    assert f"tension_coefficients = {{AB: {-2**1074}, BC: 0, CA: 0}}\n" in out
+
+
+def test_wide_frame_reads_its_long_bar_as_infinite(tmp_path, capsys):
+    # AB is 2e308 long: its exact vector is past the float range and reads
+    # as inf, as float subtraction rounds it.  Zero tensions give zero
+    # forces, and the declared axial force keeps its direction (nan, 0)
+    text = overflow_triangle(
+        [(-1e308, 0.0), (1e308, 0.0), (0.0, 1.0)], [(0, 0)] * 3, internal=1
+    )
+    code, out = run_main(tmp_path, capsys, text, "statics")
+    assert code == 0
+    assert "classification = determinate\n" in out
+    assert "axial_forces = {AB: 0, BC: 0, CA: 0}\n" in out
+    code, out = run_main(tmp_path, capsys, text, "moments", "--origin", "A")
+    assert code == 0
+    assert "residual_norm = 0\n" in out and "origin = [-1e+308, 0]\n" in out
+    code, out = run_main(tmp_path, capsys, text, "virtual-work")
+    assert code == 1
+    assert "equilibrium_by_balance = false\n" in out
+    assert "verdicts_agree = true\n" in out
+
+
+@settings(deadline=None)
+@given(hst.fractions(min_value=0), hst.booleans(),
+       hst.lists(hst.fractions(), min_size=1, max_size=3), hst.integers(-2200, 0))
+def test_an_overflowing_tension_gives_its_force_rounded_once(x, negative, s, e):
+    # q is at least 2 ** 1024, past the float range, and s is scaled down
+    # by up to 2 ** -2200, far below the subnormals: the force is the float
+    # nearest to the exact q |s|, between the midpoints to its neighbours,
+    # or inf past the float range
+    q = (1 + x) * 2**1024 * (-1 if negative else 1)
+    s = [c * Fraction(2) ** e for c in s]
+    force = st._axial_force(q, s)
+    assert force == 0 or (force < 0) == negative
+    t, f = q * q * sum(c * c for c in s), abs(force)
+    if f == math.inf:
+        assert t >= Fraction(2**1024 - 2**970) ** 2
+        return
+    below = (Fraction(f) + Fraction(math.nextafter(f, 0))) / 2
+    above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    assert below ** 2 <= t <= above ** 2
 
 
 def test_degenerate_branch_rejected(circle):
