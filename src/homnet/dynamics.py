@@ -31,7 +31,6 @@ from .errors import (
     KindMismatch,
     NonConvectiveMomentum,
     RangeError,
-    ZeroTotalMass,
 )
 from .homology import cycle_basis
 from .kinematics import spatial_trace
@@ -251,37 +250,6 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# mass moment and center of mass
-# ---------------------------------------------------------------------------
-
-def mass_moment(masses, g, origin):
-    """Sum of mass-weighted offsets from the origin (a covector by the
-    Euclidean transpose)."""
-    x0 = tuple(origin)
-    total = tuple(0.0 for _ in range(g.n))
-    for i in range(g.complex.r[0]):
-        m = float(masses.get(i, 0.0))
-        if not m:
-            continue
-        r = tuple(float(p) - float(q) for p, q in zip(g.positions[i], x0))
-        total = tuple(t + m * c for t, c in zip(total, r))
-    return total
-
-
-def center_of_mass(masses, g):
-    """Mass-weighted mean position; the mass moment about it vanishes."""
-    total_mass = sum(float(m) for m in masses.values())
-    if total_mass <= 0:
-        raise ZeroTotalMass("total mass must be positive")
-    acc = tuple(0.0 for _ in range(g.n))
-    for i, m in masses.items():
-        acc = tuple(
-            t + float(m) * float(c) for t, c in zip(acc, g.positions[i])
-        )
-    return tuple(t / total_mass for t in acc)
-
-
-# ---------------------------------------------------------------------------
 # momentum balance
 # ---------------------------------------------------------------------------
 
@@ -468,22 +436,6 @@ def work_values(k, forces):
     # exact positions are differenced exactly, then rounded once
     disp = np.diff(k.positions, axis=0).astype(float)
     return np.vecdot(np.stack(f), disp.swapaxes(0, 1))
-
-
-def work_cochain(k, forces):
-    """The work 1-cochain on the kinematical complex's motion links."""
-    values = {}
-    for i, w in enumerate(work_values(k, forces)):
-        for a in range(k.steps):
-            values[k.motion_link(i, a)] = float(w[a])
-    return Cochain(k.complex, 1, values, REAL64)
-
-
-def path_work(k, forces, i):
-    """Total work along node i's motion path."""
-    import numpy as np
-
-    return float(np.sum(work_values(k, forces)[i]))
 
 
 def constant_field_potential(k, field):

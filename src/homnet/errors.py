@@ -61,10 +61,6 @@ class NodeCountMismatch(HomnetError):
     pass
 
 
-class NotAntisymmetric(HomnetError):
-    pass
-
-
 class SnapshotMismatch(HomnetError):
     pass
 
@@ -78,10 +74,6 @@ class KindMismatch(HomnetError):
 
 
 class DegenerateBranch(HomnetError):
-    pass
-
-
-class ZeroTotalMass(HomnetError):
     pass
 
 

@@ -2,14 +2,13 @@
 
 Positions are a vector-valued 0-cochain; its coboundary, the displacement
 1-cochain of exact branch vectors that statics reads too, vanishes on every
-1-cycle (the polygon rule).  Bivectors carry moments and rotation generators.
+1-cycle (the polygon rule).  Bivectors carry moments.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
@@ -22,7 +21,6 @@ from .errors import (
     DegenerateBranch,
     DimensionMismatch,
     NodeCountMismatch,
-    NotAntisymmetric,
     UnsupportedDimension,
 )
 
@@ -98,13 +96,6 @@ def displacement_cochain(g):
     return Cochain(g.complex, 1, values, vector(g.n))
 
 
-def shift_origin(g, a):
-    """Move the reference origin by a: positions drop by a, displacements
-    are untouched."""
-    moved = [vsub(p, a) if p is not None else None for p in g.positions]
-    return replace(g, positions=moved)
-
-
 # ---------------------------------------------------------------------------
 # bivectors, wedges, moments
 # ---------------------------------------------------------------------------
@@ -151,70 +142,3 @@ def is_rigid_motion(g0, g1, tol=1e-9, link_lengths_only=False):
     d0 = _pair_distances(g0, pairs)
     d1 = _pair_distances(g1, pairs)
     return all(abs(a - b) <= tol for a, b in zip(d0, d1))
-
-
-# ---------------------------------------------------------------------------
-# rotations
-# ---------------------------------------------------------------------------
-
-def _check_antisymmetric(omega, tol=1e-12):
-    import numpy as np
-
-    w = np.asarray(omega, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise NotAntisymmetric("rotation generator must be a square matrix")
-    if np.max(np.abs(w + w.T)) > tol:
-        raise NotAntisymmetric("rotation generator is not antisymmetric")
-    return w
-
-
-def rotation_matrix(omega, t=1.0, tol=1e-14):
-    """exp(omega * t) by scaling-and-squaring of the truncated power series."""
-    import numpy as np
-
-    w = _check_antisymmetric(omega) * float(t)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    squarings = max(0, int(math.ceil(math.log2(scale))) + 1)
-    w = w / (2.0 ** squarings)
-    result = np.eye(w.shape[0])
-    term = np.eye(w.shape[0])
-    k = 1
-    while True:
-        term = term @ w / k
-        result = result + term
-        if np.max(np.abs(term)) < tol:
-            break
-        k += 1
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def rotation_velocity_field(omega, g, center=None):
-    """Velocity 0-cochain of the rigid rotation generated by omega about
-    center: v(i) = omega @ (x(i) - center)."""
-    import numpy as np
-
-    w = _check_antisymmetric(omega)
-    if w.shape[0] != g.n:
-        raise DimensionMismatch("generator dimension differs from the ambient space")
-    c = np.zeros(g.n) if center is None else np.asarray(center, dtype=float)
-    values = {}
-    for i in range(g.complex.r[0]):
-        x = np.asarray(g.positions[i], dtype=float)
-        values[i] = tuple((w @ (x - c)).tolist())
-    return Cochain(g.complex, 0, values, vector(g.n))
-
-
-def best_fit_orthogonal_map(g0, g1):
-    """Least-squares orthogonal map between centered position clouds; the
-    sign of its determinant distinguishes proper from improper motions."""
-    import numpy as np
-
-    a = np.asarray(g0.positions, dtype=float)
-    b = np.asarray(g1.positions, dtype=float)
-    a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
-    u, _, vt = np.linalg.svd(a.T @ b)
-    q = (u @ vt).T
-    return q, float(np.linalg.det(q))

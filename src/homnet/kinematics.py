@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chains import Chain, Cochain, coboundary
-from .coeffs import INTEGER, series_derivative, vector
+from .chains import Chain, Cochain
+from .coeffs import INTEGER, vector
 from .complexes import Complex
-from .errors import RangeError, SnapshotMismatch, TooFewSamples
+from .errors import SnapshotMismatch
 
 
 @dataclass
@@ -225,62 +225,3 @@ def spatial_trace(k):
     # every vertex after a walk's first is reached by exactly one forest step
     chords = steps - (len(first_visits) - r0)
     return SpatialTrace(list(k.base.node_labels), vertices, chords)
-
-
-# ---------------------------------------------------------------------------
-# sampled kinematical states
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KinematicalState:
-    """Absolute state (positions, velocities, accelerations per node) and its
-    relative counterpart (their coboundaries per branch) at one sample."""
-
-    t: float
-    x: Cochain
-    v: Cochain
-    a: Cochain
-    s: Cochain
-    s_dot: Cochain
-    s_ddot: Cochain
-
-
-def kinematical_state(complex, trajectories, dt, t_index):
-    """Differentiate sampled node trajectories and assemble the state.
-
-    ``trajectories`` maps node index -> array of shape (samples, n).  The
-    relative state is the coboundary (``chains.coboundary``) of the
-    absolute one, so differentiation and coboundary commute by
-    construction; a complex without branches has none, and raises
-    ``DimensionMismatch``.  A sample index outside the series raises
-    ``RangeError``.
-    """
-    import numpy as np
-
-    r0 = complex.r[0]
-    arrays = [np.asarray(trajectories[i], dtype=float) for i in range(r0)]
-    samples = arrays[0].shape[0]
-    if samples < 3:
-        raise TooFewSamples("second derivatives need at least 3 samples")
-    n = arrays[0].shape[1]
-    for arr in arrays:
-        if arr.shape != (samples, n):
-            raise SnapshotMismatch("trajectories must share shape")
-    if not (0 <= t_index < samples):
-        raise RangeError(f"sample index {t_index} outside 0..{samples - 1}")
-
-    vel = [series_derivative(arr, dt) for arr in arrays]
-    acc = [series_derivative(v, dt) for v in vel]
-    mod = vector(n)
-
-    def cochain0(source):
-        values = {i: tuple(source[i][t_index].tolist()) for i in range(r0)}
-        return Cochain(complex, 0, values, mod)
-
-    x = cochain0(arrays)
-    v = cochain0(vel)
-    a = cochain0(acc)
-    return KinematicalState(
-        t=t_index * dt, x=x, v=v, a=a,
-        s=coboundary(x), s_dot=coboundary(v), s_ddot=coboundary(a),
-    )

@@ -33,11 +33,7 @@ from .coeffs import (
     vnorm, vscale, vsub,
 )
 from .complexes import Complex
-from .errors import (
-    DegenerateBranch,
-    DimensionMismatch,
-    InvalidPartition,
-)
+from .errors import DimensionMismatch, InvalidPartition
 from .geometry import GeometricComplex, wedge
 
 
@@ -69,13 +65,25 @@ class ForceComplex:
         return self.f_ext.module.n
 
 
-def unit_covector(g, a):
-    """Unit covector along branch a (Euclidean transpose of the direction)."""
-    s = g.branch_vector(a)
+def _float_length(s):
+    """(k, L): L the float length of 2^k s, for exact s.  k is 0 unless the
+    float length of s underflows to 0 while s is nonzero; then 2^k s has
+    its largest component near 1."""
     length = vnorm(s)
-    if length == 0:
-        raise DegenerateBranch(f"branch {a} has zero length")
-    return tuple(to_float(c) / length for c in s)
+    if length or not any(s):
+        return 0, length
+    x = [Fraction(c) for c in s if c]
+    k = min(c.denominator.bit_length() - c.numerator.bit_length() for c in x)
+    return k, vnorm([c * 2**k for c in x])
+
+
+def unit_covector(g, a):
+    """Unit covector along branch a (Euclidean transpose of the direction),
+    read from the exact vector scaled by a power of two where its float
+    length underflows."""
+    s = g.branch_vector(a)
+    k, length = _float_length(s)
+    return tuple(to_float(c * 2**k) / length for c in s)
 
 
 def force_complex(g, external=None, internal=None, axial=None):
@@ -268,19 +276,25 @@ def solve_statics(g, f_ext):
 
 def _axial_force(q, s):
     """q |s| as a float for exact q, s: float(q) times the float length, 0
-    for q = 0, and the exact q |s| rounded once where float(q) overflows:
-    r = isqrt(q^2 |s|^2 4^k) has 55 bits or more, so no rounding boundary
-    of r / 2^k lies in (r, r + 1), where an inexact root is."""
-    try:
-        return float(q) * vnorm(s) if q else 0.0
-    except OverflowError:
-        t = q * q * sum(Fraction(x) ** 2 for x in s)
-        k = max(0, (110 - t.numerator.bit_length() + t.denominator.bit_length()) // 2)
-        m, rem = divmod(t.numerator << 2 * k, t.denominator)
-        r = math.isqrt(m)
-        if rem or r * r != m:
-            r, k = 2 * r + 1, k + 1
-        return to_float(Fraction(r if q > 0 else -r, 1 << k))
+    for q = 0, and the exact q |s| rounded once where float(q) overflows or
+    the float length underflows: r = isqrt(q^2 |s|^2 4^k) has 55 bits or
+    more, so no rounding boundary of r / 2^k lies in (r, r + 1), where an
+    inexact root is."""
+    if not q:
+        return 0.0
+    scale, length = _float_length(s)
+    if not scale:
+        try:
+            return float(q) * length
+        except OverflowError:
+            pass
+    t = q * q * sum(Fraction(x) ** 2 for x in s)
+    k = max(0, (110 - t.numerator.bit_length() + t.denominator.bit_length()) // 2)
+    m, rem = divmod(t.numerator << 2 * k, t.denominator)
+    r = math.isqrt(m)
+    if rem or r * r != m:
+        r, k = 2 * r + 1, k + 1
+    return to_float(Fraction(r if q > 0 else -r, 1 << k))
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +337,6 @@ def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 # virtual work
 # ---------------------------------------------------------------------------
-
-def virtual_work(fc, delta_x):
-    """Virtual work of the force distribution under a virtual displacement:
-    the pairing of the boundary of the extended force chain with delta_x,
-    which reduces to the nodal residual paired node by node."""
-    if isinstance(delta_x, dict):
-        values = {fc.g.complex.node_index(k): tuple(v) for k, v in delta_x.items()}
-        delta_x = Cochain(fc.g.complex, 0, values, vector(fc.n))
-    if delta_x.module.n != fc.n:
-        raise DimensionMismatch("virtual displacement dimension differs")
-    return evaluate(delta_x, nodal_residual(fc))
-
 
 def equilibrium_via_virtual_work(fc, tol=DEFAULT_TOL):
     """Equilibrium verdict obtained by sweeping the full basis of unit

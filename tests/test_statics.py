@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import assume, given, settings, strategies as hst
 
 import homnet as hn
 from homnet import cli, documents, errors, exact, reports
@@ -547,18 +547,40 @@ def test_wide_frame_reads_its_long_bar_as_infinite(tmp_path, capsys):
     assert "verdicts_agree = true\n" in out
 
 
-@settings(deadline=None)
-@given(hst.fractions(min_value=0), hst.booleans(),
-       hst.lists(hst.fractions(), min_size=1, max_size=3), hst.integers(-2200, 0))
-def test_an_overflowing_tension_gives_its_force_rounded_once(x, negative, s, e):
-    # q is at least 2 ** 1024, past the float range, and s is scaled down
-    # by up to 2 ** -2200, far below the subnormals: the force is the float
-    # nearest to the exact q |s|, between the midpoints to its neighbours,
-    # or inf past the float range
-    q = (1 + x) * 2**1024 * (-1 if negative else 1)
-    s = [c * Fraction(2) ** e for c in s]
-    force = st._axial_force(q, s)
-    assert force == 0 or (force < 0) == negative
+SUBNORMAL_BAR = [(0.0, 0.0), (5e-324, 0.0), (0.0, 1.0)]
+
+
+def test_subnormal_bar_prints_a_tiny_axial_force(tmp_path, capsys):
+    # AB is 2 ** -1074 long and q(AB) = -2 ** 1000: float(q) is finite, but
+    # the float length squares to 0, so the force -2 ** -74 is the exact
+    # product, rounded once
+    tiny = f"1/{2**74}"
+    text = overflow_triangle(SUBNORMAL_BAR, [(f"-{tiny}", 0), (tiny, 0), (0, 0)])
+    code, out = run_main(tmp_path, capsys, text, "statics")
+    assert code == 0
+    assert f"tension_coefficients = {{AB: {-2**1000}, BC: 0, CA: 0}}\n" in out
+    assert f"axial_forces = {{AB: {-2**-74:.17g}, BC: 0, CA: 0}}\n" in out
+
+
+def test_subnormal_bar_takes_its_direction_from_the_exact_vector(tmp_path, capsys):
+    # the float length of AB squares to 0, but its axial internal force
+    # points along the exact vector, (1, 0), so unit loads balance it
+    tiny = f"1/{2**74}"
+    text = overflow_triangle(SUBNORMAL_BAR, [(f"-{tiny}", 0), (tiny, 0), (0, 0)], internal=1)
+    code, out = run_main(tmp_path, capsys, text, "virtual-work")
+    assert code == 1
+    assert "equilibrium_by_balance = false\n" in out
+    assert "verdicts_agree = true\n" in out
+    text = overflow_triangle(SUBNORMAL_BAR, [(1, 0), (-1, 0), (0, 0)], internal=1)
+    code, out = run_main(tmp_path, capsys, text, "virtual-work")
+    assert code == 0
+    assert "equilibrium_by_balance = true\n" in out
+
+
+def assert_rounded_once(force, q, s):
+    """force is the float nearest to the exact q |s|: between the midpoints
+    to its neighbours, or inf past the float range."""
+    assert force == 0 or (force < 0) == (q < 0)
     t, f = q * q * sum(c * c for c in s), abs(force)
     if f == math.inf:
         assert t >= Fraction(2**1024 - 2**970) ** 2
@@ -566,6 +588,27 @@ def test_an_overflowing_tension_gives_its_force_rounded_once(x, negative, s, e):
     below = (Fraction(f) + Fraction(math.nextafter(f, 0))) / 2
     above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
     assert below ** 2 <= t <= above ** 2
+
+
+@settings(deadline=None)
+@given(hst.fractions(min_value=0), hst.booleans(),
+       hst.lists(hst.fractions(), min_size=1, max_size=3), hst.integers(-2200, 0))
+def test_an_overflowing_tension_gives_its_force_rounded_once(x, negative, s, e):
+    # q is at least 2 ** 1024, past the float range, and s is scaled down
+    # by up to 2 ** -2200, far below the subnormals
+    q = (1 + x) * 2**1024 * (-1 if negative else 1)
+    s = [c * Fraction(2) ** e for c in s]
+    assert_rounded_once(st._axial_force(q, s), q, s)
+
+
+@settings(deadline=None)
+@given(hst.fractions(), hst.lists(hst.fractions(), min_size=1, max_size=3),
+       hst.integers(-2200, -500))
+def test_an_underflowing_length_gives_its_force_rounded_once(q, s, e):
+    # s is not 0, but its float length squares to 0
+    s = [c * Fraction(2) ** e for c in s]
+    assume(q and any(s) and vnorm(s) == 0)
+    assert_rounded_once(st._axial_force(q, s), q, s)
 
 
 def test_degenerate_branch_rejected(circle):
@@ -631,10 +674,18 @@ def test_moment_balance_shift_identity(triangle_geo, rng):
 
 # -- virtual work ----------------------------------------------------------------------
 
+def virtual_work(fc, delta_x):
+    """The pairing of a virtual displacement (node label -> vector) with the
+    nodal residual."""
+    cx = fc.g.complex
+    values = {cx.node_index(k): tuple(v) for k, v in delta_x.items()}
+    return hn.evaluate(hn.Cochain(cx, 0, values, hn.vector(fc.n)), st.nodal_residual(fc))
+
+
 def test_virtual_work_vanishes_in_equilibrium(triangle_geo):
     fc = equilibrated_complex(triangle_geo, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)})
-    assert st.virtual_work(fc, {"A": (1, 0)}) == 0
-    assert st.virtual_work(fc, {"B": (0, 1), "C": (2, -1)}) == 0
+    assert virtual_work(fc, {"A": (1, 0)}) == 0
+    assert virtual_work(fc, {"B": (0, 1), "C": (2, -1)}) == 0
     assert st.equilibrium_via_virtual_work(fc)
 
 
@@ -644,8 +695,8 @@ def test_virtual_work_reads_residual(triangle_geo):
         triangle_geo.complex, 0, {1: (Fraction(0), Fraction(5))}, fc.f_ext.module
     )
     broken = st.ForceComplex(g=fc.g, f_ext=fc.f_ext + bump, f_int=fc.f_int)
-    assert st.virtual_work(broken, {"B": (0, 1)}) == 5
-    assert st.virtual_work(broken, {"A": (1, 0)}) == 0
+    assert virtual_work(broken, {"B": (0, 1)}) == 5
+    assert virtual_work(broken, {"A": (1, 0)}) == 0
     assert not st.equilibrium_via_virtual_work(broken)
 
 
@@ -675,7 +726,7 @@ def test_tiny_exact_force_is_not_pruned():
 
 def test_zero_virtual_displacement(triangle_geo):
     fc = equilibrated_complex(triangle_geo, {0: Fraction(2)})
-    assert st.virtual_work(fc, {}) == 0
+    assert virtual_work(fc, {}) == 0
 
 
 def test_virtual_work_agrees_with_balance_on_random_systems(rng):
