@@ -29,7 +29,6 @@ from .coeffs import (
     Bivector,
     bivector,
     covector,
-    time_series,
     vector,
 )
 from .homology import (
@@ -71,7 +70,6 @@ __all__ = [
     "Bivector",
     "bivector",
     "covector",
-    "time_series",
     "vector",
     "betti_numbers",
     "cycle_basis",

@@ -7,6 +7,10 @@ every check as it was computed and is judged at the tolerance the check is
 given.  A cochain keeps every value it is given, zeros included, so a
 potential or a field reads the same at every node or branch it was given
 for; ``coboundary`` drops the exact zeros it computes itself.
+
+Sampled values are not chains but float arrays stacked over the simplexes,
+(samples, simplexes, ...); the stacked helpers below serve every balance law
+on them, and each imports numpy itself, so an exact document never loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ def _convert_scalar(value, module):
         from fractions import Fraction
 
         return Fraction(value)
-    if module.kind in ("real64", "timeseries"):
+    if module.kind == "real64":
         return float(value)
     return value
 
@@ -209,6 +213,56 @@ def coboundary(cochain):
             if not mod.is_zero(acc):
                 out[f] = acc
     return Cochain(cx, cochain.dim + 1, out, mod)
+
+
+# ---------------------------------------------------------------------------
+# stacked arrays of sampled values
+# ---------------------------------------------------------------------------
+
+def stacked(shape, values):
+    """Values by simplex index as one zero-filled array of SHAPE; a static
+    value broadcasts over the samples."""
+    import numpy as np
+
+    out = np.zeros(shape)
+    for i, value in values.items():
+        out[:, i] = value
+    return out
+
+
+def stacked_boundary(complex, samples, values, shape=()):
+    """The boundary of branch values, a (samples, nodes, *shape) array:
+    each value enters its head and leaves its tail, branch by branch in
+    order, as ``boundary`` adds them."""
+    import numpy as np
+
+    out = np.zeros((samples, complex.r[0]) + shape)
+    for a, value in values.items():
+        value = np.asarray(value, dtype=float)
+        tail, head = complex.branches[a]
+        out[:, head] += value
+        out[:, tail] -= value
+    return out
+
+
+def node_sum(a):
+    """The sum over the node axis (1) of a stacked array, adding the nodes
+    in order: ``np.sum`` may pair the terms, and ``np.cumsum`` along a short
+    axis costs more than one addition per node."""
+    import numpy as np
+
+    total = np.zeros(a.shape[:1] + a.shape[2:])
+    for j in range(a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def max_abs(a, floor=0.0):
+    """The largest |entry| of A and FLOOR, a float; NaN when any entry is
+    NaN, where the builtin ``max`` would drop it and pass the check."""
+    import numpy as np
+
+    return float(np.abs(a).max(initial=floor))
 
 
 def cone_chain(chain, star_values, apex):

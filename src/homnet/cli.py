@@ -20,7 +20,7 @@ from pathlib import Path
 from . import documents, electrical, homology
 from . import dynamics as dyn
 from . import statics as st
-from .chains import Chain
+from .chains import Chain, max_abs
 from .coeffs import Bivector, covector
 from .errors import HomnetError, MissingData, UnknownCommand, UnreadableInput
 from .geometry import maxwell_dof
@@ -118,17 +118,23 @@ def _print_floor(options):
     return min(_PRINT_FLOOR, options.get("tolerance", _PRINT_FLOOR))
 
 
-def _residual_map(chain, floor=None):
-    """Circuit values by label.  Exact scalars, integral or not, are
-    written as rationals, so a report reads the same over either exact
-    kind.  A float entry whose norm is within ``floor``, when one is given,
-    is left out."""
-    labels = chain.complex.labels(chain.dim)
-    if chain.module.exact:
-        return {labels[i]: Fraction(v) for i, v in chain.coeffs.items()}
-    mod = chain.module
+def _residual_map(values, labels, floor=None):
+    """Circuit values by label: a chain's entries, or the columns of a
+    stacked (samples, simplexes) array, one sample as a scalar.  Exact
+    scalars, integral or not, are written as rationals, so a report reads
+    the same over either exact kind.  A float entry whose norm is within
+    ``floor``, when one is given, is left out."""
+    if documents.is_array(values):
+        return {
+            labels[i]: column if len(column) > 1 else column[0]
+            for i, column in enumerate(values.T.tolist())
+            if floor is None or not max_abs(column) <= floor
+        }
+    if values.module.exact:
+        return {labels[i]: Fraction(v) for i, v in values.coeffs.items()}
+    mod = values.module
     out = {}
-    for i, v in chain.coeffs.items():
+    for i, v in values.coeffs.items():
         if floor is not None and mod.norm(v) <= floor:
             continue
         comps = mod.to_components(v)
@@ -170,18 +176,24 @@ def _run_homology(doc, options):
     )
 
 
+def _circuit(doc, currents, charges=None, voltages=None):
+    """The circuit of the given values: sampled when any of them is a sample
+    list, DC otherwise."""
+    values = [*currents.values(), *(charges or {}).values(), *(voltages or {}).values()]
+    if any(map(documents.is_array, values)):
+        return electrical.sampled_circuit(
+            doc.complex, doc.dt, doc.samples, currents, charges, voltages
+        )
+    return electrical.circuit_state(doc.complex, currents, charges, voltages)
+
+
 def _run_kcl(doc, options):
     currents = doc.branch_attr("current")
     if not currents:
         raise MissingData("branches[*].current")
     charges = doc.node_attr("charge") or None
-    has_series = any(
-        map(documents.is_array, [*currents.values(), *(charges or {}).values()])
-    )
-    kwargs = {"dt": doc.dt, "samples": doc.samples} if has_series else {}
-    state = electrical.circuit_state(doc.complex, currents, charges=charges, **kwargs)
-    rep = electrical.kcl_check(state, **_tol(options))
-    nodes = _residual_map(rep.residual, _print_floor(options))
+    rep = electrical.kcl_check(_circuit(doc, currents, charges), **_tol(options))
+    nodes = _residual_map(rep.residual, doc.complex.node_labels, _print_floor(options))
     return AnalysisReport(
         command="kcl",
         verdict="pass" if rep.balanced else "fail",
@@ -201,23 +213,25 @@ def _run_kvl(doc, options):
     if doc.complex.r[1] == 0:
         # no branches: the voltage law holds vacuously
         return AnalysisReport(command="kvl", verdict="pass")
-    has_series = any(map(documents.is_array, voltages.values()))
-    kwargs = {"dt": doc.dt, "samples": doc.samples} if has_series else {}
-    state = electrical.circuit_state(doc.complex, {}, voltages=voltages, **kwargs)
+    state = _circuit(doc, {}, voltages=voltages)
     dv = electrical.voltage_drop(state)
-    rep = electrical.kvl_check(dv, **_tol(options))
+    # kvl checks a sampled circuit on the drops it holds
+    sampled = isinstance(state, electrical.SampledCircuit)
+    rep = electrical.kvl_check(state if sampled else dv, **_tol(options))
+    drops = _residual_map(dv, doc.complex.branch_labels, _print_floor(options))
     report = AnalysisReport(
         command="kvl",
         verdict="pass" if rep.passed else "fail",
         numbers={},
-        residuals={"drops": _residual_map(dv, _print_floor(options))},
+        residuals={"drops": drops},
     )
     if rep.passed:
-        report.details["potential"] = _residual_map(rep.potential)
+        report.details["potential"] = _residual_map(rep.potential, doc.complex.node_labels)
     else:
         report.details["witness_cycle"] = _chain_labels(rep.witness_cycle)
+        total = rep.cycle_sum
         report.numbers["cycle_sum"] = (
-            Fraction(rep.cycle_sum) if dv.module.exact else rep.cycle_sum
+            Fraction(total) if isinstance(total, (int, Fraction)) else total
         )
     return report
 

@@ -1,33 +1,30 @@
 """Coefficient modules for chains and cochains.
 
 A chain assigns each simplex a value from some coefficient module: a scalar
-ring (exact integers/rationals, 64-bit reals, uniformly sampled time series)
-or a vector-like space over it (vectors, covectors, bivector 2-forms).  The
-module descriptor owns the element arithmetic so that chain operations never
-need to know what kind of value they are combining.
+ring (exact integers/rationals, 64-bit reals) or a vector-like space over it
+(vectors, covectors, bivector 2-forms).  The module descriptor owns the
+element arithmetic so that chain operations never need to know what kind of
+value they are combining.  Sampled values are not chains: they are float
+arrays stacked over the simplexes (``chains.stacked``), and
+``series_derivative`` is their time derivative.
 
 ``Module.is_zero`` is the one zero rule of every check.  A value whose
 components are all ints or Fractions is exact and is zero only when it
 equals zero, whatever the tolerance; exact data is compared exactly by every
 analysis.  Any other value is zero when its norm is within the tolerance,
-so the tolerance applies only to float data.  A sampled signal is never
-exact.  The default tolerance is 0, the rule by which chains drop entries
-when they are built: no nonzero float value is treated as zero unless a
-check asks for a tolerance.
+so the tolerance applies only to float data.  The default tolerance is 0,
+the rule by which chains drop entries when they are built: no nonzero float
+value is treated as zero unless a check asks for a tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatch,
-    KindMismatch,
-    PairingUndefined,
-    TooFewSamples,
-)
+from .errors import DimensionMismatch, PairingUndefined, TooFewSamples
 
 # Default absolute tolerance of every float-valued check.
 DEFAULT_TOL = 1e-9
@@ -70,10 +67,19 @@ def to_float(x):
 
 
 def vnorm(x):
+    """The Euclidean norm; when the squares sum below the normal range, of
+    the components scaled by the power of two that brings the largest near
+    1, so a tiny vector's norm is as accurate as any other's."""
     try:
-        return float(sum(float(a) * float(a) for a in x)) ** 0.5
+        floats = [float(a) for a in x]
     except OverflowError:  # an exact component past the float range
         return math.inf
+    squares = sum(a * a for a in floats)
+    if squares < sys.float_info.min and any(floats):
+        _, e = math.frexp(max(map(abs, floats)))
+        squares = sum(math.ldexp(a, -e) ** 2 for a in floats)
+        return math.ldexp(float(squares) ** 0.5, e)
+    return float(squares) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -229,67 +235,6 @@ class Real64Module(_ScalarModule):
         return 0.0
 
 
-class TimeSeriesModule(Module):
-    """Uniformly sampled real signal: every element shares dt and length.
-    Elements are numpy arrays; numpy is imported by the methods, so it is
-    loaded only once some document or caller has a sampled signal."""
-
-    kind = "timeseries"
-    exact = False
-
-    def __init__(self, dt, length):
-        self.dt = float(dt)
-        self.length = int(length)
-
-    def signature(self):
-        return (self.dt, self.length)
-
-    def coerce(self, x):
-        import numpy as np
-
-        arr = np.asarray(x, dtype=float)
-        if arr.shape == ():
-            arr = np.full(self.length, float(arr))
-        if arr.shape != (self.length,):
-            raise KindMismatch(
-                f"time series of length {arr.shape} does not match declared {self.length}"
-            )
-        return arr
-
-    def zero(self):
-        import numpy as np
-
-        return np.zeros(self.length)
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def scale(self, k, x):
-        return k * x
-
-    def norm(self, x):
-        import numpy as np
-
-        return float(np.max(np.abs(x))) if len(x) else 0.0
-
-    def holds_exact(self, x):
-        return False  # samples are floats
-
-    def to_components(self, x):
-        return [float(v) for v in x]
-
-    def from_components(self, comps):
-        import numpy as np
-
-        return np.asarray(comps, dtype=float)
-
-    def derivative(self, x):
-        return series_derivative(x, self.dt)
-
-
 class _VectorLikeModule(Module):
     def __init__(self, n):
         self.n = int(n)
@@ -363,10 +308,6 @@ RATIONAL = RationalModule()
 REAL64 = Real64Module()
 
 
-def time_series(dt, length):
-    return TimeSeriesModule(dt, length)
-
-
 def vector(n):
     return VectorModule(n)
 
@@ -383,7 +324,7 @@ def bivector(n):
 # pairings
 # ---------------------------------------------------------------------------
 
-_SCALAR_KINDS = {"integer", "rational", "real64", "timeseries"}
+_SCALAR_KINDS = {"integer", "rational", "real64"}
 
 
 def pair(mod_c, value_c, mod_x, value_x):

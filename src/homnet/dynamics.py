@@ -5,13 +5,14 @@ law states that a time derivative equals a boundary (or a resultant), and
 each conservation corollary states that the relevant chain is a cycle.
 Trajectory data is stacked over the nodes: one (samples, nodes, n) array per
 vector quantity and one (samples, nodes) array of masses, so each law is one
-whole-array expression over every node and sample.  Derivatives use the
-central/one-sided sampling rule shared with time-series chains, which is
-exact on quadratic samples.  A ``DynamicsState`` differentiates each
+whole-array expression over every node and sample, with the stacked helpers
+of ``chains`` that sampled circuits share.  Derivatives use the
+central/one-sided rule of ``coeffs.series_derivative``, which is exact on
+quadratic samples.  A ``DynamicsState`` differentiates each
 quantity once per document, every node in one call; ``homnet.cli`` keeps one
 state per document, so the momentum, angular, d'Alembert and energy checks
 share one velocity and one momentum rate.  A sum over the nodes adds them in
-node order (``_node_sum``), as a loop over the nodes would, so every printed
+node order (``chains.node_sum``), as a loop over the nodes would, so every printed
 float is the one a per-node loop gives.  The potential of a walk that
 revisits no position is one running sum over the whole array, bit-identical
 to integrating it step by step.  Each function imports numpy itself:
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .chains import Cochain, evaluate
+from .chains import Cochain, evaluate, max_abs, node_sum, stacked, stacked_boundary
 from .coeffs import DEFAULT_TOL, REAL64, series_derivative, wedge_components
 from .errors import (
     HypothesesUnmet,
@@ -162,56 +163,16 @@ class DynamicsState:
             raise HypothesesUnmet(f"{law} needs constant masses")
 
 
-def _worst(a, floor=0.0):
-    """The largest |entry| of A and FLOOR, a float; NaN when any entry is
-    NaN, where the builtin ``max`` would drop it and pass the check."""
-    import numpy as np
-
-    return float(np.abs(a).max(initial=floor))
-
-
 def _central(d):
     """The samples whose difference stencils are fully central, once there
     are more than five; every sample otherwise."""
     return slice(2, -2) if d.samples > 5 else slice(None)
 
 
-def _node_sum(a):
-    """The sum over the node axis (1) of a stacked array, adding the nodes
-    in order: ``np.sum`` may pair the terms, and ``np.cumsum`` along a short
-    axis costs more than one addition per node."""
-    import numpy as np
-
-    total = np.zeros(a.shape[:1] + a.shape[2:])
-    for j in range(a.shape[1]):
-        total += a[:, j]
-    return total
-
-
 def _node_array(d, values):
     """Node vectors as one (N, nodes, n) array: a static (n,) vector
     broadcasts over the samples and a missing one reads zero."""
-    import numpy as np
-
-    out = np.zeros((d.samples, d.complex.r[0], d.n))
-    for i, value in (values or {}).items():
-        out[:, i] = value
-    return out
-
-
-def _node_boundary(d, values, shape=()):
-    """The boundary of branch values at every node, one (N, nodes, *shape)
-    array: each value, a series or a static one, enters its head and leaves
-    its tail, branch by branch in order."""
-    import numpy as np
-
-    out = np.zeros((d.samples, d.complex.r[0]) + shape)
-    for a, value in (values or {}).items():
-        value = np.asarray(value, dtype=float)
-        tail, head = d.complex.branches[a]
-        out[:, head] += value
-        out[:, tail] -= value
-    return out
+    return stacked((d.samples, d.complex.r[0], d.n), values or {})
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +196,15 @@ def mass_balance_check(d, tol=DEFAULT_TOL):
 
     if d.flows and d.dt is None:
         raise KindMismatch("mass flows need a sampling interval dt")
-    incident = _node_boundary(d, d.flows)
+    incident = stacked_boundary(d.complex, d.samples, d.flows)
     m = d.mass
     mdot = series_derivative(m, d.dt) if d.dt is not None else np.zeros_like(m)
-    worst = _worst(mdot - incident)
-    total = _node_sum(m)
+    worst = max_abs(mdot - incident)
+    total = node_sum(m)
     return MassBalanceReport(
         max_residual=worst,
         total_mass=total,
-        flow_is_cycle=_worst(incident) <= tol,
+        flow_is_cycle=max_abs(incident) <= tol,
         total_mass_constant=float(np.max(total) - np.min(total)) <= tol,
         passed=worst <= tol,
     )
@@ -275,12 +236,12 @@ def momentum_balance_check(d, f_ext=None, f_int=None, tol=DEFAULT_TOL):
     pdot = d.momentum_rate
     ext = _node_array(d, f_ext)
     res = pdot - ext
-    res -= _node_boundary(d, f_int, (d.n,))
-    worst = _worst(res[_central(d)])
-    max_collective = _worst(_node_sum(pdot) - _node_sum(ext))
+    res -= stacked_boundary(d.complex, d.samples, f_int or {}, (d.n,))
+    worst = max_abs(res[_central(d)])
+    max_collective = max_abs(node_sum(pdot) - node_sum(ext))
     return MomentumBalanceReport(
         max_residual=worst,
-        max_residual_full=_worst(res),
+        max_residual_full=max_abs(res),
         max_collective=max_collective,
         passed=worst <= tol and max_collective <= tol,
     )
@@ -328,7 +289,7 @@ def impulse_momentum_gap(d, forces, t0, t1):
     zero = np.zeros(d.n)
     every = {i: forces.get(i, zero) for i in range(d.complex.r[0])}
     impulses = impulse(every, d.dt, t0, t1)
-    return _worst(np.array(list(impulses.values())) - (d.momentum[t1] - d.momentum[t0]))
+    return max_abs(np.array(list(impulses.values())) - (d.momentum[t1] - d.momentum[t0]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +335,11 @@ def angular_momentum_balance(d, forces=None, origin=None, tol=DEFAULT_TOL):
     L = _wedge_series(r, d.momentum[:, moving])
     ldot = series_derivative(L, d.dt)
     res = ldot - _wedge_series(r, _node_array(d, forces)[:, moving])
-    worst = _worst(res[_central(d)])
+    worst = max_abs(res[_central(d)])
     return AngularMomentumReport(
         max_residual=worst,
-        max_residual_full=_worst(res),
-        max_drift=_worst(L - L[0]),
+        max_residual_full=max_abs(res),
+        max_drift=max_abs(L - L[0]),
         passed=worst <= tol,
     )
 
@@ -398,7 +359,7 @@ def moment_impulse_gap(d, forces, origin, t0, t1):
     L = _wedge_series(r, d.momentum[:, moving])
     change = L[t1] - L[t0]
     # the shape holds when no node moves and there is no integral
-    return _worst(np.reshape(list(integrals.values()), change.shape) - change)
+    return max_abs(np.reshape(list(integrals.values()), change.shape) - change)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +374,7 @@ def kinetic_energy(d):
 
     moving = d.moving
     ke = 0.5 * np.sum(d.momentum[:, moving] * d.velocity[:, moving], axis=2)
-    return ke, _node_sum(ke)
+    return ke, node_sum(ke)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +514,11 @@ def work_energy_check(d, k, forces, tol=1e-6):
     moving = d.moving
     ke, _ = kinetic_energy(d)
     delta_ke = ke[-1] - ke[0]
-    worst_gap = _worst(np.sum(report.work[moving], axis=1) - delta_ke)
-    scale = _worst(delta_ke, floor=1.0)
+    worst_gap = max_abs(np.sum(report.work[moving], axis=1) - delta_ke)
+    scale = max_abs(delta_ke, floor=1.0)
     # one contiguous row per node, so each node's spread reads one row
     e_tot = report.potential[moving] + ke.T
-    worst_drift = _worst(np.max(e_tot, axis=1) - np.min(e_tot, axis=1))
+    worst_drift = max_abs(np.max(e_tot, axis=1) - np.min(e_tot, axis=1))
     passed = worst_gap <= tol * scale and worst_drift <= tol * scale
     return WorkEnergyReport(
         passed=passed,
@@ -576,7 +537,7 @@ def _applied_minus_inertial(d, f_ext, f_int):
     array; a static or missing external force broadcasts over the
     samples."""
     net = _node_array(d, f_ext)
-    net += _node_boundary(d, f_int, (d.n,))
+    net += stacked_boundary(d.complex, d.samples, f_int or {}, (d.n,))
     net -= d.momentum_rate
     return net
 
@@ -593,7 +554,7 @@ def dalembert_residual(d, delta_x, f_ext=None, f_int=None):
         dx = np.asarray(delta_x.get(i, np.zeros(d.n)), dtype=float)
         if dx.any():
             total += net[:, i] @ dx
-    return _worst(total)
+    return max_abs(total)
 
 
 @dataclass
@@ -615,5 +576,5 @@ def dalembert_check(d, f_ext=None, f_int=None, tol=1e-6):
     import numpy as np
 
     net = _applied_minus_inertial(d, f_ext, f_int).reshape(-1, d.n)
-    worst = _worst([net @ unit for unit in np.eye(d.n)])
+    worst = max_abs([net @ unit for unit in np.eye(d.n)])
     return DalembertReport(max_residual=worst, passed=worst <= tol)

@@ -67,8 +67,9 @@ class ForceComplex:
 
 def _float_length(s):
     """(k, L): L the float length of 2^k s, for exact s.  k is 0 unless the
-    float length of s underflows to 0 while s is nonzero; then 2^k s has
-    its largest component near 1."""
+    float length of s is 0 while s is nonzero, which happens only when every
+    component's float is 0 (``vnorm`` scales tiny floats itself); then
+    2^k s has its largest component near 1."""
     length = vnorm(s)
     if length or not any(s):
         return 0, length

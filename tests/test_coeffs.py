@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,6 @@ from hypothesis import given, strategies as st
 from homnet import coeffs
 from homnet.errors import (
     DimensionMismatch,
-    KindMismatch,
     PairingUndefined,
     TooFewSamples,
 )
@@ -41,19 +42,6 @@ def test_integer_scaling_is_repeated_addition(module, sample):
 def test_scaling_distributes_over_addition(k, a, b):
     mod = coeffs.INTEGER
     assert mod.scale(k, mod.add(a, b)) == mod.add(mod.scale(k, a), mod.scale(k, b))
-
-
-def test_timeseries_shares_dt_and_len():
-    mod = coeffs.time_series(0.1, 5)
-    x = mod.coerce([1, 2, 3, 4, 5])
-    assert x.shape == (5,)
-    with pytest.raises(KindMismatch):
-        mod.coerce([1, 2, 3])
-
-
-def test_timeseries_scalar_broadcast():
-    mod = coeffs.time_series(0.1, 4)
-    assert np.allclose(mod.coerce(2.0), [2, 2, 2, 2])
 
 
 def test_exact_modules_have_zero_tolerance():
@@ -122,3 +110,30 @@ def test_series_derivative_exact_on_quadratics():
 def test_series_derivative_needs_three_samples():
     with pytest.raises(TooFewSamples, match="derivatives need at least 3 samples"):
         coeffs.series_derivative(np.array([1.0, 2.0]), 0.1)
+
+
+# components of 2**-60 to 2**60 in magnitude, either sign, or zero
+_component = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=2.0**-60, max_value=2.0**60).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+)
+
+
+@given(st.lists(_component, min_size=1, max_size=4).filter(any), st.integers(0, 300))
+def test_vnorm_scales_subnormal_squares_by_a_power_of_two(v, extra):
+    # 2**-k v has squares that sum below the normal range, while each of
+    # its components is exact: its norm is 2**-k times the norm of v
+    k = math.frexp(max(map(abs, v)))[1] + 513 + extra
+    w = [2**-k * a for a in v]
+    assert all(math.ldexp(b, k) == a for a, b in zip(v, w))
+    assert sum(b * b for b in w) < sys.float_info.min
+    assert coeffs.vnorm(w) == 2**-k * coeffs.vnorm(v)
+
+
+def test_vnorm_keeps_the_bits_of_normal_squares():
+    for v in ([3.0, 4.0], [1e-150, 1e-150], [1e154, 1e154], [0.1, 0.2, 0.3]):
+        assert coeffs.vnorm(v) == math.sqrt(sum(a * a for a in v))
+    assert coeffs.vnorm([0.0, -0.0]) == 0.0
+    assert coeffs.vnorm([1e-170, 0.0]) == 1e-170

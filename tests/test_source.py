@@ -84,11 +84,9 @@ KEPT = {
     "geometry.is_rigid_motion": "acceptance criterion 4: a rigid motion keeps every distance",
     "geometry.displacement_cochain": "the polygon rule; oracle in test_geometry and test_zero_rule",
     "dynamics.constant_field_potential": "closed-form oracle for conservative_check's potential",
-    "electrical.extended_current_chain": "the paper's extended-cycle test for currents",
     "statics.extended_force_chain": "the paper's extended-cycle test for forces (extended_is_cycle)",
     "statics.close_open_system": "the balance of open systems",
     "kinematics.verify_deformation_homology": "the homology of deformations",
-    "electrical.power_cochain": "Tellegen's theorem",
     "dynamics.moment_impulse_gap": "the rotational twin of impulse_momentum_gap",
 }
 

@@ -562,6 +562,18 @@ def test_subnormal_bar_prints_a_tiny_axial_force(tmp_path, capsys):
     assert f"axial_forces = {{AB: {-2**-74:.17g}, BC: 0, CA: 0}}\n" in out
 
 
+def test_short_bar_with_subnormal_squares_prints_its_axial_force(tmp_path, capsys):
+    # AB is about 1.2e-160 long: its float length is normal but its square
+    # is subnormal, so the length is taken after scaling by a power of two
+    text = overflow_triangle(
+        [(0.0, 0.0), (1.2345678901234568e-160, 0.0), (0.0, 1.0)],
+        [(-1, 0), (1, 0), (0, 0)],
+    )
+    code, out = run_main(tmp_path, capsys, text, "statics")
+    assert code == 0
+    assert "axial_forces = {AB: -1, BC: 0, CA: 0}\n" in out
+
+
 def test_subnormal_bar_takes_its_direction_from_the_exact_vector(tmp_path, capsys):
     # the float length of AB squares to 0, but its axial internal force
     # points along the exact vector, (1, 0), so unit loads balance it

@@ -8,7 +8,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as hst
 
@@ -58,13 +57,6 @@ def test_float_value_is_zero_within_the_tolerance():
     assert not coeffs.REAL64.is_zero(1e-10, 0)
     assert coeffs.vector(2).is_zero((1e-10, 0), 1e-9)
     assert not coeffs.vector(2).is_zero((1e-10, Fraction(0)), 0)
-
-
-def test_time_series_is_never_exact():
-    mod = coeffs.time_series(0.1, 3)
-    assert not mod.holds_exact(np.zeros(3))
-    assert mod.is_zero(np.array([0.0, 1e-10, 0.0]), 1e-9)
-    assert not mod.is_zero(np.array([0.0, 1e-10, 0.0]), 0)
 
 
 def test_equality_compares_values_not_stored_entries(circle):
