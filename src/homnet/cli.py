@@ -215,9 +215,7 @@ def _run_kvl(doc, options):
         return AnalysisReport(command="kvl", verdict="pass")
     state = _circuit(doc, {}, voltages=voltages)
     dv = electrical.voltage_drop(state)
-    # kvl checks a sampled circuit on the drops it holds
-    sampled = isinstance(state, electrical.SampledCircuit)
-    rep = electrical.kvl_check(state if sampled else dv, **_tol(options))
+    rep = electrical.kvl_check(dv, complex=doc.complex, **_tol(options))
     drops = _residual_map(dv, doc.complex.branch_labels, _print_floor(options))
     report = AnalysisReport(
         command="kvl",

@@ -32,6 +32,9 @@ DEFAULT_TOL = 1e-9
 # Component types of an exact value.
 _EXACT_TYPES = frozenset((int, Fraction))
 
+# The smallest positive normal float: a sum of squares below it has lost bits.
+_MIN_NORMAL = sys.float_info.min
+
 
 # ---------------------------------------------------------------------------
 # vector helpers (components are plain Python numbers, so exactness of
@@ -71,14 +74,14 @@ def vnorm(x):
     the components scaled by the power of two that brings the largest near
     1, so a tiny vector's norm is as accurate as any other's."""
     try:
-        floats = [float(a) for a in x]
+        squares = sum(float(a) * float(a) for a in x)
     except OverflowError:  # an exact component past the float range
         return math.inf
-    squares = sum(a * a for a in floats)
-    if squares < sys.float_info.min and any(floats):
+    if squares < _MIN_NORMAL and any(x):
+        floats = [float(a) for a in x]
         _, e = math.frexp(max(map(abs, floats)))
         squares = sum(math.ldexp(a, -e) ** 2 for a in floats)
-        return math.ldexp(float(squares) ** 0.5, e)
+        return math.ldexp(squares ** 0.5, e)
     return float(squares) ** 0.5
 
 

@@ -196,12 +196,12 @@ class KvlReport:
     cycle_sum: object = None
 
 
-def kvl_check(drops, tol=DEFAULT_TOL):
+def kvl_check(drops, tol=DEFAULT_TOL, complex=None):
     """A drop distribution is consistent iff it is a coboundary; on failure
     the report carries a cycle with a nonzero drop sum around it.  DROPS is
-    a drop cochain, or a ``SampledCircuit``, whose ``drop`` is checked."""
-    if isinstance(drops, SampledCircuit):
-        return _sampled_kvl(drops, tol)
+    a drop cochain, or (samples, branches) drops on COMPLEX."""
+    if not isinstance(drops, Cochain):
+        return _sampled_kvl(complex, drops, tol)
     result = is_coboundary(drops, tol)
     if result.is_coboundary:
         return KvlReport(passed=True, potential=result.potential)
@@ -210,14 +210,13 @@ def kvl_check(drops, tol=DEFAULT_TOL):
     )
 
 
-def _sampled_kvl(circuit, tol):
+def _sampled_kvl(cx, drop, tol):
     """``homology.is_coboundary`` on stacked drops, each chord's cycle
     summed in the order ``chains.evaluate`` adds its terms."""
     import numpy as np
 
-    cx, drop = circuit.complex, circuit.drop
     forest = cx.forest
-    potential = np.zeros((circuit.samples, cx.r[0]))
+    potential = np.zeros((len(drop), cx.r[0]))
     for v in forest.order:
         a = forest.branch[v]
         if a is not None:
