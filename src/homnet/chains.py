@@ -16,6 +16,8 @@ on them, and each imports numpy itself, so an exact document never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from . import coeffs
 from .complexes import cone, fresh_label
@@ -279,10 +281,15 @@ def cone_chain(chain, star_values, apex):
     return ext, Chain(ext.complex, 1, values, chain.module)
 
 
-def _sum_terms(x, y):
-    if isinstance(x, tuple):
-        return coeffs.vadd(x, y)
-    return x + y
+def _sum_terms(terms):
+    """The sum of pairing values, whatever their order: floats rounded once
+    (``coeffs.fsum``), exact values added as they are, and tuples component
+    by component."""
+    if isinstance(terms[0], tuple):
+        return tuple(map(_sum_terms, zip(*terms)))
+    if any(isinstance(t, float) for t in terms):
+        return coeffs.fsum(terms)
+    return reduce(add, terms)
 
 
 def evaluate(cochain, chain):
@@ -291,12 +298,12 @@ def evaluate(cochain, chain):
         raise DimensionMismatch("pairing requires equal dimensions")
     if cochain.complex is not chain.complex:
         raise DimensionMismatch("pairing requires a shared complex")
-    total = None
-    for idx in set(cochain.coeffs) & set(chain.coeffs):
-        term = coeffs.pair(cochain.module, cochain[idx], chain.module, chain[idx])
-        total = term if total is None else _sum_terms(total, term)
-    if total is not None:
-        return total
+    terms = [
+        coeffs.pair(cochain.module, cochain[idx], chain.module, chain[idx])
+        for idx in cochain.coeffs.keys() & chain.coeffs.keys()
+    ]
+    if terms:
+        return _sum_terms(terms)
     # the zero of the pairing's result type
     return coeffs.pair(
         cochain.module, cochain.module.zero(), chain.module, chain.module.zero()

@@ -69,6 +69,20 @@ def to_float(x):
         return math.inf if x > 0 else -math.inf
 
 
+def fsum(values):
+    """The sum of floats rounded once, so independent of their order:
+    ``math.fsum``, but inf - inf is NaN as IEEE has it and a sum whose
+    partial sums leave the float range is the exact sum rounded, +-inf
+    past the range, where ``math.fsum`` raises."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        special = [x for x in values if not math.isfinite(x)]
+        if special:
+            return sum(special)
+        return to_float(sum(map(Fraction, values)))
+
+
 def vnorm(x):
     """The Euclidean norm; when the squares sum below the normal range, of
     the components scaled by the power of two that brings the largest near
@@ -80,9 +94,9 @@ def vnorm(x):
     if squares < _MIN_NORMAL and any(x):
         floats = [float(a) for a in x]
         _, e = math.frexp(max(map(abs, floats)))
-        squares = sum(math.ldexp(a, -e) ** 2 for a in floats)
-        return math.ldexp(squares ** 0.5, e)
-    return float(squares) ** 0.5
+        scaled = [math.ldexp(a, -e) for a in floats]
+        return math.ldexp(math.sqrt(sum(a * a for a in scaled)), e)
+    return math.sqrt(squares)
 
 
 @dataclass(frozen=True)

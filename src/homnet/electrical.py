@@ -28,7 +28,7 @@ from functools import cached_property
 from .chains import (
     Chain, Cochain, boundary, coboundary, max_abs, node_sum, stacked, stacked_boundary,
 )
-from .coeffs import DEFAULT_TOL, INTEGER, RATIONAL, REAL64, series_derivative
+from .coeffs import DEFAULT_TOL, INTEGER, RATIONAL, REAL64, fsum, series_derivative
 from .complexes import path_components
 from .errors import KindMismatch
 from .homology import is_coboundary
@@ -212,7 +212,7 @@ def kvl_check(drops, tol=DEFAULT_TOL, complex=None):
 
 def _sampled_kvl(cx, drop, tol):
     """``homology.is_coboundary`` on stacked drops, each chord's cycle
-    summed in the order ``chains.evaluate`` adds its terms."""
+    summed as ``chains.evaluate`` sums it: rounded once per sample."""
     import numpy as np
 
     forest = cx.forest
@@ -222,14 +222,11 @@ def _sampled_kvl(cx, drop, tol):
         if a is not None:
             step = drop[:, a] if forest.sign[v] == 1 else -drop[:, a]
             potential[:, v] = potential[:, forest.parent[v]] + step
-    nonzero = set(np.flatnonzero(drop.any(axis=0)).tolist())
     for a in forest.chords:
         cycle = forest.cycle(a)
-        total = None
-        for b in nonzero & set(cycle):
-            term = drop[:, b] * cycle[b]
-            total = term if total is None else total + term
-        if total is not None and not max_abs(total) <= tol:
+        terms = drop[:, list(cycle)] * list(cycle.values())
+        total = np.array([fsum(row) for row in terms.tolist()])
+        if not max_abs(total) <= tol:
             witness = Chain(cx, 1, cycle, INTEGER)
             return KvlReport(passed=False, witness_cycle=witness, cycle_sum=total)
     for comp in path_components(cx):

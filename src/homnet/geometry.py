@@ -34,17 +34,25 @@ class GeometricComplex:
     positions: list  # one coordinate tuple per node; None marks a point at infinity
 
     @cached_property
-    def scaled_branch_vectors(self):
-        """``(vectors, P)``: P the common denominator of all coordinates and
-        ``vectors[a]`` the plain-int tuple P s(a), exact, as the positions
-        are scaled in one pass before they are subtracted.  A branch to the
-        point at infinity or of zero length raises ``DegenerateBranch``."""
-        positions, n = self.positions, self.n
-        origin = (0,) * n  # holds the place of the point at infinity
+    def scaled_points(self):
+        """``(points, P)``: P the common denominator of all coordinates and
+        ``points[v]`` the plain-int tuple P p(v), the positions scaled in
+        one pass; the point at infinity holds the place of the origin."""
+        n = self.n
+        origin = (0,) * n
         flat, P = exact.scaled_to_integers(
-            [x for p in positions for x in (origin if p is None else p)]
+            [x for p in self.positions for x in (origin if p is None else p)]
         )
-        points = list(zip(*[iter(flat)] * n))  # one scaled n-tuple per node
+        return list(zip(*[iter(flat)] * n)), P
+
+    @cached_property
+    def scaled_branch_vectors(self):
+        """``(vectors, P)``: ``vectors[a]`` the plain-int tuple P s(a), exact,
+        as the positions are scaled (``scaled_points``) before they are
+        subtracted.  A branch to the point at infinity or of zero length
+        raises ``DegenerateBranch``."""
+        positions = self.positions
+        points, P = self.scaled_points
         vectors = []
         for a, (tail, head) in enumerate(self.complex.branches):
             if positions[tail] is None or positions[head] is None:

@@ -14,10 +14,14 @@ force-per-unit-length keeps every quantity rational.
 The solver, axial directions and force chains all read the realization's
 exact branch vectors P s(a), P the coordinates' common denominator.  The
 loads are scaled once by their denominator L, the kernel eliminates the
-integer system (P A) y = -L F_ext, and q = y P / L.  A solution is
-certified in plain integers too, row by row of the equilibrium matrix over
-the same vectors: the loads plus the boundary of the tension chain must
-vanish.
+integer system (P A) y = -L F_ext, and q = y P / L.  The infinitesimal
+rigid motions lie in the left kernel of every equilibrium matrix, so the
+rows at their pivot columns (3 in the plane, 6 in space) are left out of
+the elimination: those rows hold iff the loads' resultant force and
+resultant moment vanish, decided in plain integers.  A solution is
+certified in plain integers too, over every row of the equilibrium matrix
+and the same vectors: the loads plus the boundary of the tension chain
+must vanish.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from . import exact
 from .chains import Chain, Cochain, augmented_boundary, boundary, cone_chain, evaluate
@@ -239,16 +245,47 @@ def equilibrium_matrix(g):
     return rows
 
 
+def rigid_motions(g):
+    """The infinitesimal rigid motions as plain-int rows over the r0 * n
+    equilibrium rows, at the scaled positions X = P p: translation c is 1
+    at each row (v, c), and rotation (c1, c2) is -X_v[c2] at (v, c1) and
+    X_v[c1] at (v, c2).  Each is orthogonal to every column of
+    ``equilibrium_matrix``, which holds -P s at its tail's rows and P s at
+    its head's, as s wedge s = 0.  Paired with the loads, the translations
+    give the resultant and the rotations the resultant moment."""
+    points, _ = g.scaled_points
+    n, size = g.n, len(points) * g.n
+    motions = []
+    for c in range(n):
+        u = [0] * size
+        u[c::n] = [1] * len(points)
+        motions.append(u)
+    for c1, c2 in combinations(range(n), 2):
+        u = [0] * size
+        u[c1::n] = [-x[c2] for x in points]
+        u[c2::n] = [x[c1] for x in points]
+        motions.append(u)
+    return motions
+
+
 def solve_statics(g, f_ext):
     """Solve F_ext = -boundary(F_int) for axial internal forces.
 
     Feasibility and the self-stress space are decided exactly over the
     rationals, in one integer system: with P the coordinates' and L the
     loads' common denominator, the kernel eliminates P A y = -L F_ext, and
-    the tensions are q = y P / L.  The self-stress basis vectors are
-    primitive integer axial chains whose vector-valued chains have exactly
-    zero boundary.  The matrix, the lengths and the solution's certificate
-    (``reconstruction_exact``) read the realization's branch vectors.
+    the tensions are q = y P / L.  The rigid motions U (``rigid_motions``)
+    have U A = 0, so U_D A_D = -U_R A_R at their pivot columns D, where
+    U_D has full column rank: the rows at D are combinations of the
+    others.  Those rows (3 in the plane, 6 in space, fewer for degenerate
+    positions) are left out of the elimination, which
+    keeps the rank, the nullspace and the solution with the free variables
+    zero, and they hold iff every motion annihilates the loads: the loads'
+    resultant force and moment vanish, checked in plain ints.  The
+    self-stress basis vectors are primitive integer axial chains whose
+    vector-valued chains have exactly zero boundary.  The matrix, the
+    lengths and the solution's certificate (``reconstruction_exact``, over
+    every row) read the realization's branch vectors.
     """
     cx, n = g.complex, g.n
     P = g.scaled_branch_vectors[1]
@@ -257,7 +294,14 @@ def solve_statics(g, f_ext):
         for c, x in enumerate(v):
             rhs[i * n + c] = -x
     rhs, L = exact.scaled_to_integers(rhs)
-    solution, null_vecs = exact.solve(equilibrium_matrix(g), rhs)
+    matrix = equilibrium_matrix(g)
+    motions = rigid_motions(g)
+    kept = list(rhs)
+    for i in reversed(exact.pivot_columns(motions)):
+        del matrix[i], kept[i]
+    solution, null_vecs = exact.solve(matrix, kept)
+    if solution is not None and any(sum(map(mul, u, rhs)) for u in motions):
+        solution = None
     forces = None
     if solution is not None:
         if P != L:

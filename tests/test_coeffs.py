@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from homnet import coeffs
 from homnet.errors import (
@@ -122,9 +122,18 @@ _component = st.one_of(
 
 
 @given(st.lists(_component, min_size=1, max_size=4).filter(any), st.integers(0, 300))
+@example(v=[5.7268548328062675e+17, 8.439868945906116e+17], extra=0)
+@example(
+    v=[-4.0635635877974664e-16, 2.654626506382031e-12, 14.874691875184428,
+       0.001169027468211366],
+    extra=169,
+)
 def test_vnorm_scales_subnormal_squares_by_a_power_of_two(v, extra):
     # 2**-k v has squares that sum below the normal range, while each of
-    # its components is exact: its norm is 2**-k times the norm of v
+    # its components is exact: its norm is 2**-k times the norm of v.  Both
+    # paths square by one product and take one correctly rounded root, so
+    # the scaling by a power of two is exact; a pow root is not correctly
+    # rounded and missed it on the two examples
     k = math.frexp(max(map(abs, v)))[1] + 513 + extra
     w = [2**-k * a for a in v]
     assert all(math.ldexp(b, k) == a for a, b in zip(v, w))
@@ -137,3 +146,16 @@ def test_vnorm_keeps_the_bits_of_normal_squares():
         assert coeffs.vnorm(v) == math.sqrt(sum(a * a for a in v))
     assert coeffs.vnorm([0.0, -0.0]) == 0.0
     assert coeffs.vnorm([1e-170, 0.0]) == 1e-170
+
+
+def test_fsum_rounds_once_where_math_fsum_raises():
+    # one rounding of the exact sum, whatever the order of the terms
+    for terms in ([-1e17, 1e17, -3.0], [-1e17, -3.0, 1e17], [-3.0, 1e17, -1e17]):
+        assert coeffs.fsum(terms) == -3.0
+    # partial sums past the float range: the exact sum, rounded
+    assert coeffs.fsum([1e308, 1e308, -1e308]) == 1e308
+    assert coeffs.fsum([1.7e308, 1.7e308]) == math.inf
+    assert coeffs.fsum([-1.7e308, -1.7e308, 1.0]) == -math.inf
+    # terms that are not finite add as IEEE adds them
+    assert math.isnan(coeffs.fsum([math.inf, 1.0, -math.inf]))
+    assert coeffs.fsum([math.inf, 1e308, 1e308]) == math.inf

@@ -381,9 +381,10 @@ def test_float_residual_is_judged_at_the_tolerance_asked():
 
 # -- sampled circuits ----------------------------------------------------------
 
-# A three-node loop: A's voltage is near 1e17, so the drops round and its
-# potential reads B as 0, not 3; the current on CA rises on the last
-# sample, which unbalances A and C by 0.5 there
+# A three-node loop: A's voltage is near 1e17, so the drops round (3 - 1e17
+# to -1e17) and sum to -3 around the loop on the first two samples, which
+# fails kvl there; the current on CA rises on the last sample, which
+# unbalances A and C by 0.5 there
 SAMPLED_LOOP = json.dumps({
     "dimension": 1,
     "signal": {"dt": 0.5, "samples": 4},
@@ -410,11 +411,13 @@ SAMPLED_LOOP_TEXT = f"""\
     nodes = {{A: [0, 0, 0, 0.5], C: [0, 0, 0, -0.5]}}
   provenance: engine=homnet 0.1.0, input_sha256={SAMPLED_LOOP_SHA}
 
-== kvl: PASS ==
+== kvl: FAIL ==
+  numbers:
+    cycle_sum = [-3, -3, 0, 0]
   residuals:
     drops = {{AB: [-1e+17, -1e+17, -1, 0.5], BC: [-3, -3, -1, -0.5], CA: [1e+17, 1e+17, 2, 0]}}
   details:
-    potential = {{A: [1e+17, 1e+17, 2, 0], B: [0, 0, 1, 0.5], C: [0, 0, 0, 0]}}
+    witness_cycle = {{AB: 1, BC: 1, CA: 1}}
   provenance: engine=homnet 0.1.0, input_sha256={SAMPLED_LOOP_SHA}
 """
 SAMPLED_LOOP_JSON = (
@@ -422,11 +425,11 @@ SAMPLED_LOOP_JSON = (
     '"extended_cycle":false,"max_residual":0.5},"provenance":{"engine":'
     f'"homnet 0.1.0","input_sha256":"{SAMPLED_LOOP_SHA}"}},"residuals":'
     '{"nodes":{"A":[0,0,0,0.5],"C":[0,0,0,-0.5]}},"verdict":"fail"},'
-    '{"command":"kvl","details":{"potential":{"A":[1e+17,1e+17,2,0],'
-    '"B":[0,0,1,0.5],"C":[0,0,0,0]}},"numbers":{},"provenance":{"engine":'
+    '{"command":"kvl","details":{"witness_cycle":{"AB":1,"BC":1,"CA":1}},'
+    '"numbers":{"cycle_sum":[-3,-3,0,0]},"provenance":{"engine":'
     f'"homnet 0.1.0","input_sha256":"{SAMPLED_LOOP_SHA}"}},"residuals":'
     '{"drops":{"AB":[-1e+17,-1e+17,-1,0.5],"BC":[-3,-3,-1,-0.5],'
-    '"CA":[1e+17,1e+17,2,0]}},"verdict":"pass"}]\n'
+    '"CA":[1e+17,1e+17,2,0]}},"verdict":"fail"}]\n'
 )
 
 
@@ -506,10 +509,23 @@ def reference_kcl(cx, dt, samples, currents, charges, tol):
     }
 
 
+def rounded_sum(terms):
+    """The exact sum of float terms rounded once, +-inf past the float
+    range; IEEE's sum where a term is not finite."""
+    special = [x for x in terms if not math.isfinite(x)]
+    if special:
+        return sum(special)
+    total = sum(map(Fraction, terms))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def reference_kvl(cx, samples, voltages, tol):
     """Kirchhoff's tree-and-chords test as drop cochains of series ran it:
     the drops, the verdict, and the shifted potential or the witness cycle
-    and its sum, each chord's terms added in ``set`` intersection order."""
+    and its sum, each chord's terms summed exactly and rounded once."""
     zero = np.zeros(samples)
     drops = {}
     for a, (tail, head) in enumerate(cx.branches):
@@ -529,12 +545,11 @@ def reference_kvl(cx, samples, voltages, tol):
             )
     for a in forest.chords:
         cycle = forest.cycle(a)
-        total = None
-        for b in set(drops) & set(cycle):
-            term = drops[b] * cycle[b]
-            total = term if total is None else total + term
-        if total is not None and not float(np.max(np.abs(total))) <= tol:
-            return drops, False, (cycle, total)
+        terms = [drops[b] * cycle[b] for b in cycle if b in drops]
+        if terms:
+            total = np.array([rounded_sum(column) for column in zip(*terms)])
+            if not float(np.max(np.abs(total))) <= tol:
+                return drops, False, (cycle, total)
     potential = {}
     for comp in hn.path_components(cx):
         top = -integrated[comp[-1]]
@@ -616,19 +631,28 @@ def test_sampled_checks_match_the_chains_of_series(cx, data):
 
 
 def test_sampled_cycle_sum_adds_in_the_order_of_evaluate():
-    # the chord CA closes A -> B -> C -> A on branches 0, 2 and 8, the
-    # others being pendant; ``chains.evaluate`` adds a cycle's terms in set
-    # order, where 8 comes before 2, so the drops -1e17, 1e17 and -3 sum to
-    # -3; index order would round -1e17 - 3 to -1e17 and sum to 0
+    # the loop A -> B -> C -> A has drops -1e17, -3 and 1e17 (3 - 1e17
+    # rounds to -1e17), whose exact sum is -3; the chord CA closes it on
+    # branches 0, 2 and 8, six pendant branches between, or on 0, 1 and 2.
+    # A sum in set order gave -3 on the first numbering and 0 on the
+    # second; rounded once, DC and sampled alike, both fail with -3
     pendant = [("A", f"D{k}") for k in range(6)]
-    cx = hn.build_complex(
-        ["A", "B", "C"] + [f"D{k}" for k in range(6)],
-        [("A", "B"), pendant[0], ("B", "C"), *pendant[1:], ("C", "A")],
-    )
-    circuit = el.sampled_circuit(
-        cx, 0.5, 3, voltages={"A": [1e17] * 3, "B": [3.0] * 3, "C": 0.0}
-    )
-    report = el.kvl_check(circuit.drop, complex=cx)
-    assert not report.passed
-    assert report.witness_cycle.coeffs == {0: 1, 2: 1, 8: 1}
-    assert report.cycle_sum.tolist() == [-3.0] * 3
+    nodes = ["A", "B", "C"] + [f"D{k}" for k in range(6)]
+    loop = [("A", "B"), ("B", "C"), ("C", "A")]
+    for branches, cycle in (
+        ([loop[0], pendant[0], loop[1], *pendant[1:], loop[2]], {0: 1, 2: 1, 8: 1}),
+        ([*loop, *pendant], {0: 1, 1: 1, 2: 1}),
+    ):
+        cx = hn.build_complex(nodes, branches)
+        state = el.circuit_state(cx, {}, voltages={"A": 1e17, "B": 3.0, "C": 0.0})
+        report = el.kvl_check(el.voltage_drop(state))
+        assert not report.passed
+        assert report.witness_cycle.coeffs == cycle
+        assert report.cycle_sum == -3.0
+        circuit = el.sampled_circuit(
+            cx, 0.5, 3, voltages={"A": [1e17] * 3, "B": [3.0] * 3, "C": 0.0}
+        )
+        report = el.kvl_check(circuit.drop, complex=cx)
+        assert not report.passed
+        assert report.witness_cycle.coeffs == cycle
+        assert report.cycle_sum.tolist() == [-3.0] * 3

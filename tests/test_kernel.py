@@ -355,12 +355,13 @@ def test_traced_benchmark_replays_the_kernel_inputs():
 def test_statics_eliminates_one_plain_int_system(truss, monkeypatch):
     """The traced benchmark times statics by the names equilibrium_matrix,
     exact.solve and _kernel.echelon: on a k = 5 grid truss, at integer or
-    float positions, solve_statics assembles once and makes one kernel
-    call, inside exact.solve, on r0 * n dense list rows of plain ints of
-    width r1 + 1."""
+    float positions, solve_statics assembles once and takes the rigid
+    motions once, finds their pivot columns in one kernel call, and makes
+    one more, inside exact.solve, on the r0 * n - 3 dense list rows of
+    plain ints of width r1 + 1 that the motions leave free."""
     g = truss(5)
     r0, r1, _ = g.complex.r
-    entered, assembled, kernel_inputs = [], [], []
+    entered, assembled, motions, kernel_inputs = [], [], [], []
 
     def wrap(module, name, record):
         fn = getattr(module, name)
@@ -378,15 +379,19 @@ def test_statics_eliminates_one_plain_int_system(truss, monkeypatch):
     q = {a: a % 7 - 3 for a in range(r1)}
     f_ext = -hn.boundary(statics.tension_force_chain(g, q))
     wrap(statics, "equilibrium_matrix", assembled.append)
+    expected = statics.rigid_motions(g)
+    wrap(statics, "rigid_motions", motions.append)
     wrap(exact, "solve", lambda args: None)
     wrap(_kernel, "echelon", lambda args: kernel_inputs.append(
         (list(entered), [list(row) for row in args[0]], args[1])
     ))
     sol = statics.solve_statics(g, f_ext)
     assert sol.self_stress_dim == 9
-    assert len(assembled) == 1
-    [(callers, rows, ncols)] = kernel_inputs
-    assert callers == ["solve"]
-    assert ncols == r1 + 1 and len(rows) == r0 * g.n
+    assert len(assembled) == len(motions) == 1
+    [(first, motion_rows, width), (callers, rows, ncols)] = kernel_inputs
+    assert first == [] and callers == ["solve"]
+    assert motion_rows == expected and width == r0 * g.n
+    assert exact.rank(motion_rows) == 3
+    assert ncols == r1 + 1 and len(rows) == r0 * g.n - 3
     assert all(type(row) is list and len(row) == ncols for row in rows)
     assert all(type(x) is int for row in rows for x in row)

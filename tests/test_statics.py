@@ -192,6 +192,14 @@ def coordinate_denominator(g):
     return math.lcm(*(Fraction(x).denominator for p in g.positions for x in p))
 
 
+# int, rational and float coordinates
+any_coordinates = hst.one_of(
+    hst.integers(-6, 6),
+    hst.fractions(-6, 6, max_denominator=5),
+    hst.floats(-6, 6, allow_nan=False),
+)
+
+
 def dense_equilibrium_matrix(g):
     """Row (i, c), column a: incidence of node i on branch a times the exact
     branch vector's component c, every one of the r0 * n * r1 cells."""
@@ -209,11 +217,7 @@ def dense_equilibrium_matrix(g):
 
 
 @settings(deadline=None)
-@given(frameworks(hst.one_of(
-    hst.integers(-6, 6),
-    hst.fractions(-6, 6, max_denominator=5),
-    hst.floats(-6, 6, allow_nan=False),
-)))
+@given(frameworks(any_coordinates))
 def test_equilibrium_matrix_matches_dense_definition(g):
     # the matrix is P times the exact one, every entry a plain int: the
     # positions are scaled before they are subtracted, so float positions
@@ -270,11 +274,7 @@ def assert_plain_int_self_stresses(g):
 
 
 @settings(deadline=None)
-@given(frameworks(hst.one_of(
-    hst.integers(-6, 6),
-    hst.fractions(-6, 6, max_denominator=5),
-    hst.floats(-6, 6, allow_nan=False),
-)))
+@given(frameworks(any_coordinates))
 def test_self_stress_basis_is_a_plain_int_certificate(g):
     assert_plain_int_self_stresses(g)
 
@@ -398,6 +398,47 @@ def test_certificate_reads_floats_as_the_dyadic_system_solved():
     assert Fraction(y) + q * Fraction(0.22) == 0
     assert sol.reconstruction_exact(f_ext) is True
     assert chain_reconstruction(sol, f_ext) is True
+
+
+@settings(deadline=None)
+@given(frameworks(any_coordinates))
+def test_rigid_motions_are_orthogonal_to_every_column(g):
+    # a column holds -P s and P s at its tail's and head's rows, and a
+    # motion pairs them to the same translation or rotation rate
+    matrix = st.equilibrium_matrix(g)
+    motions = st.rigid_motions(g)
+    assert len(motions) == g.n * (g.n + 1) // 2
+    assert all(len(u) == len(matrix) for u in motions)
+    for u in motions:
+        assert all(type(x) is int for x in u)
+        for a in range(g.complex.r[1]):
+            assert sum(x * row[a] for x, row in zip(u, matrix)) == 0
+
+
+@settings(deadline=None)
+@given(frameworks(any_coordinates), hst.data())
+def test_solve_statics_matches_the_full_system(g, data):
+    # the rows left out for the rigid motions change no answer of the full
+    # system: loads of -boundary(tensions), or drawn anyhow (often
+    # infeasible, and then only the resultant or the moment may say so)
+    cx = g.complex
+    if data.draw(hst.booleans()):
+        q = data.draw(hst.lists(exact_values, min_size=cx.r[1], max_size=cx.r[1]))
+        f_ext = -hn.boundary(st.tension_force_chain(g, dict(enumerate(q))))
+    else:
+        loads = hst.lists(
+            hst.tuples(*[exact_values] * g.n), min_size=cx.r[0], max_size=cx.r[0]
+        )
+        f_ext = hn.Chain(cx, 0, dict(enumerate(data.draw(loads))), hn.covector(g.n))
+    rhs = [-x for i in range(cx.r[0]) for x in f_ext[i]]
+    P = coordinate_denominator(g)
+    y, basis = exact.solve(st.equilibrium_matrix(g), rhs)
+    sol = st.solve_statics(g, f_ext)
+    assert [chain.coeffs for chain in sol.self_stress_basis] == basis
+    assert sol.tension_coefficients == (None if y is None else [x * P for x in y])
+    assert sol.classification == (
+        "infeasible" if y is None else "indeterminate" if basis else "determinate"
+    )
 
 
 def test_each_branch_vector_is_computed_once(tetra_geo, monkeypatch):
