@@ -12,7 +12,9 @@ arrays stacked over the simplexes (``chains.stacked``), and
 components are all ints or Fractions is exact and is zero only when it
 equals zero, whatever the tolerance; exact data is compared exactly by every
 analysis.  Any other value is zero when its norm is within the tolerance,
-so the tolerance applies only to float data.  The default tolerance is 0,
+so the tolerance applies only to float data.  The scalar modules apply the
+rule directly: an int or a Fraction is zero iff it is 0, and any other
+scalar iff ``abs(float(x)) <= tol``.  The default tolerance is 0,
 the rule by which chains drop entries when they are built: no nonzero float
 value is treated as zero unless a check asks for a tolerance.
 """
@@ -178,7 +180,8 @@ class Module:
         raise NotImplementedError
 
     def is_zero(self, x, tol=0):
-        """An exact value equals zero; any other is within tol of zero."""
+        """An exact value equals zero; any other is within tol of zero.
+        The scalar modules apply this rule directly, without flattening."""
         if self.holds_exact(x):
             return not any(self.to_components(x))
         return self.norm(x) <= tol
@@ -217,6 +220,11 @@ class Module:
 class _ScalarModule(Module):
     def zero(self):
         return 0
+
+    def is_zero(self, x, tol=0):
+        if type(x) in _EXACT_TYPES:
+            return not x
+        return abs(float(x)) <= tol
 
     def add(self, x, y):
         return x + y

@@ -76,26 +76,27 @@ def spanning_chords(node_count, branches):
     """The chords of the spanning forest that keeps each branch joining two
     components, scanned in the order given: ``branches`` yields
     ``(index, (tail, head))``, and the indices left out are returned."""
-    rep = list(range(node_count))  # union-find; each set is named by its lowest node
-
-    def find(i):
-        while rep[i] != i:
-            rep[i] = rep[rep[i]]
-            i = rep[i]
-        return i
-
+    # union-find with path halving; each set is named by its lowest node
+    rep = list(range(node_count))
     chords = []
-    for a, (tail, head) in branches:
-        rt, rh = find(tail), find(head)
-        if rt == rh:
+    for a, (t, h) in branches:
+        while rep[t] != t:
+            rep[t] = t = rep[rep[t]]
+        while rep[h] != h:
+            rep[h] = h = rep[rep[h]]
+        if t == h:
             chords.append(a)
+        elif t < h:
+            rep[h] = t
         else:
-            rep[max(rt, rh)] = min(rt, rh)
+            rep[t] = h
     return chords
 
 
 class Complex:
-    """Inventory of nodes, branches and faces plus the boundary operator."""
+    """Inventory of nodes, branches and faces plus the boundary operator.
+    A complex is fixed at construction, so its sizes ``r`` = (r0, r1, r2)
+    and its dimension ``dim`` are plain attributes, set once."""
 
     def __init__(self, node_labels, branch_endpoints, face_edges=(),
                  branch_labels=None, face_labels=None):
@@ -154,17 +155,10 @@ class Complex:
             raise DuplicateLabel("one label per face required")
         if len(set(self.face_labels)) != len(self.face_labels):
             raise DuplicateLabel("face labels are not unique")
+        self.r = (r0, r1, len(self.faces))
+        self.dim = 2 if self.faces else (1 if r1 else 0)
 
     # -- inventory ---------------------------------------------------------
-
-    @property
-    def r(self):
-        return (len(self.node_labels), len(self.branches), len(self.faces))
-
-    @property
-    def dim(self):
-        r0, r1, r2 = self.r
-        return 2 if r2 else (1 if r1 else 0)
 
     def node_index(self, label):
         try:

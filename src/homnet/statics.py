@@ -353,6 +353,10 @@ class MomentReport:
     origin: tuple
 
 
+def _exact_point(p):
+    return tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in p)
+
+
 def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
     """Balance of force moments about a common reference point.
 
@@ -360,18 +364,26 @@ def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
     which are reference-independent) are added to the moments of the
     external forces about the origin.  All moments share the one origin;
     mixing reference points is not supported.
+
+    An exact load's arm is the exact difference of the positions, each
+    float read as the dyadic rational it is, so exact loads get an exact
+    verdict.  A float load's arm is the float difference.
     """
     cx = fc.g.complex
     if isinstance(origin, (tuple, list)):
         x0 = tuple(origin)
     else:
         x0 = fc.g.positions[cx.node_index(origin)]
+    exact_x0 = _exact_point(x0)
     total = Bivector.zero(fc.n)
     for i, f in fc.f_ext.coeffs.items():
         xi = fc.g.positions[i]
         if xi is None:
             continue  # forces absorbed at infinity have no moment arm here
-        r = tuple(p - q for p, q in zip(xi, x0))
+        if fc.f_ext.module.holds_exact(f):
+            r = vsub(_exact_point(xi), exact_x0)
+        else:
+            r = vsub(xi, x0)
         total = total + wedge(r, f)
     for m in (applied_moments or {}).values():
         total = total + m

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 import homnet as hn
 from homnet import errors
 from homnet.chains import cone_chain
+from homnet.complexes import spanning_chords
 from conftest import complexes, random_chain, random_complex
 
 
@@ -259,6 +260,38 @@ def test_component_count_matches_rank_identity(cx):
     assert all(where[tail] == where[head] for tail, head in cx.branches)
     b0 = len(comps)
     assert b0 == cx.r[0] - exact.rank(cx.incidence_1) == hn.betti_numbers(cx)[0]
+
+
+def relabelling_chords(node_count, branches):
+    """The reference for ``spanning_chords``: each node carries the label of
+    its component, and a branch joining two labels relabels the first
+    component with the second; a branch whose ends already share a label
+    is a chord."""
+    label = list(range(node_count))
+    chords = []
+    for a, (tail, head) in branches:
+        if label[tail] == label[head]:
+            chords.append(a)
+        else:
+            old, new = label[tail], label[head]
+            label = [new if x == old else x for x in label]
+    return chords
+
+
+@given(st.data())
+def test_spanning_chords_match_a_component_relabelling(data):
+    # a multigraph on few nodes, so parallel and antiparallel branches
+    # recur and some nodes stay isolated; its branches come in a shuffled
+    # index order with gaps, as the collapse's unmatched branches do
+    r0 = data.draw(st.integers(1, 8))
+    ends = st.tuples(st.integers(0, r0 - 1), st.integers(0, r0 - 1))
+    pairs = data.draw(st.lists(ends.filter(lambda p: p[0] != p[1]), max_size=3 * r0))
+    indices = data.draw(st.lists(
+        st.integers(0, 4 * len(pairs)), min_size=len(pairs), max_size=len(pairs),
+        unique=True,
+    ))
+    branches = list(zip(indices, pairs))
+    assert spanning_chords(r0, iter(branches)) == relabelling_chords(r0, branches)
 
 
 @settings(deadline=None)

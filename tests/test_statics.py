@@ -725,6 +725,73 @@ def test_moment_balance_shift_identity(triangle_geo, rng):
     assert verdicts == {True}
 
 
+def test_exactly_balanced_float_triangle_passes_moments_at_tolerance_zero(tmp_path, capsys):
+    # loads -A q for q = (1, 2, -1), written as "p/q": statics finds them
+    # exactly balanced, and the moments of exact loads take exact arms, so
+    # the float positions leave no residual of about 4.4e-16
+    positions = [(0.1, 0.2), (1.3, 0.7), (0.4, 1.9)]
+    cx = hn.build_complex(["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")])
+    g = geo.realize(cx, 2, positions)
+    f_ext = -hn.boundary(st.tension_force_chain(g, {0: 1, 1: 2, 2: -1}))
+    text = overflow_triangle(positions, [tuple(map(str, f_ext[i])) for i in range(3)])
+    code, out = run_main(tmp_path, capsys, text, "statics")
+    assert code == 0 and "reconstruction_exact = true\n" in out
+    code, out = run_main(tmp_path, capsys, text, "moments", "--origin", "A",
+                         "--tolerance", "0")
+    assert code == 0
+    assert "== moments: PASS ==\n" in out and "    moment = [0]\n" in out
+
+
+def float_moment_reference(fc, x0):
+    """The moment of every load about x0 with float arms p - x0, summed in
+    the order of the loads, one wedge component after another."""
+    n = fc.n
+    total = [0] * (n * (n - 1) // 2)
+    for i, f in fc.f_ext.coeffs.items():
+        r = [p - q for p, q in zip(fc.g.positions[i], x0)]
+        wedge = [r[j] * f[k] - r[k] * f[j] for j in range(n) for k in range(j + 1, n)]
+        total = [t + w for t, w in zip(total, wedge)]
+    return total
+
+
+@settings(deadline=None)
+@given(frameworks(hst.floats(-1e308, 1e308, allow_nan=False), dims=(2, 3)), hst.data())
+def test_moments_take_exact_arms_for_exact_loads_and_float_arms_for_float_loads(g, data):
+    cx = g.complex
+    origins = cx.node_labels
+    if data.draw(hst.booleans()):
+        # exact loads -d(tensions): the bar forces q s have no net moment
+        # about any point, which exact arms show at tolerance 0
+        q = data.draw(hst.lists(hst.integers(-3, 3), min_size=cx.r[1], max_size=cx.r[1]))
+        fc = equilibrated_complex(g, dict(enumerate(q)))
+        for label in origins:
+            report = st.moment_equilibrium_check(fc, label, tol=0)
+            assert report.passed and not any(report.residual.comps)
+    else:
+        loads = data.draw(hst.lists(
+            hst.tuples(*[hst.floats(-1e6, 1e6, allow_nan=False)] * g.n),
+            min_size=cx.r[0], max_size=cx.r[0],
+        ))
+        fc = st.ForceComplex(
+            g=g, f_ext=hn.Chain(cx, 0, dict(enumerate(loads)), hn.covector(g.n)),
+            f_int=st.tension_force_chain(g, {}),
+        )
+        for label in origins:
+            report = st.moment_equilibrium_check(fc, label, tol=0)
+            expected = float_moment_reference(fc, g.positions[cx.node_index(label)])
+            assert list(map(repr, report.residual.comps)) == list(map(repr, expected))
+
+
+def test_a_float_load_keeps_its_float_arm_past_the_float_range():
+    # the arm 1e308 - (-1e308) overflows to inf as a float; an exact arm
+    # times the float load would raise OverflowError instead
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, 2, {"A": (-1e308, 0.0), "B": (1e308, 0.0)})
+    fc = st.force_complex(g, external={"B": (0.0, 1.0)})
+    report = st.moment_equilibrium_check(fc, "A", tol=0)
+    assert not report.passed and report.residual.comps == (math.inf,)
+
+
 # -- virtual work ----------------------------------------------------------------------
 
 def virtual_work(fc, delta_x):

@@ -5,9 +5,11 @@ tolerance."""
 
 import inspect
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as hst
 
@@ -40,6 +42,38 @@ def test_exact_value_is_zero_only_when_it_equals_zero(module, tiny):
     for tol in (0, 1e-9, 1e-3, 1.0):
         assert not module.is_zero(tiny, tol)
         assert module.is_zero(module.zero(), tol)
+
+
+def documented_zero_rule(x, tol):
+    """An int or a Fraction is zero iff it equals 0; any other scalar, a
+    bool or a numpy number included, iff abs(float(x)) <= tol."""
+    if type(x) in (int, Fraction):
+        return x == 0
+    return abs(float(x)) <= tol
+
+
+scalars = hst.one_of(
+    hst.integers(),
+    hst.integers(2**1023, 2**1100).flatmap(lambda n: hst.sampled_from((n, -n))),
+    hst.fractions(),
+    hst.integers(2**1023, 2**1100).map(lambda n: Fraction(n, 3)),
+    hst.floats(),  # NaN, +-inf and subnormals among them
+    hst.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-300, math.inf, -math.inf,
+                      math.nan, 1e-15, -1e-3)),
+    hst.booleans(),
+    hst.floats().map(np.float64),
+    hst.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+
+
+@given(scalars, hst.sampled_from((0, 1e-15, 1e-3)))
+def test_scalar_modules_apply_the_documented_zero_rule(x, tol):
+    # the scalar modules test the rule directly; the generic path flattens
+    # the value to its components first, and both must agree with the rule
+    expected = documented_zero_rule(x, tol)
+    for module in (coeffs.INTEGER, coeffs.RATIONAL, coeffs.REAL64):
+        assert module.is_zero(x, tol) is expected
+        assert coeffs.Module.is_zero(module, x, tol) is expected
 
 
 @pytest.mark.parametrize("check", [hn.is_cycle, hn.is_boundary, hn.is_coboundary])
