@@ -71,7 +71,7 @@ class _Valued:
         return cls(complex, dim, {}, module)
 
     def __getitem__(self, idx):
-        return self.coeffs[idx] if idx in self.coeffs else self.module.zero()
+        return self.coeffs.get(idx, self.module.zero())
 
     def __iter__(self):
         return iter(sorted(self.coeffs))

@@ -180,8 +180,7 @@ def _circuit(doc, currents, charges=None, voltages=None):
     """The circuit of the given values: sampled when any of them is a sample
     list, DC otherwise."""
     values = [*currents.values(), *(charges or {}).values(), *(voltages or {}).values()]
-    np = sys.modules.get("numpy")  # until something imports it, no value is an array
-    if np is not None and any(isinstance(v, np.ndarray) for v in values):
+    if any(map(documents.is_array, values)):
         return electrical.sampled_circuit(
             doc.complex, doc.dt, doc.samples, currents, charges, voltages
         )

@@ -12,11 +12,10 @@ arrays stacked over the simplexes (``chains.stacked``), and
 components are all ints or Fractions is exact and is zero only when it
 equals zero, whatever the tolerance; exact data is compared exactly by every
 analysis.  Any other value is zero when its norm is within the tolerance,
-so the tolerance applies only to float data.  The scalar modules apply the
-rule directly: an int or a Fraction is zero iff it is 0, and any other
-scalar iff ``abs(float(x)) <= tol``.  The default tolerance is 0,
-the rule by which chains drop entries when they are built: no nonzero float
-value is treated as zero unless a check asks for a tolerance.
+so the tolerance applies only to float data: a scalar that is not an int
+or a Fraction is zero iff ``abs(float(x)) <= tol``.  The default tolerance
+is 0, the rule by which chains drop entries when they are built: no nonzero
+float value is treated as zero unless a check asks for a tolerance.
 """
 
 from __future__ import annotations
@@ -61,6 +60,12 @@ def vscale(k, x):
 
 def vdot(x, y):
     return sum(a * b for a, b in zip(x, y))
+
+
+def rationals(values):
+    """The values as ints and Fractions: an int or a Fraction as it is, a
+    float as the exact dyadic rational it is."""
+    return [x if type(x) in _EXACT_TYPES else Fraction(x) for x in values]
 
 
 def to_float(x):
@@ -180,8 +185,7 @@ class Module:
         raise NotImplementedError
 
     def is_zero(self, x, tol=0):
-        """An exact value equals zero; any other is within tol of zero.
-        The scalar modules apply this rule directly, without flattening."""
+        """An exact value equals zero; any other is within tol of zero."""
         if self.holds_exact(x):
             return not any(self.to_components(x))
         return self.norm(x) <= tol
@@ -220,11 +224,6 @@ class Module:
 class _ScalarModule(Module):
     def zero(self):
         return 0
-
-    def is_zero(self, x, tol=0):
-        if type(x) in _EXACT_TYPES:
-            return not x
-        return abs(float(x)) <= tol
 
     def add(self, x, y):
         return x + y

@@ -53,6 +53,7 @@ from fractions import Fraction
 from itertools import compress
 
 from . import _kernel
+from .coeffs import rationals
 
 _INT = frozenset({int})  # the type set of a row of plain ints
 
@@ -63,7 +64,7 @@ def scaled_to_integers(row):
     is.  A row of plain ints is returned as it is, over 1."""
     if _INT.issuperset(map(type, row)):
         return row, 1
-    row = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
+    row = rationals(row)
     m = math.lcm(*[x.denominator for x in row])
     return [x.numerator * (m // x.denominator) for x in row], m
 

@@ -191,7 +191,7 @@ def _fmt_scalar(v):
     if t is Fraction:
         return _fraction_text(v)
     if t is float:
-        return format(v, ".17g") if v else "0"  # as format_number
+        return format_number(v)
     if isinstance(v, dict):
         keys = sorted(v, key=str)
         texts = _texts([v[k] for k in keys], _fmt_scalar, _EXACT)

@@ -35,8 +35,8 @@ from operator import mul
 from . import exact
 from .chains import Chain, Cochain, augmented_boundary, boundary, cone_chain, evaluate
 from .coeffs import (
-    DEFAULT_TOL, REAL64, Bivector, bivector, covector, to_float, vector,
-    vnorm, vscale, vsub,
+    DEFAULT_TOL, REAL64, Bivector, bivector, covector, rationals, to_float,
+    vector, vnorm, vscale, vsub,
 )
 from .complexes import Complex
 from .errors import DimensionMismatch, InvalidPartition
@@ -353,10 +353,6 @@ class MomentReport:
     origin: tuple
 
 
-def _exact_point(p):
-    return tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in p)
-
-
 def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
     """Balance of force moments about a common reference point.
 
@@ -367,27 +363,40 @@ def moment_equilibrium_check(fc, origin, applied_moments=None, tol=DEFAULT_TOL):
 
     An exact load's arm is the exact difference of the positions, each
     float read as the dyadic rational it is, so exact loads get an exact
-    verdict.  A float load's arm is the float difference.
+    verdict.  A float load's arm is the float difference.  The exact
+    moments are summed apart from the float ones (float loads and float
+    applied moments); where there are float ones, a nonzero exact sum is
+    rounded once, to +-inf past the float range, and the float moments are
+    added to it in order.
     """
     cx = fc.g.complex
     if isinstance(origin, (tuple, list)):
         x0 = tuple(origin)
     else:
         x0 = fc.g.positions[cx.node_index(origin)]
-    exact_x0 = _exact_point(x0)
-    total = Bivector.zero(fc.n)
+    exact_x0 = rationals(x0)
+    module = bivector(fc.n)
+    total = module.zero()  # the sum of the exact moments
+    floats = []
     for i, f in fc.f_ext.coeffs.items():
         xi = fc.g.positions[i]
         if xi is None:
             continue  # forces absorbed at infinity have no moment arm here
         if fc.f_ext.module.holds_exact(f):
-            r = vsub(_exact_point(xi), exact_x0)
+            total = total + wedge(vsub(rationals(xi), exact_x0), f)
         else:
-            r = vsub(xi, x0)
-        total = total + wedge(r, f)
+            floats.append(wedge(vsub(xi, x0), f))
     for m in (applied_moments or {}).values():
-        total = total + m
-    passed = bivector(fc.n).is_zero(total, tol)
+        if module.holds_exact(m):
+            total = total + m
+        else:
+            floats.append(m)
+    if floats:
+        if any(total.comps):
+            total = Bivector(fc.n, tuple(map(to_float, total.comps)))
+        for m in floats:
+            total = total + m
+    passed = module.is_zero(total, tol)
     return MomentReport(passed=passed, residual=total, origin=x0)
 
 

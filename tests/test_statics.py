@@ -754,8 +754,12 @@ def float_moment_reference(fc, x0):
     return total
 
 
+# float positions, with a few small ints among them
+MOMENT_COORDINATES = hst.one_of(hst.floats(-1e308, 1e308, allow_nan=False), hst.integers(-3, 3))
+
+
 @settings(deadline=None)
-@given(frameworks(hst.floats(-1e308, 1e308, allow_nan=False), dims=(2, 3)), hst.data())
+@given(frameworks(MOMENT_COORDINATES, dims=(2, 3)), hst.data())
 def test_moments_take_exact_arms_for_exact_loads_and_float_arms_for_float_loads(g, data):
     cx = g.complex
     origins = cx.node_labels
@@ -768,8 +772,12 @@ def test_moments_take_exact_arms_for_exact_loads_and_float_arms_for_float_loads(
             report = st.moment_equilibrium_check(fc, label, tol=0)
             assert report.passed and not any(report.residual.comps)
     else:
+        # a float load may have int components; in three dimensions a
+        # moment component of int arms and int components stays an int,
+        # as the reference's is
+        component = hst.one_of(hst.floats(-1e6, 1e6, allow_nan=False), hst.integers(-3, 3))
         loads = data.draw(hst.lists(
-            hst.tuples(*[hst.floats(-1e6, 1e6, allow_nan=False)] * g.n),
+            hst.tuples(*[component] * g.n).filter(lambda f: float in map(type, f)),
             min_size=cx.r[0], max_size=cx.r[0],
         ))
         fc = st.ForceComplex(
@@ -782,6 +790,18 @@ def test_moments_take_exact_arms_for_exact_loads_and_float_arms_for_float_loads(
             assert list(map(repr, report.residual.comps)) == list(map(repr, expected))
 
 
+def test_a_float_load_keeps_the_int_moment_components_of_int_arms():
+    # the (1, 2) component r1 f2 - r2 f1 of B's moment reads only ints, so
+    # it stays the int 2**60 + 1, as float arithmetic leaves it; rounded to
+    # a float it would print 1.152921504606847e+18
+    cx = hn.build_complex(["A", "B"], [("A", "B")])
+    g = geo.realize(cx, 3, {"A": (0, 0, 0), "B": (0.5, 2**60 + 1, 0)})
+    fc = st.force_complex(g, external={"B": (1.0, 0, 1)})
+    report = st.moment_equilibrium_check(fc, "A", tol=0)
+    assert report.residual.comps == (-2.0**60, 0.5, 2**60 + 1)
+    assert list(map(type, report.residual.comps)) == [float, float, int]
+
+
 def test_a_float_load_keeps_its_float_arm_past_the_float_range():
     # the arm 1e308 - (-1e308) overflows to inf as a float; an exact arm
     # times the float load would raise OverflowError instead
@@ -790,6 +810,27 @@ def test_a_float_load_keeps_its_float_arm_past_the_float_range():
     fc = st.force_complex(g, external={"B": (0.0, 1.0)})
     report = st.moment_equilibrium_check(fc, "A", tol=0)
     assert not report.passed and report.residual.comps == (math.inf,)
+
+
+@pytest.mark.parametrize("float_term", ["load", "applied moment"])
+def test_an_exact_moment_past_the_float_range_reads_as_inf_beside_float_ones(
+    tmp_path, capsys, float_term
+):
+    # the exact load (0, 10) at B = (1e308, 0) has the exact moment 1e309
+    # about A, past the float range; beside a float moment at C it rounds
+    # to inf instead of raising OverflowError on the mixed sum
+    loads = [(0, 0), (0, 10), (1.0, 0.0) if float_term == "load" else (0, 0)]
+    doc = json.loads(overflow_triangle([(0.0, 0.0), (1e308, 0.0), (0.0, 1.0)], loads))
+    if float_term == "applied moment":
+        doc["nodes"][2]["moment"] = [0.5]
+    for command in ("moments", "report-all"):
+        if command == "report-all":
+            doc["analyses"] = [{"command": "moments", "origin": "A"}]
+            args = ("report-all",)
+        else:
+            args = ("moments", "--origin", "A")
+        code, out = run_main(tmp_path, capsys, json.dumps(doc), *args)
+        assert "== moments: FAIL ==\n" in out and "    residual_norm = inf\n" in out
 
 
 # -- virtual work ----------------------------------------------------------------------
