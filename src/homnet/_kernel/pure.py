@@ -41,10 +41,9 @@ BACKEND = "pure"
 def echelon(rows, ncols):
     """Fraction-free row echelon of an integer matrix, every row primitive.
 
-    ``rows`` is a list of row lists which is consumed (copy before calling if
-    the input matters).  Returns ``(rows, pivot_cols)``: dense row lists, of
-    which the first ``len(pivot_cols)`` hold the echelon form and the rest
-    are zero.
+    ``rows`` is a list of row lists, which is only read.  Returns
+    ``(rows, pivot_cols)``: new dense row lists, of which the first
+    ``len(pivot_cols)`` hold the echelon form and the rest are zero.
     """
     nrows = len(rows)
     span = range(ncols)

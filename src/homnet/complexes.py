@@ -93,13 +93,63 @@ def spanning_chords(node_count, branches):
     return chords
 
 
+def _check_closes(branches, edges):
+    """Raises unless a face of three signed branches closes: its oriented
+    branches leave each node as often as they enter it."""
+    tails, heads = [], []
+    for b, s in edges:
+        tail, head = branches[b]
+        if s < 0:
+            tail, head = head, tail
+        tails.append(tail)
+        heads.append(head)
+    tails.sort()
+    heads.sort()
+    if tails != heads:
+        raise NonClosingFace(f"face {edges} does not close")
+
+
 class Complex:
     """Inventory of nodes, branches and faces plus the boundary operator.
     A complex is fixed at construction, so its sizes ``r`` = (r0, r1, r2)
-    and its dimension ``dim`` are plain attributes, set once."""
+    and its dimension ``dim`` are plain attributes, set once.
+
+    The constructor checks that labels are unique per kind, that each
+    branch joins two distinct nodes in range, and that each face is three
+    signed branches in range that close.  A caller that has already built
+    the {label: index} maps of the node and branch labels may pass them as
+    ``node_index`` and ``branch_index`` (together); the complex keeps them
+    as its label tables.  They vouch for the rest: labels unique per kind
+    (face labels too), one label per branch and per face, endpoints that
+    index two distinct nodes, and faces that are tuples of three
+    (branch index, +-1) pairs in range, as the document parser resolves
+    them.  Only the closure of each face is checked then."""
 
     def __init__(self, node_labels, branch_endpoints, face_edges=(),
-                 branch_labels=None, face_labels=None):
+                 branch_labels=None, face_labels=None, *, node_index=None,
+                 branch_index=None):
+        if (node_index is None) != (branch_index is None):
+            raise TypeError("node_index and branch_index are given together")
+        if node_index is None:
+            self._checked(node_labels, branch_endpoints, face_edges,
+                          branch_labels, face_labels)
+        else:
+            self.node_labels = list(node_labels)
+            self.branches = list(branch_endpoints)
+            self.faces = list(face_edges)
+            self.branch_labels = list(branch_labels)
+            self.face_labels = list(face_labels)
+            self._node_index = node_index
+            self._branch_index = branch_index
+            for edges in self.faces:
+                _check_closes(self.branches, edges)
+        r1, r2 = len(self.branches), len(self.faces)
+        self.r = (len(self.node_labels), r1, r2)
+        self.dim = 2 if r2 else (1 if r1 else 0)
+
+    def _checked(self, node_labels, branch_endpoints, face_edges,
+                 branch_labels, face_labels):
+        """Sets the inventory from unchecked input, checking all of it."""
         self.node_labels = list(node_labels)
         r0 = len(self.node_labels)
         self._node_index = dict(zip(self.node_labels, range(r0)))
@@ -121,21 +171,10 @@ class Complex:
             edges = tuple(edges)
             if len(edges) != 3:
                 raise NonClosingFace("a face must consist of exactly three branches")
-            # the face closes when its oriented branches leave each node
-            # as often as they enter it
-            tails, heads = [], []
             for b, s in edges:
                 if not (0 <= b < r1) or s not in (-1, 1):
                     raise UnknownLabel(f"bad signed branch ({b}, {s}) in face")
-                tail, head = branches[b]
-                if s < 0:
-                    tail, head = head, tail
-                tails.append(tail)
-                heads.append(head)
-            tails.sort()
-            heads.sort()
-            if tails != heads:
-                raise NonClosingFace(f"face {edges} does not close")
+            _check_closes(branches, edges)
             self.faces.append(edges)
 
         if branch_labels is None:
@@ -155,8 +194,6 @@ class Complex:
             raise DuplicateLabel("one label per face required")
         if len(set(self.face_labels)) != len(self.face_labels):
             raise DuplicateLabel("face labels are not unique")
-        self.r = (r0, r1, len(self.faces))
-        self.dim = 2 if self.faces else (1 if r1 else 0)
 
     # -- inventory ---------------------------------------------------------
 

@@ -26,10 +26,11 @@ the {id: index} maps that resolve branch endpoints and face references.
 A value that is a plain int, or a list of them, within floats' range is
 taken in one scan, without its value parser.
 
-``Complex.__init__`` owns the checks every caller needs, a parsed document
-or not: unique labels, branch endpoints in range and distinct, and faces of
-three signed branches that close.  Of these, only a face that does not
-close can reach it from ``parse``, which names it at ``$``.
+``parse`` hands ``Complex.__init__`` those two maps with the endpoints and
+face edges resolved through them, so the complex keeps them as its label
+tables and checks each face only for what the parser does not: that it
+closes.  ``parse`` names a face that does not close at ``$``.  Every other
+caller of the constructor passes no maps and gets all of its checks.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ def parse(text):
             face_edges,
             branch_labels=list(branch_index),
             face_labels=face_labels,
+            node_index=node_index,
+            branch_index=branch_index,
         )
     except HomnetError as exc:
         raise ValidationError("$", str(exc)) from None
@@ -411,12 +414,15 @@ def check_options(options, prefix):
     """Check the value of each known analysis option, wherever it comes
     from, and that a sample window gives both its bounds t0 and t1; an
     error names the option as PREFIX + its name ("analyses[0].", "--" or
-    "options.").  Returns the options."""
+    "options.").  A tolerance must also fit a float, as every other
+    document number must (``parse_scalar``).  Returns the options."""
     for name, value in options.items():
         if name in OPTION_TYPES and not OPTION_TYPES[name][0](value):
             raise ValidationError(
                 f"{prefix}{name}", f"expected {OPTION_TYPES[name][1]}, got {value!r}"
             )
+        if name == "tolerance":
+            _in_float_range(value, f"{prefix}{name}")
     for given, missing in (("t0", "t1"), ("t1", "t0")):
         if given in options and missing not in options:
             raise ValidationError(

@@ -70,13 +70,14 @@ def scaled_to_integers(row):
 
 
 def echelon(matrix, extra=None):
-    """The kernel's ``(rows, pivots)`` of [matrix | extra]: one copy of each
-    row, scaled to integers when a nonzero of it is not a plain int (the
+    """The kernel's ``(rows, pivots)`` of [matrix | extra]: each row as it
+    is, or scaled to integers when a nonzero of it is not a plain int (the
     kernel reads only the nonzeros, so a zero of any type is left as it
-    is)."""
+    is).  The kernel only reads its rows, so none is copied."""
     rows = []
     for i, row in enumerate(matrix):
-        row = [*row, extra[i]] if extra is not None else list(row)
+        if extra is not None:
+            row = [*row, extra[i]]
         if not _INT.issuperset(map(type, filter(None, row))):
             row = scaled_to_integers(row)[0]
         rows.append(row)

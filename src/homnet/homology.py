@@ -184,8 +184,14 @@ def torsion_coefficients(complex):
 def euler_characteristic(complex):
     """Alternating sum of simplex counts, cross-checked against the
     alternating sum of Betti numbers."""
+    return _euler(complex, betti_numbers(complex))
+
+
+def _euler(complex, betti):
+    """The Euler characteristic, cross-checked against the Betti numbers
+    ``betti`` of the complex."""
     by_rank = sum((-1) ** k * complex.r[k] for k in range(complex.dim + 1))
-    by_betti = sum((-1) ** k * b for k, b in enumerate(betti_numbers(complex)))
+    by_betti = sum((-1) ** k * b for k, b in enumerate(betti))
     if by_rank != by_betti:
         raise InternalMismatch(
             f"Euler characteristic disagrees: {by_rank} by ranks, {by_betti} by Betti"
@@ -203,10 +209,11 @@ class HomologySummary:
 
 def summary(complex):
     gens = [homology_generators(complex, k) for k in range(complex.dim + 1)]
+    betti = betti_numbers(complex)
     return HomologySummary(
-        betti=betti_numbers(complex),
+        betti=betti,
         torsion=torsion_coefficients(complex),
-        euler=euler_characteristic(complex),
+        euler=_euler(complex, betti),
         generators=gens,
     )
 
@@ -297,7 +304,11 @@ class _Faces:
         the fundamental cycles of the m chords of the forest, each oriented
         along its chord: phi(a) + P(tail) - P(head), P the potential of phi
         along the forest.  Column |C| + i is a pivot iff the i-th cycle is
-        independent of the face boundaries and of the cycles before it."""
+        independent of the face boundaries and of the cycles before it.
+
+        A node whose tree branch phi vanishes on shares its parent's
+        potential object, and a chord whose ends share one has phi(a) as its
+        column; none of them is written to."""
         forest, branches = cx.forest, cx.branches
         b1 = len(phi[0])
         if not b1:
@@ -307,16 +318,20 @@ class _Faces:
             a = forest.branch[v]
             if a is not None:
                 up, drop = potential[forest.parent[v]], phi[a]
-                if forest.sign[v] == 1:
+                if not any(drop):
+                    potential[v] = up
+                elif forest.sign[v] == 1:
                     potential[v] = [u + w for u, w in zip(up, drop)]
                 else:
                     potential[v] = [u - w for u, w in zip(up, drop)]
         columns = list(self.morse)
         for a in forest.chords:
             tail, head = branches[a]
-            columns.append(
-                [u + p - q for u, p, q in zip(phi[a], potential[tail], potential[head])]
-            )
+            p, q = potential[tail], potential[head]
+            if p is q:
+                columns.append(phi[a])
+            else:
+                columns.append([u + x - y for u, x, y in zip(phi[a], p, q)])
         rows, pivots = _kernel.echelon([list(row) for row in zip(*columns)], len(columns))
         if len(pivots) != b1:
             raise InternalMismatch(

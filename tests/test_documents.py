@@ -1,18 +1,21 @@
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from homnet import cli, documents
+from homnet import cli, complexes as cxs, documents
 from homnet.errors import (
     CoincidentNodes,
     DocumentSyntaxError,
     MissingData,
     ValidationError,
 )
+from conftest import complexes, load_perfbench
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -385,11 +388,13 @@ FACE = {"id": "F", "edges": ["AB", "BC", "-AC"]}
          "$", "face ((0, 1), (2, 1), (1, 1)) does not close"),
         (dict(analyses=["kcl", {"command": "frobnicate"}]),
          "analyses[1].command", "unknown command 'frobnicate'"),
+        (dict(analyses=["kcl", {"command": "kvl", "tolerance": 2**1100}]),
+         "analyses[1].tolerance", "too large for a float: about 2**1100"),
     ],
     ids=["dup-node", "dup-branch", "dup-face", "no-tail", "no-head", "unknown-tail",
          "unknown-head", "self-loop", "unknown-face-branch", "unknown-face-branch-minus",
          "unknown-face-branch-plus", "two-edge-face", "non-closing-face",
-         "unknown-command"],
+         "unknown-command", "tolerance-past-float-range"],
 )
 def test_each_single_fault_document_names_its_path(tmp_path, capsys, overrides, path,
                                                    message):
@@ -442,3 +447,84 @@ def test_geometric_complex_is_realized_once_and_a_failure_every_time():
         for _ in range(2):
             with pytest.raises(error):
                 doc.geometric_complex()
+
+
+# -- the parsed complex -------------------------------------------------------
+
+def validated_complex(text):
+    """The complex of a valid document built by the constructor's own
+    checks: ids resolved by list search, no index maps passed."""
+    raw = json.loads(text)
+    nodes = [str(n["id"]) for n in raw["nodes"]]
+    branches = [str(b["id"]) for b in raw["branches"]]
+    ends = [(nodes.index(str(b["tail"])), nodes.index(str(b["head"])))
+            for b in raw["branches"]]
+    faces = []
+    for face in raw.get("faces", []):
+        edges = []
+        for ref in map(str, face["edges"]):
+            sign = -1 if ref.startswith("-") else 1
+            edges.append((branches.index(ref[1:] if ref[:1] in "+-" else ref), sign))
+        faces.append(edges)
+    face_ids = [str(f["id"]) for f in raw.get("faces", [])]
+    return cxs.Complex(nodes, ends, faces, branches, face_ids)
+
+
+def document_of(cx):
+    """A document whose complex is CX, every id its label."""
+    labels = cx.node_labels
+    return json.dumps({
+        "dimension": 2,
+        "nodes": [{"id": n} for n in labels],
+        "branches": [{"id": b, "tail": labels[t], "head": labels[h]}
+                     for b, (t, h) in zip(cx.branch_labels, cx.branches)],
+        "faces": [{"id": f, "edges": [("-" if s < 0 else "") + cx.branch_labels[b]
+                                      for b, s in edges]}
+                  for f, edges in zip(cx.face_labels, cx.faces)],
+    })
+
+
+def assert_same_complex(got, want):
+    for name in ("node_labels", "branch_labels", "face_labels", "_node_index",
+                 "_branch_index", "branches", "faces", "r", "dim"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert all(type(edges) is tuple for edges in got.faces)
+
+
+def corpus_texts():
+    workloads = load_perfbench("workloads")
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.json"))]
+    for workload in ("grid-statics", "grid-homology", "trajectory"):
+        texts += [case.text for case in workloads.corpus(workload, random.Random(3))]
+    return texts
+
+
+def test_parse_builds_each_complex_once_from_its_index_maps(monkeypatch):
+    """Every fixture and generated benchmark document parses into the
+    complex the fully checked constructor builds, entering the constructor
+    once, with the parser's index maps."""
+    texts = corpus_texts()
+    want = [validated_complex(text) for text in texts]
+    calls = []
+    init = cxs.Complex.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append({"node_index", "branch_index"} <= kwargs.keys())
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cxs.Complex, "__init__", counted)
+    for text, reference in zip(texts, want):
+        calls.clear()
+        assert_same_complex(documents.parse(text).complex, reference)
+        assert calls == [True]
+
+
+@settings(deadline=None)
+@given(complexes())
+def test_a_written_complex_parses_back_to_itself(cx):
+    assert_same_complex(documents.parse(document_of(cx)).complex, cx)
+
+
+def test_the_constructor_takes_both_index_maps_or_neither():
+    with pytest.raises(TypeError):
+        cxs.Complex(["A", "B"], [(0, 1)], node_index={"A": 0, "B": 1})

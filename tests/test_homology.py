@@ -311,6 +311,20 @@ def test_summary_runs_the_smith_form_once_on_torsion(projective_plane, monkeypat
     assert calls == [[[2]]] or calls == [[[-2]]]
 
 
+def test_summary_computes_the_betti_numbers_once(projective_plane, monkeypatch):
+    calls = []
+    betti = homology.betti_numbers
+
+    def counted(cx):
+        calls.append(cx)
+        return betti(cx)
+
+    monkeypatch.setattr(homology, "betti_numbers", counted)
+    info = hn.summary(projective_plane)
+    assert len(calls) == 1
+    assert (info.betti, info.euler) == ([1, 0, 0], 1)
+
+
 def test_large_grid_is_certified_torsion_free(monkeypatch):
     def refuse(matrix):
         raise AssertionError("the face echelon certifies this grid")

@@ -163,6 +163,21 @@ def test_pure_kernel_matches_eager_bareiss(rows):
     assert got[1] == eager_echelon([list(r) for r in rows], ncols, first_nonzero)[1]
 
 
+@settings(deadline=None, max_examples=100)
+@given(kernel_inputs)
+@example(DEFERRED)
+def test_the_kernel_only_reads_its_rows(rows):
+    """The kernel and ``exact.echelon``, which hands it the caller's rows
+    uncopied, leave those rows as they were and return rows of their own."""
+    before = [list(r) for r in rows]
+    got, _ = pure.echelon(rows, len(rows[0]) if rows else 0)
+    assert rows == before
+    assert not any(g is r for g in got for r in rows)
+    if rows:
+        exact.echelon(rows)
+        assert rows == before
+
+
 def face_matrix(cx):
     """[boundary on faces | fundamental cycles] and its column count, a
     dense kernel input whose pivots give the face rank and the H1 chords."""
